@@ -7,6 +7,10 @@ submodularity only on unordered incomparable pairs.  The unreduced
 variant keeps the zero coordinate and pins it with the paired rows
 v_0 <= 0 and -v_0 <= 0 (tag "zero").
 
+Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
+point is multiplied once by the lcm mu of its denominators, and each
+row a.v <= b is tested as a.(mu v) <= mu b in Python ints.
+
 Vertex certification computes the exact rank of the tight-row normals,
 so every certificate is checkable by hand.  Vertex enumeration runs an
 exact integer double description pass over homogenized constraints;
@@ -20,10 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
-from .rankfun import RankPoint, rank_point
+from .rankfun import RankPoint, rank_point, scaled_values
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 6
+MAX_DFS_NODES = 500_000
 
 
 @dataclass(frozen=True)
@@ -113,13 +118,15 @@ def membership(H, p):
     if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
+    mu, vals = scaled_values(p.values)
     tight = []
     violated = []
     for k, row in enumerate(H.rows):
-        val = row.evaluate(p.values)
-        if val > row.rhs:
+        val = row.evaluate(vals)
+        rhs = row.rhs * mu
+        if val > rhs:
             violated.append(k)
-        elif val == row.rhs:
+        elif val == rhs:
             tight.append(k)
     if violated:
         return Membership("outside", tuple(tight), tuple(violated))
@@ -169,7 +176,7 @@ def affine_dimension(H):
     return H.ambient_dim - (1 if not H.reduced else 0)
 
 
-def lattice_points(lattice):
+def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     """All integer points of the polytope, i.e. all q-matroid rank
     functions on the lattice.
 
@@ -177,7 +184,10 @@ def lattice_points(lattice):
     feasibility prunes hard: on a cover X < Y every feasible point obeys
     v_X <= v_Y <= v_X + 1 (the upper step is submodularity against an
     atom), and each submodularity row is checked as soon as its join,
-    the largest of its four spaces, is reached."""
+    the largest of its four spaces, is reached.
+
+    Raises TooLarge once the search has visited more than max_nodes
+    partial assignments (the default admits L(F_3^3), about 64,000)."""
     lat = lattice
     size = lat.size
     join_pairs = [[] for _ in range(size)]
@@ -189,8 +199,14 @@ def lattice_points(lattice):
             join_pairs[lat.join(x, y)].append((x, y, lat.meet(x, y)))
     vals = [0] * size
     out = []
+    nodes = 0
 
     def rec(z):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_nodes:
+            raise TooLarge(f"integer-point search on L(F_{lat.q}^{lat.n}) "
+                           f"passed {max_nodes} nodes")
         if z == size:
             out.append(rank_point(lat, vals))
             return
@@ -387,11 +403,12 @@ def f_vector(H, max_dim=MAX_FVECTOR_DIM):
         raise TooLarge(f"ambient dimension {lat.size - 1} exceeds cap {max_dim}")
     verts = enumerate_vertices(H, max_dim=max_dim)
     coords = [p.values for p in verts]
+    scaled = [scaled_values(vals) for vals in coords]
     all_v = frozenset(range(len(verts)))
     rowsets = []
     for row in H.rows:
-        s = frozenset(i for i, vals in enumerate(coords)
-                      if row.evaluate(vals) == row.rhs)
+        s = frozenset(i for i, (mu, ints) in enumerate(scaled)
+                      if row.evaluate(ints) == row.rhs * mu)
         if s and s != all_v:
             rowsets.append(s)
     rowsets = list(set(rowsets))

@@ -10,11 +10,15 @@ space, fullness, pavingness).
 All set-valued operations are deliberately literal: they evaluate the
 defining condition over the whole lattice.  They double as the oracles
 against which every closed-form construction is tested.
+
+Linear conditions (the axioms here, the H-representation rows in
+polytope) are evaluated on mu-scaled integers: the point is multiplied
+once by mu, the lcm of its denominators, and each row is compared with
+its right-hand side times mu, so no Fraction arithmetic happens per row.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +27,8 @@ from .errors import DimensionMismatch, NotADenominator
 
 __all__ = [
     "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
-    "Classification", "rank_point", "check_axioms", "principal_denominator",
+    "Classification", "rank_point", "scaled_values", "check_axioms",
+    "principal_denominator",
     "independence_report", "mu_bases", "closure", "flats", "cyclic_spaces",
     "cyclic_flats", "classify", "is_strong_independent",
     "point_to_json", "point_from_json",
@@ -74,6 +79,13 @@ def rank_point(lattice, values):
     return RankPoint(lattice, tuple(_to_fraction(v) for v in values))
 
 
+def scaled_values(values):
+    """(mu, ints) with mu the lcm of the denominators of the Fractions in
+    values and ints[i] == mu * values[i], exactly."""
+    mu = math.lcm(*(v.denominator for v in values))
+    return mu, tuple(v.numerator * (mu // v.denominator) for v in values)
+
+
 Violation = tuple  # (axiom tag, witness indices, positive slack)
 
 
@@ -92,18 +104,19 @@ def check_axioms(p):
     their exact positive slack; they are data, not errors.
     """
     lat = p.lattice
-    vals = p.values
+    mu, vals = scaled_values(p.values)
     bad = []
     for i, v in enumerate(vals):
+        top = lat.dims[i] * mu
         if v < 0:
-            bad.append(("R1", (i,), -v))
-        elif v > lat.dims[i]:
-            bad.append(("R1", (i,), v - lat.dims[i]))
+            bad.append(("R1", (i,), Fraction(-v, mu)))
+        elif v > top:
+            bad.append(("R1", (i,), Fraction(v - top, mu)))
     for y in range(lat.size):
         vy = vals[y]
         for x in lat.covers_down[y]:
             if vals[x] > vy:
-                bad.append(("R2", (x, y), vals[x] - vy))
+                bad.append(("R2", (x, y), Fraction(vals[x] - vy, mu)))
     for x in range(lat.size):
         bx = lat.below_mask[x]
         for y in range(x + 1, lat.size):
@@ -111,7 +124,7 @@ def check_axioms(p):
                 continue
             slack = vals[lat.meet(x, y)] + vals[lat.join(x, y)] - vals[x] - vals[y]
             if slack > 0:
-                bad.append(("R3", (x, y), slack))
+                bad.append(("R3", (x, y), Fraction(slack, mu)))
     return AxiomReport(not bad, tuple(bad))
 
 
@@ -281,7 +294,3 @@ def point_from_json(obj, lattice):
             "order digest mismatch: point was serialized against a "
             "different lattice ordering")
     return rank_point(lattice, obj["values"])
-
-
-def point_dumps(p):
-    return json.dumps(point_to_json(p), sort_keys=True, indent=None)

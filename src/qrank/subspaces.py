@@ -6,8 +6,15 @@ order is lexicographic on the flattened basis entries.  That order is
 what coordinatizes rank points, so it must never change.
 
 build_lattice enumerates every subspace exactly once, records the cover
-relation, containment bitmasks and (for small lattices) full meet/join
-tables, and exposes the helpers the rest of the package leans on.
+relation and the containment bitmasks in both directions, and exposes
+the helpers the rest of the package leans on.
+
+Meet and join are read off the bitmasks, with no linear algebra.  The
+order is graded: index order never decreases dimension.  The common
+lower bounds of X and Y are the subspaces below their meet, and the
+meet is the only one of them with its dimension, so the meet is the
+highest index set in both below-masks.  Dually, the join is the lowest
+index set in both above-masks.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from .errors import OutOfRange, TooLarge
 from .fields import FqMatrix, make_field, matrix_vectors, nullspace, rref
 
 MAX_LATTICE_SIZE = 1000
-MEMO_THRESHOLD = 200
 
 
 def gaussian_binomial(n, l, q):
@@ -85,11 +91,11 @@ class SubspaceLattice:
         for d in range(1, n + 2):
             offsets[d] += offsets[d - 1]
         self.grade_offsets = tuple(offsets)
-        self._vecsets = tuple(frozenset(matrix_vectors(s.basis))
-                              for s in self.subspaces)
-        # containment bitmasks: bit i of below_mask[j] <=> subspace i <= j
+        # containment bitmasks: bit i of below_mask[j] <=> subspace i <= j,
+        # and above_mask is the transpose
         below = []
-        for j, vs in enumerate(self._vecsets):
+        for j, sj in enumerate(self.subspaces):
+            vs = frozenset(matrix_vectors(sj.basis))
             mask = 0
             dj = self.dims[j]
             for i, s in enumerate(self.subspaces):
@@ -98,6 +104,11 @@ class SubspaceLattice:
             below.append(mask)
         self.below_mask = tuple(below)
         self._below_list = tuple(tuple(self._bits(m)) for m in self.below_mask)
+        above = [0] * self.size
+        for j, lows in enumerate(self._below_list):
+            for i in lows:
+                above[i] |= 1 << j
+        self.above_mask = tuple(above)
         self.covers_down = tuple(
             tuple(i for i in self._below_list[j] if self.dims[i] == self.dims[j] - 1)
             for j in range(self.size))
@@ -111,10 +122,6 @@ class SubspaceLattice:
         self.atoms_of = tuple(
             tuple(i for i in self._below_list[j] if self.dims[i] == 1)
             for j in range(self.size))
-        self._meet_table = None
-        self._join_table = None
-        if self.size <= MEMO_THRESHOLD:
-            self._fill_meet_join()
         self._digest = None
 
     @staticmethod
@@ -147,9 +154,6 @@ class SubspaceLattice:
         """Indices of all subspaces contained in j (including j)."""
         return self._below_list[j]
 
-    def hyperplanes_of(self, j):
-        return self.covers_down[j]
-
     def index_of_matrix(self, M):
         """Canonical index of the row space of M (any spanning matrix)."""
         return self.index[rref(M).matrix.entries]
@@ -162,47 +166,12 @@ class SubspaceLattice:
 
     # -- meet / join ---------------------------------------------------
 
-    def _fill_meet_join(self):
-        size = self.size
-        meet = [[0] * size for _ in range(size)]
-        join = [[0] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                m = self._meet_raw(i, j)
-                v = self._join_raw(i, j)
-                meet[i][j] = meet[j][i] = m
-                join[i][j] = join[j][i] = v
-        self._meet_table = tuple(tuple(r) for r in meet)
-        self._join_table = tuple(tuple(r) for r in join)
-
-    def _meet_raw(self, i, j):
-        if self.leq(i, j):
-            return i
-        if self.leq(j, i):
-            return j
-        common = self._vecsets[i] & self._vecsets[j]
-        vecs = [v for v in common if any(v)]
-        if not vecs:
-            return 0
-        return self.index[rref(FqMatrix.from_rows(self.field, vecs, self.n)).matrix.entries]
-
-    def _join_raw(self, i, j):
-        if self.leq(i, j):
-            return j
-        if self.leq(j, i):
-            return i
-        rows = self.subspaces[i].basis.entries + self.subspaces[j].basis.entries
-        return self.index[rref(FqMatrix.from_rows(self.field, rows, self.n)).matrix.entries]
-
     def meet(self, i, j):
-        if self._meet_table is not None:
-            return self._meet_table[i][j]
-        return self._meet_raw(i, j)
+        return (self.below_mask[i] & self.below_mask[j]).bit_length() - 1
 
     def join(self, i, j):
-        if self._join_table is not None:
-            return self._join_table[i][j]
-        return self._join_raw(i, j)
+        common = self.above_mask[i] & self.above_mask[j]
+        return (common & -common).bit_length() - 1
 
     def meet_join(self, i, j):
         return self.meet(i, j), self.join(i, j)

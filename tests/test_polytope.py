@@ -1,7 +1,11 @@
 import random
+import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrank.constructions import uniform
 from qrank.errors import NotFeasible, TooLarge
@@ -9,6 +13,7 @@ from qrank.polytope import (_int_rank, affine_dimension, build_hrep,
                             enumerate_vertices, f_vector, interior_witness,
                             is_vertex, lattice_points, membership)
 from qrank.rankfun import check_axioms, rank_point
+from qrank.subspaces import build_lattice
 
 PAPER_POINTS_22 = {
     (0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (0, 1, 1, 1, 2),
@@ -113,6 +118,84 @@ def test_membership_feasibility_equals_axioms(lat23):
         assert (membership(H, p).status != "outside") == check_axioms(p).ok
 
 
+@cache
+def _property_setup(q, n):
+    lat = build_lattice(q, n)
+    return (lat, build_hrep(lat, reduced=False), lattice_points(lat),
+            interior_witness(lat))
+
+
+@st.composite
+def _rational_points(draw):
+    """A convex combination of a q-matroid with another one or with the
+    interior witness, then a few coordinates moved by small rationals,
+    which may leave the polytope; the zero coordinate is sometimes moved
+    too."""
+    lat, H, pts, wit = _property_setup(*draw(st.sampled_from([(2, 3), (3, 2)])))
+    a = draw(st.sampled_from(pts))
+    b = draw(st.one_of(st.just(wit), st.sampled_from(pts)))
+    lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+    vals = [lam * x + (1 - lam) * y for x, y in zip(a.values, b.values)]
+    nudges = draw(st.lists(
+        st.tuples(st.integers(0, lat.size - 1),
+                  st.fractions(min_value=-1, max_value=1, max_denominator=5)),
+        max_size=3))
+    for i, d in nudges:
+        vals[i] += d
+    return H, rank_point(lat, vals)
+
+
+def _fraction_axiom_violations(p):
+    """Oracle: the axiom check in plain Fraction arithmetic."""
+    lat, vals = p.lattice, p.values
+    bad = []
+    for i, v in enumerate(vals):
+        if v < 0:
+            bad.append(("R1", (i,), -v))
+        elif v > lat.dims[i]:
+            bad.append(("R1", (i,), v - lat.dims[i]))
+    for y in range(lat.size):
+        for x in lat.covers_down[y]:
+            if vals[x] > vals[y]:
+                bad.append(("R2", (x, y), vals[x] - vals[y]))
+    for x in range(lat.size):
+        for y in range(x + 1, lat.size):
+            if lat.leq(x, y) or lat.leq(y, x):
+                continue
+            slack = vals[lat.meet(x, y)] + vals[lat.join(x, y)] - vals[x] - vals[y]
+            if slack > 0:
+                bad.append(("R3", (x, y), slack))
+    return tuple(bad)
+
+
+_PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
+                              derandomize=True, database=None)
+
+
+@_PROPERTY_SETTINGS
+@given(_rational_points())
+def test_scaled_membership_matches_fraction_rows(hp):
+    H, p = hp
+    mem = membership(H, p)
+    tight = tuple(k for k, row in enumerate(H.rows)
+                  if row.evaluate(p.values) == row.rhs)
+    violated = tuple(k for k, row in enumerate(H.rows)
+                     if row.evaluate(p.values) > row.rhs)
+    assert mem.tight_rows == tight
+    assert mem.violated_rows == violated
+    assert (mem.status == "outside") == bool(violated)
+
+
+@_PROPERTY_SETTINGS
+@given(_rational_points())
+def test_axioms_agree_with_membership_and_fraction_slacks(hp):
+    H, p = hp
+    rep = check_axioms(p)
+    assert rep.ok == (membership(H, p).status != "outside")
+    assert rep.violations == _fraction_axiom_violations(p)
+    assert all(type(slack) is Fraction for _, _, slack in rep.violations)
+
+
 def test_lattice_points_22(lat22):
     pts = lattice_points(lat22)
     assert {tuple(int(v) for v in p.values) for p in pts} == PAPER_POINTS_22
@@ -126,6 +209,15 @@ def test_lattice_point_counts(fixture, count, request):
     for p in pts:
         assert check_axioms(p).ok
         assert p.is_integral()
+
+
+def test_lattice_points_node_cap(lat24, lat33):
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        lattice_points(lat24)
+    assert time.perf_counter() - start < 30
+    with pytest.raises(TooLarge):
+        lattice_points(lat33, max_nodes=1000)
 
 
 def test_every_lattice_point_is_vertex_and_not_interior(lat22, lat32):

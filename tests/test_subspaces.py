@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from qrank.errors import OutOfRange, TooLarge
-from qrank.fields import FqMatrix, make_field, rref
+from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.subspaces import build_lattice, gaussian_binomial
 
 
@@ -102,14 +102,26 @@ def test_modular_law_all_pairs(q, n):
             assert lat.leq(i, v) and lat.leq(j, v)
 
 
-def test_meet_join_agree_with_vector_sets(lat24):
-    # on-demand path vs memo path must agree; exercise both via raw calls
+def _meet_join_by_rref(lat, i, j):
+    """Oracle: the meet is the RREF of the vectors the two spaces share,
+    the join the RREF of their stacked bases."""
+    bi, bj = lat.subspaces[i].basis, lat.subspaces[j].basis
+    common = set(matrix_vectors(bi)) & set(matrix_vectors(bj))
+    meet = lat.index_of_rows([v for v in common if any(v)])
+    join = lat.index_of_rows(list(bi.entries + bj.entries))
+    return meet, join
+
+
+def test_meet_join_agree_with_vector_sets(lat24, lat33, lat25):
+    # every pair of the two smaller lattices, a seeded sample of the largest
     rng = random.Random(11)
-    for _ in range(200):
-        i = rng.randrange(lat24.size)
-        j = rng.randrange(lat24.size)
-        assert lat24.meet(i, j) == lat24._meet_raw(i, j)
-        assert lat24.join(i, j) == lat24._join_raw(i, j)
+    sample = [(rng.randrange(lat25.size), rng.randrange(lat25.size))
+              for _ in range(2000)]
+    for lat, pairs in ((lat24, product(range(lat24.size), repeat=2)),
+                       (lat33, product(range(lat33.size), repeat=2)),
+                       (lat25, sample)):
+        for i, j in pairs:
+            assert (lat.meet(i, j), lat.join(i, j)) == _meet_join_by_rref(lat, i, j)
 
 
 def test_covers(lat23):
