@@ -11,10 +11,14 @@ Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and each
 row a.v <= b is tested as a.(mu v) <= mu b in Python ints.
 
-Vertex certification computes the exact rank of the tight-row normals,
-so every certificate is checkable by hand.  Vertex enumeration runs an
-exact integer double description pass over homogenized constraints;
-adjacency of rays is decided by exact rank tests on common tight sets.
+Every rank is taken by one exact kernel, _rank: sparse elimination in
+Python ints over rows given as (column, value) pairs, so an H-row keeps
+its at most four nonzero entries.  Vertex certification ranks the
+tight-row normals, so every certificate is checkable by hand.  Vertex
+enumeration runs an exact integer double description pass over sparse
+homogenized constraints; adjacency of rays is decided by the same
+kernel on their common tight sets, and face dimensions in f_vector by
+the rank of scaled difference rows.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ MAX_DFS_NODES = 500_000
 
 @dataclass(frozen=True)
 class HRow:
-    coeffs: tuple  # sparse ((lattice index, coefficient), ...)
+    coeffs: tuple  # sparse ((lattice index, coefficient), ...), increasing index
     rhs: int
     tag: tuple     # ("type1", x) | ("nonneg", x) | ("type2", x, y)
                    # | ("type3", x, y) | ("zero", +1 or -1)
@@ -60,16 +64,25 @@ class HRepresentation:
 
     def to_text(self):
         """Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
-        line as space-separated reduced rationals a_1 .. a_dim b."""
-        lat = self.lattice
+        line as space-separated reduced rationals a_1 .. a_dim b.
+
+        Each line is spliced from runs of zeros between the row's few
+        nonzero entries."""
         offset = 1 if self.reduced else 0
         dim = self.ambient_dim
+        zeros = ["0 " * k for k in range(dim + 1)]
         lines = [f"HREP {len(self.rows)} {dim}"]
         for row in self.rows:
-            dense = [0] * dim
+            parts = []
+            col = 0
             for i, c in row.coeffs:
-                dense[i - offset] = c
-            lines.append(" ".join(str(x) for x in dense) + f" {row.rhs}")
+                i -= offset
+                parts.append(zeros[i - col])
+                parts.append(f"{c} ")
+                col = i + 1
+            parts.append(zeros[dim - col])
+            parts.append(str(row.rhs))
+            lines.append("".join(parts))
         return "\n".join(lines) + "\n"
 
 
@@ -144,21 +157,14 @@ class VertexCertificate:
 
 
 def is_vertex(H, p):
-    """Certify the point: gather tight rows and rank their normals; the
-    point is a vertex iff the rank equals the ambient dimension."""
+    """Certify the point: gather tight rows and rank their sparse
+    normals by exact elimination; the point is a vertex iff the rank
+    equals the ambient dimension."""
     mem = membership(H, p)
     if mem.status == "outside":
         raise NotFeasible(f"point violates rows {mem.violated_rows}")
-    offset = 1 if H.reduced else 0
-    dim = H.ambient_dim
-    normals = []
-    for k in mem.tight_rows:
-        dense = [0] * dim
-        for i, c in H.rows[k].coeffs:
-            dense[i - offset] = c
-        normals.append(dense)
-    rank = _int_rank(normals)
-    return VertexCertificate(p, mem.tight_rows, rank, rank == dim)
+    rank = _rank(H.rows[k].coeffs for k in mem.tight_rows)
+    return VertexCertificate(p, mem.tight_rows, rank, rank == H.ambient_dim)
 
 
 def interior_witness(lattice):
@@ -233,36 +239,36 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 
 # -- exact linear algebra helpers ---------------------------------------
 
-def _int_rank(rows):
-    """Rank over Q of an integer matrix, by fraction-free elimination."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pv = pr[col]
-        for i in range(rank + 1, len(m)):
-            ri = m[i]
-            f = ri[col]
-            if f:
-                for j in range(col, ncols):
-                    ri[j] = ri[j] * pv - pr[j] * f
-                g = 0
-                for x in ri:
-                    g = math.gcd(g, x)
-                if g > 1:
-                    for j in range(ncols):
-                        ri[j] //= g
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+def _rank(rows):
+    """Rank over Q of an integer matrix given as sparse rows, each an
+    iterable of (column, value) pairs with distinct columns; column
+    numbering is immaterial.
+
+    Exact sparse elimination: each pivot row, divided by its gcd, is
+    keyed by its lowest column.  An incoming row is reduced by the pivot
+    of its current lowest column until it vanishes or its lowest column
+    has no pivot, and then becomes that column's pivot."""
+    pivots = {}
+    for row in rows:
+        r = {c: v for c, v in row if v}
+        while r:
+            col = min(r)
+            p = pivots.get(col)
+            if p is None:
+                g = math.gcd(*r.values())
+                pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
+                break
+            a, b = p[col], r[col]
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            r = {c: v * a for c, v in r.items()}
+            for c, v in p.items():
+                x = r.get(c, 0) - b * v
+                if x:
+                    r[c] = x
+                else:
+                    del r[c]
+    return len(pivots)
 
 
 def _affine_rank(points):
@@ -274,8 +280,8 @@ def _affine_rank(points):
     for p in points[1:]:
         diff = [a - b for a, b in zip(p, base)]
         lcm = math.lcm(*(f.denominator for f in diff)) if diff else 1
-        rows.append([int(f * lcm) for f in diff])
-    return _int_rank(rows)
+        rows.append([(j, int(f * lcm)) for j, f in enumerate(diff)])
+    return _rank(rows)
 
 
 # -- vertex enumeration: exact double description ------------------------
@@ -304,10 +310,11 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
 
     Works over the homogenization cone {(v, t) : Av <= bt, t >= 0}: the
     initial simplicial cone comes from the type-1 rows plus the t-row,
-    and the remaining rows are inserted one at a time.  Rays are primitive
-    integer vectors; a positive/negative ray pair combines only if the
-    constraints tight at both have rank exactly dim-1, the exact rank
-    test for adjacency.  Output is sorted by coordinates."""
+    and the remaining rows are inserted one at a time.  Constraints are
+    sparse (column, coefficient) rows; rays are dense primitive integer
+    vectors.  A positive/negative ray pair combines only if the
+    constraints tight at both have rank exactly dim-1, the exact sparse
+    rank test for adjacency.  Output is sorted by coordinates."""
     lat = H.lattice
     d = lat.size - 1
     if d > max_dim:
@@ -318,19 +325,16 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
     for row in H.rows:
         if row.tag[0] == "zero":
             continue
-        vec = [0] * (d + 1)
-        for i, c in row.coeffs:
-            if i == 0:
-                continue
-            vec[i - 1] = c
-        vec[d] = -row.rhs
+        vec = tuple((i - 1, c) for i, c in row.coeffs if i != 0)
+        if row.rhs:
+            vec += ((d, -row.rhs),)
         if row.tag[0] == "type1":
-            type1[row.tag[1]] = tuple(vec)
+            type1[row.tag[1]] = vec
         else:
-            rest.append((row, tuple(vec)))
+            rest.append((row, vec))
 
     cons = [type1[i] for i in range(1, lat.size)]
-    cons.append(tuple([0] * d + [-1]))  # t >= 0
+    cons.append(((d, -1),))  # t >= 0
     base = len(cons)  # == d + 1
     cons.extend(vec for _, vec in _dd_constraint_order(lat, rest))
 
@@ -351,14 +355,14 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
             low = m & -m
             tight.append(cons[low.bit_length() - 1])
             m ^= low
-        return _int_rank(tight) == D - 2
+        return _rank(tight) == D - 2
 
     for ci in range(base, len(cons)):
         c = cons[ci]
         bit = 1 << ci
         plus, zero, minus = [], [], []
         for vec, z in rays:
-            val = sum(a * b for a, b in zip(c, vec))
+            val = sum(a * vec[i] for i, a in c)
             if val > 0:
                 plus.append((vec, z, val))
             elif val < 0:

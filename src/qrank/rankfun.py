@@ -288,8 +288,11 @@ def point_to_json(p):
 def point_from_json(obj, lattice):
     if obj.get("q") != lattice.q or obj.get("n") != lattice.n:
         raise DimensionMismatch("point parameters do not match the lattice")
-    digest = obj.get("order_digest")
-    if digest is not None and digest != lattice.order_digest():
+    if "order_digest" not in obj:
+        raise DimensionMismatch(
+            "point has no order_digest; it cannot be checked against the "
+            "lattice ordering")
+    if obj["order_digest"] != lattice.order_digest():
         raise DimensionMismatch(
             "order digest mismatch: point was serialized against a "
             "different lattice ordering")

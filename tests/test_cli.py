@@ -163,6 +163,17 @@ def test_digest_guard(capsys, tmp_path):
     assert code == 1 and "digest" in err
 
 
+def test_missing_digest_rejected(capsys, tmp_path):
+    point = tmp_path / "u.json"
+    assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",
+                 "-o", str(point)]) == 0
+    obj = json.loads(point.read_text())
+    del obj["order_digest"]
+    point.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pm", "check", "--point", str(point))
+    assert code == 1 and out == "" and "order_digest" in err
+
+
 def test_make_flag(capsys, tmp_path):
     spec = tmp_path / "flag.json"
     spec.write_text(json.dumps({

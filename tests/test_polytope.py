@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrank.constructions import uniform
+from helpers import _int_rank, random_disjoint_paving_pair, random_lambda
+from qrank.codes import induced_polymatroid, matrix_code
+from qrank.constructions import (paving, paving_combo_report, paving_spec,
+                                 two_uniform_combo_report, uniform)
 from qrank.errors import NotFeasible, TooLarge
-from qrank.polytope import (_int_rank, affine_dimension, build_hrep,
+from qrank.fields import FqMatrix, make_field, rref
+from qrank.polytope import (_rank, affine_dimension, build_hrep,
                             enumerate_vertices, f_vector, interior_witness,
                             is_vertex, lattice_points, membership)
 from qrank.rankfun import check_axioms, rank_point
@@ -67,6 +71,31 @@ def test_hrep_matches_paper_rows(lat22):
         ((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, -1, 0), 0),
     }
     assert dense == paper
+
+
+def _dense_normal(H, row):
+    offset = 1 if H.reduced else 0
+    vec = [0] * H.ambient_dim
+    for i, c in row.coeffs:
+        vec[i - offset] = c
+    return vec
+
+
+def _dense_hrep_text(H):
+    """Reference formatter: every row written out as a dense list."""
+    lines = [f"HREP {len(H.rows)} {H.ambient_dim}"]
+    for row in H.rows:
+        lines.append(" ".join(str(x) for x in _dense_normal(H, row))
+                     + f" {row.rhs}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat32"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_hrep_text_matches_dense_formatter(fixture, reduced, request):
+    H = build_hrep(request.getfixturevalue(fixture), reduced=reduced)
+    assert ("zero" in H.tag_counts()) == (not reduced)
+    assert H.to_text() == _dense_hrep_text(H)
 
 
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])
@@ -196,6 +225,91 @@ def test_axioms_agree_with_membership_and_fraction_slacks(hp):
     assert all(type(slack) is Fraction for _, _, slack in rep.violations)
 
 
+@st.composite
+def _int_matrices(draw):
+    """(column labels, integer matrix): entries in [-3, 3], with zero
+    rows, duplicate rows and scaled copies mixed in, and the columns
+    given arbitrary distinct labels."""
+    ncols = draw(st.integers(1, 9))
+    row = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    m = draw(st.lists(row, max_size=8))
+    m += [[0] * ncols] * draw(st.integers(0, 2))
+    if m:
+        for f in draw(st.lists(st.sampled_from([1, -1, 2, -3]), max_size=3)):
+            m.append([f * x for x in draw(st.sampled_from(m))])
+    labels = [3 * c + 1 for c in draw(st.permutations(range(ncols)))]
+    return labels, draw(st.permutations(m))
+
+
+@_PROPERTY_SETTINGS
+@given(_int_matrices())
+def test_sparse_rank_matches_dense_reference(case):
+    labels, m = case
+    sparse = [[(labels[j], x) for j, x in enumerate(r)] for r in m]
+    assert _rank(sparse) == _int_rank(m)
+
+
+def _dense_normal_rank(H, rows):
+    return _int_rank([_dense_normal(H, H.rows[k]) for k in rows])
+
+
+def _random_code_point(rng, lat, m=2, k=3):
+    F = make_field(lat.q)
+    n = lat.n
+    rows = [tuple(rng.randrange(lat.q) for _ in range(n * m)) for _ in range(k)]
+    mat = rref(FqMatrix.from_rows(F, rows, n * m)).matrix
+    gens = [FqMatrix.from_rows(F, [r[i * m:(i + 1) * m] for i in range(n)], m)
+            for r in mat.entries]
+    return induced_polymatroid(matrix_code(F, n, m, gens), lat)
+
+
+def _point_kinds(lat, rng):
+    """(kind, point) for every kind of point the certificates see:
+    uniform, paving, paving combo, two-uniform combo (it needs
+    1 < k1 < k2 < n, so L(F_3^3) has none), code-induced, the interior
+    witness, and copies of each with one seeded coordinate raised by 1,
+    as the benchmark raises them, which leaves the polytope."""
+    n = lat.n
+    pts = [("uniform", uniform(lat, k)) for k in range(n + 1)]
+    for k in range(2, n):
+        s1, s2 = random_disjoint_paving_pair(rng, lat, k)
+        spec1, spec2 = paving_spec(lat, k, s1), paving_spec(lat, k, s2)
+        pts.append(("paving", paving(spec1)))
+        pts.append(("paving combo", paving_combo_report(
+            spec1, spec2, random_lambda(rng)).point))
+        for k2 in range(k + 1, n):
+            pts.append(("two-uniform combo", two_uniform_combo_report(
+                lat.q, n, k, k2, random_lambda(rng), lattice=lat).point))
+    pts.append(("code-induced", _random_code_point(rng, lat)))
+    pts.append(("witness", interior_witness(lat)))
+    raised = []
+    for kind, p in pts:
+        for i in rng.sample(range(1, lat.size), 3):
+            vals = list(p.values)
+            vals[i] += 1
+            raised.append(("raised " + kind, rank_point(lat, vals)))
+    return pts + raised
+
+
+@pytest.mark.parametrize("fixture", ["lat24", "lat33"])
+def test_vertex_normal_rank_matches_dense_reference(fixture, request):
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=True)
+    kinds, certified = set(), set()
+    for kind, p in _point_kinds(lat, random.Random(41)):
+        kinds.add(kind)
+        if membership(H, p).status == "outside":
+            with pytest.raises(NotFeasible):
+                is_vertex(H, p)
+            continue
+        cert = is_vertex(H, p)
+        assert cert.normal_rank == _dense_normal_rank(H, cert.tight_rows), kind
+        assert cert.is_vertex == (cert.normal_rank == H.ambient_dim)
+        certified.add(kind)
+    assert certified == {k for k in kinds if not k.startswith("raised")}
+    assert len(kinds) == 2 * len(certified)
+
+
 def test_lattice_points_22(lat22):
     pts = lattice_points(lat22)
     assert {tuple(int(v) for v in p.values) for p in pts} == PAPER_POINTS_22
@@ -273,7 +387,8 @@ def test_vertices_32(lat32):
     # every vertex is feasible, rational by construction, and certified
     for p in verts:
         assert check_axioms(p).ok
-        assert is_vertex(H, p).is_vertex
+        cert = is_vertex(H, p)
+        assert cert.is_vertex and cert.normal_rank == H.ambient_dim
 
 
 def test_vertices_deterministic(lat32):
@@ -300,7 +415,6 @@ def test_midpoint_convexity(lat23):
 
 
 def _edge_count_by_rank_certificates(H, verts):
-    offset = 1 if H.reduced else 0
     dim = H.ambient_dim
     tight = []
     for p in verts:
@@ -310,14 +424,7 @@ def _edge_count_by_rank_certificates(H, verts):
     for i in range(len(verts)):
         ti = set(tight[i])
         for j in range(i + 1, len(verts)):
-            common = ti.intersection(tight[j])
-            normals = []
-            for k in common:
-                vec = [0] * dim
-                for idx, c in H.rows[k].coeffs:
-                    vec[idx - offset] = c
-                normals.append(vec)
-            if _int_rank(normals) == dim - 1:
+            if _dense_normal_rank(H, ti.intersection(tight[j])) == dim - 1:
                 edges += 1
     return edges
 
@@ -480,3 +587,6 @@ def test_polytope_5_2_regression():
     assert len(verts) == 50
     vset = {tuple(p.values) for p in verts}
     assert all(tuple(p.values) in vset for p in pts)
+    for p in verts:
+        cert = is_vertex(H, p)
+        assert cert.is_vertex and cert.normal_rank == H.ambient_dim

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qrank.constructions import convex_combination, paving, paving_spec, uniform
-from qrank.errors import NotADenominator
+from qrank.errors import DimensionMismatch, NotADenominator
 from qrank.rankfun import (check_axioms, classify, closure, cyclic_flats,
                            cyclic_spaces, flats, independence_report,
                            is_strong_independent, mu_bases, point_from_json,
@@ -199,6 +199,13 @@ def test_point_json_roundtrip(lat22):
     assert back.values == p.values
     obj["order_digest"] = "0" * 16
     with pytest.raises(Exception):
+        point_from_json(obj, lat22)
+
+
+def test_point_json_requires_digest(lat22):
+    obj = point_to_json(uniform(lat22, 1))
+    del obj["order_digest"]
+    with pytest.raises(DimensionMismatch, match="order_digest"):
         point_from_json(obj, lat22)
 
 
