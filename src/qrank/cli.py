@@ -4,8 +4,9 @@ Every subcommand is a one-shot pipeline over the JSON / text formats
 defined by the library modules: lattice dumps, rank-point files with an
 order digest, H-representation text, vertex lists, code files, and
 polynomial serializations.  Exit codes: 0 success, 1 validation
-failure, 2 size cap exceeded.  With --json-errors failures are also
-reported as one JSON object on stderr.
+failure, 2 size cap exceeded.  A file that lacks a key it needs is a
+validation failure naming the key and the file.  With --json-errors
+failures are also reported as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import charpoly, codes, constructions, polytope, rankfun, subspaces
-from .errors import CapExceeded, ValidationError
+from .errors import CapExceeded, ValidationError, require_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,9 +41,14 @@ def _lattice(args):
     return subspaces.build_lattice(args.q, args.n, max_size=args.max_lattice)
 
 
-def _load_point(args, path):
+def _read_json(path, keys=()):
+    """The JSON object in the file, checked to have every key in keys."""
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        return require_keys(json.load(fh), keys, path)
+
+
+def _load_point(args, path):
+    obj = _read_json(path, ("q", "n", "values"))
     lat = subspaces.build_lattice(obj["q"], obj["n"], max_size=args.max_lattice)
     return rankfun.point_from_json(obj, lat)
 
@@ -124,13 +130,13 @@ def _cmd_pm(args):
 def _cmd_make(args):
     if args.which == "uniform":
         spec = {"kind": "uniform", "q": args.q, "n": args.n, "k": args.k}
+        source = "make uniform"
     else:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+        spec, source = _read_json(args.spec), args.spec
         if spec.get("kind") != args.which:
             raise ValidationError(
                 f"spec kind {spec.get('kind')!r} does not match subcommand {args.which}")
-    point = constructions.compile_spec(spec)
+    point = constructions.compile_spec(spec, source=source)
     _emit_json(args, rankfun.point_to_json(point))
     return 0
 
@@ -143,8 +149,7 @@ def _cmd_invariant(args):
                           "at_one": chi.eval_at_one()})
         return 0
     # chi-combo: closed form for a paving combination, cross-checked
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = _read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
     lat = subspaces.build_lattice(spec["q"], spec["n"], max_size=args.max_lattice)
     k = spec["k"]
     lam = Fraction(spec["lambda"])
@@ -293,7 +298,7 @@ def main(argv=None):
     except CapExceeded as exc:
         _report_error(exc, json_errors)
         return 2
-    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError) as exc:
         _report_error(exc, json_errors)
         return 1
 

@@ -20,7 +20,7 @@ from pathlib import Path
 from .constructions import profile_independent_dims, point_from_profile, uniform
 from .errors import (HypothesisFail, LatticeMismatch, OutOfRange, TooLarge,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
-                     ZeroCode)
+                     ZeroCode, require_keys)
 from .fields import FqMatrix, make_field, nullspace, rref
 from .rankfun import rank_point
 
@@ -328,7 +328,8 @@ def code_from_json(obj):
 
 def load_code(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return code_from_json(json.load(fh))
+        obj = json.load(fh)
+    return code_from_json(require_keys(obj, ("q", "n", "m", "generators"), path))
 
 
 def bundled_vertex_code_path():

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
-                     Overlap, OutOfRange, RankMismatch)
+                     Overlap, OutOfRange, RankMismatch, require_keys)
 from .rankfun import RankPoint, rank_point
 from .subspaces import build_lattice
 
@@ -289,9 +289,15 @@ def flag_uniform_combo(q, n, lambdas, lattice=None):
 
 # -- declarative construction specs (consumed by the CLI) ------------------
 
-def compile_spec(obj, lattice_cache=None):
+_SPEC_KEYS = {"uniform": ("q", "n", "k"), "paving": ("q", "n", "k", "spaces"),
+             "combo": ("coefficients", "terms"), "flag": ("q", "n", "lambdas")}
+
+
+def compile_spec(obj, lattice_cache=None, source="spec"):
     """Build a RankPoint from a declarative JSON-style construction spec:
-    {"kind": "uniform"|"paving"|"combo"|"flag", ...}."""
+    {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A key the kind
+    needs (_SPEC_KEYS) that is absent raises MissingKey naming source,
+    and for a combo term its position."""
     if lattice_cache is None:
         lattice_cache = {}
 
@@ -302,6 +308,7 @@ def compile_spec(obj, lattice_cache=None):
         return lattice_cache[key]
 
     kind = obj.get("kind")
+    require_keys(obj, _SPEC_KEYS.get(kind, ()), source)
     if kind == "uniform":
         lat = get_lattice(obj["q"], obj["n"])
         return uniform(lat, obj["k"])
@@ -312,7 +319,8 @@ def compile_spec(obj, lattice_cache=None):
         return paving(paving_spec(lat, obj["k"], spaces))
     if kind == "combo":
         coeffs = [Fraction(c) for c in obj["coefficients"]]
-        points = [compile_spec(t, lattice_cache) for t in obj["terms"]]
+        points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]")
+                  for i, t in enumerate(obj["terms"])]
         if len(coeffs) != len(points):
             raise CoefficientSum("coefficient/term count mismatch")
         return convex_combination(list(zip(coeffs, points)))

@@ -3,6 +3,8 @@
 Validation problems (bad input data, broken preconditions) raise
 subclasses of ValidationError.  Requests that would exceed a size cap
 raise CapExceeded; the CLI maps the two families to exit codes 1 and 2.
+require_keys turns a key missing from a JSON input into a MissingKey
+that names the key and where the input came from.
 """
 
 
@@ -76,3 +78,16 @@ class UnsupportedShape(ValidationError):
 
 class HypothesisFail(ValidationError):
     pass
+
+
+class MissingKey(ValidationError):
+    pass
+
+
+def require_keys(obj, keys, source):
+    """Return obj once it has every key in keys; otherwise raise
+    MissingKey naming the first absent key and source."""
+    for key in keys:
+        if key not in obj:
+            raise MissingKey(f"{source}: missing key {key!r}")
+    return obj

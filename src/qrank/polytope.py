@@ -5,20 +5,25 @@ on every nonzero subspace, nonnegativity on atoms, type-2 monotonicity
 only on cover pairs not starting at the zero space, and type-3
 submodularity only on unordered incomparable pairs.  The unreduced
 variant keeps the zero coordinate and pins it with the paired rows
-v_0 <= 0 and -v_0 <= 0 (tag "zero").
+v_0 <= 0 and -v_0 <= 0 (tag "zero").  The submodularity rows come from
+the lattice's incomparable-pair table, in its order.  Rows are slotted
+and share one (index, 1) and one (index, -1) pair per lattice index, so
+the 66,806 rows of L(F_2^5) stay small.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and each
-row a.v <= b is tested as a.(mu v) <= mu b in Python ints.
+row a.v <= b is tested as a.(mu v) <= mu b in Python ints, by one
+plain loop over the row's pairs (HRow.evaluate).
 
 Every rank is taken by one exact kernel, _rank: sparse elimination in
 Python ints over rows given as (column, value) pairs, so an H-row keeps
 its at most four nonzero entries.  Vertex certification ranks the
-tight-row normals, so every certificate is checkable by hand.  Vertex
-enumeration runs an exact integer double description pass over sparse
-homogenized constraints; adjacency of rays is decided by the same
-kernel on their common tight sets, and face dimensions in f_vector by
-the rank of scaled difference rows.
+tight-row normals, so every certificate is checkable by hand; the
+elimination stops once the rank reaches the number of columns, since
+no further row can raise it.  Vertex enumeration runs an exact integer
+double description pass over sparse homogenized constraints; adjacency
+of rays is decided by the same kernel on their common tight sets, and
+face dimensions in f_vector by the rank of scaled difference rows.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ MAX_FVECTOR_DIM = 6
 MAX_DFS_NODES = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HRow:
     coeffs: tuple  # sparse ((lattice index, coefficient), ...), increasing index
     rhs: int
@@ -43,7 +48,10 @@ class HRow:
                    # | ("type3", x, y) | ("zero", +1 or -1)
 
     def evaluate(self, values):
-        return sum(c * values[i] for i, c in self.coeffs)
+        total = 0
+        for i, c in self.coeffs:
+            total += c * values[i]
+        return total
 
 
 @dataclass(frozen=True)
@@ -87,32 +95,33 @@ class HRepresentation:
 
 
 def build_hrep(lattice, reduced=True):
-    """H-representation of the q-rank polytope on the given lattice."""
+    """H-representation of the q-rank polytope on the given lattice.
+
+    A submodularity row of the incomparable pair x, y reads
+    v_meet - v_x - v_y + v_join <= 0; its pairs are already in
+    increasing index order, since meet < x < y < join."""
     lat = lattice
+    plus = tuple((i, 1) for i in range(lat.size))
+    minus = tuple((i, -1) for i in range(lat.size))
     rows = []
     for x in range(1, lat.size):
-        rows.append(HRow(((x, 1),), lat.dims[x], ("type1", x)))
+        rows.append(HRow((plus[x],), lat.dims[x], ("type1", x)))
     for a in lat.atom_range:
-        rows.append(HRow(((a, -1),), 0, ("nonneg", a)))
+        rows.append(HRow((minus[a],), 0, ("nonneg", a)))
     for y in range(1, lat.size):
         for x in lat.covers_down[y]:
             if x == lat.zero:
                 continue
-            rows.append(HRow(((x, 1), (y, -1)), 0, ("type2", x, y)))
-    for x in range(1, lat.size):
-        mask_x = lat.below_mask[x]
-        for y in range(x + 1, lat.size):
-            if (mask_x >> y) & 1 or (lat.below_mask[y] >> x) & 1:
-                continue
-            m = lat.meet(x, y)
-            j = lat.join(x, y)
-            coeffs = [(j, 1), (x, -1), (y, -1)]
-            if m != lat.zero or not reduced:
-                coeffs.append((m, 1))
-            rows.append(HRow(tuple(sorted(coeffs)), 0, ("type3", x, y)))
+            rows.append(HRow((plus[x], minus[y]), 0, ("type2", x, y)))
+    for x, y, m, j in lat.incomparable:
+        if m == lat.zero and reduced:
+            coeffs = (minus[x], minus[y], plus[j])
+        else:
+            coeffs = (plus[m], minus[x], minus[y], plus[j])
+        rows.append(HRow(coeffs, 0, ("type3", x, y)))
     if not reduced:
-        rows.append(HRow(((0, 1),), 0, ("zero", 1)))
-        rows.append(HRow(((0, -1),), 0, ("zero", -1)))
+        rows.append(HRow((plus[0],), 0, ("zero", 1)))
+        rows.append(HRow((minus[0],), 0, ("zero", -1)))
     return HRepresentation(lat, reduced, tuple(rows))
 
 
@@ -159,11 +168,13 @@ class VertexCertificate:
 def is_vertex(H, p):
     """Certify the point: gather tight rows and rank their sparse
     normals by exact elimination; the point is a vertex iff the rank
-    equals the ambient dimension."""
+    equals the ambient dimension.  The normals have ambient_dim
+    columns, so elimination may stop at that rank and stay exact."""
     mem = membership(H, p)
     if mem.status == "outside":
         raise NotFeasible(f"point violates rows {mem.violated_rows}")
-    rank = _rank(H.rows[k].coeffs for k in mem.tight_rows)
+    rank = _rank((H.rows[k].coeffs for k in mem.tight_rows),
+                 full=H.ambient_dim)
     return VertexCertificate(p, mem.tight_rows, rank, rank == H.ambient_dim)
 
 
@@ -197,12 +208,8 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     lat = lattice
     size = lat.size
     join_pairs = [[] for _ in range(size)]
-    for x in range(size):
-        mask_x = lat.below_mask[x]
-        for y in range(x + 1, size):
-            if (mask_x >> y) & 1 or (lat.below_mask[y] >> x) & 1:
-                continue
-            join_pairs[lat.join(x, y)].append((x, y, lat.meet(x, y)))
+    for x, y, m, j in lat.incomparable:
+        join_pairs[j].append((x, y, m))
     vals = [0] * size
     out = []
     nodes = 0
@@ -239,10 +246,12 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 
 # -- exact linear algebra helpers ---------------------------------------
 
-def _rank(rows):
+def _rank(rows, full=None):
     """Rank over Q of an integer matrix given as sparse rows, each an
     iterable of (column, value) pairs with distinct columns; column
-    numbering is immaterial.
+    numbering is immaterial.  With full set to the number of columns
+    (or any known bound on the rank), the remaining rows are skipped
+    once that many pivots are found.
 
     Exact sparse elimination: each pivot row, divided by its gcd, is
     keyed by its lowest column.  An incoming row is reduced by the pivot
@@ -250,6 +259,8 @@ def _rank(rows):
     has no pivot, and then becomes that column's pivot."""
     pivots = {}
     for row in rows:
+        if len(pivots) == full:
+            break
         r = {c: v for c, v in row if v}
         while r:
             col = min(r)
@@ -286,22 +297,20 @@ def _affine_rank(points):
 
 # -- vertex enumeration: exact double description ------------------------
 
-def _dd_constraint_order(lat, reduced_rows):
+def _dd_constraint_order(reduced_rows):
     """Deterministic insertion order: coordinate-major along the lattice
     order, nonneg then type-2 then type-3 inside each coordinate's
     stage.  A submodularity row belongs to the stage of its join, the
-    last of its spaces in the linear order, which keeps every
-    intermediate cone equal to a small prefix polytope crossed with
-    down-rays on the untouched coordinates."""
+    last of its spaces in the linear order and so the row's largest
+    column, which keeps every intermediate cone equal to a small prefix
+    polytope crossed with down-rays on the untouched coordinates."""
     def stage(row):
         tag = row.tag
         if tag[0] == "nonneg":
             return (tag[1], 0, tag[1], 0)
         if tag[0] == "type2":
             return (tag[2], 1, tag[1], 0)
-        # type3: stage of the join
-        j = lat.join(tag[1], tag[2])
-        return (j, 2, tag[1], tag[2])
+        return (row.coeffs[-1][0], 2, tag[1], tag[2])
     return sorted(reduced_rows, key=lambda rv: stage(rv[0]))
 
 
@@ -336,7 +345,7 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
     cons = [type1[i] for i in range(1, lat.size)]
     cons.append(((d, -1),))  # t >= 0
     base = len(cons)  # == d + 1
-    cons.extend(vec for _, vec in _dd_constraint_order(lat, rest))
+    cons.extend(vec for _, vec in _dd_constraint_order(rest))
 
     D = d + 1
     base_mask = (1 << base) - 1

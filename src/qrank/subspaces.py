@@ -15,12 +15,18 @@ lower bounds of X and Y are the subspaces below their meet, and the
 meet is the only one of them with its dimension, so the meet is the
 highest index set in both below-masks.  Dually, the join is the lowest
 index set in both above-masks.
+
+The incomparable pairs, with their meets and joins, are tabulated once
+per lattice on first use (SubspaceLattice.incomparable).  That table
+is the one source of the submodularity rows, the R3 axiom check and
+the integer-point search.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import OutOfRange, TooLarge
@@ -175,6 +181,28 @@ class SubspaceLattice:
 
     def meet_join(self, i, j):
         return self.meet(i, j), self.join(i, j)
+
+    @cached_property
+    def incomparable(self):
+        """Every incomparable pair x < y as (x, y, meet, join), in order
+        of x, then y; built on first use.
+
+        Because the order is graded, y > x can only fail to be
+        incomparable with x by lying above it.  The meet is below x and
+        the join above y, so meet < x < y < join.  Each index is one
+        shared int object, which keeps the table small."""
+        below, above = self.below_mask, self.above_mask
+        ids = tuple(range(self.size))
+        out = []
+        for x in ids:
+            bx, ax = below[x], above[x]
+            for y in ids[x + 1:]:
+                if (ax >> y) & 1:
+                    continue
+                common = ax & above[y]
+                out.append((x, y, ids[(bx & below[y]).bit_length() - 1],
+                            ids[(common & -common).bit_length() - 1]))
+        return tuple(out)
 
     def join_many(self, indices):
         acc = 0

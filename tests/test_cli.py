@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qrank.cli import main
 
 
@@ -193,3 +195,52 @@ def test_hrep_full_variant(capsys):
     assert code == 0
     head = out.splitlines()[0].split()
     assert int(head[2]) == 5  # unreduced keeps the zero coordinate
+
+
+def test_point_without_values_names_the_key(capsys, tmp_path):
+    point = tmp_path / "u.json"
+    assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",
+                 "-o", str(point)]) == 0
+    obj = json.loads(point.read_text())
+    del obj["values"]
+    point.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "pm", "check", "--point", str(point))
+    assert code == 1 and out == ""
+    assert "'values'" in err and str(point) in err
+
+
+def test_chi_combo_spec_without_lambda_names_the_key(capsys, tmp_path):
+    spec = tmp_path / "pc.json"
+    spec.write_text(json.dumps({"q": 2, "n": 3, "k": 2, "s1": [], "s2": []}))
+    code, out, err = run(capsys, "invariant", "chi-combo", "--spec", str(spec))
+    assert code == 1 and out == ""
+    assert "'lambda'" in err and str(spec) in err
+
+
+def test_spec_and_code_files_missing_keys(capsys, tmp_path):
+    spec = tmp_path / "combo.json"
+    spec.write_text(json.dumps({
+        "kind": "combo", "coefficients": ["1"],
+        "terms": [{"kind": "uniform", "q": 2, "n": 3}],
+    }))
+    code, _, err = run(capsys, "make", "combo", "--spec", str(spec))
+    assert code == 1
+    assert "terms[0]" in err and "'k'" in err and str(spec) in err
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps({"q": 2, "n": 3, "generators": []}))
+    code, _, err = run(capsys, "--json-errors", "code", "metrics",
+                       "--code", str(code_file))
+    assert code == 1
+    obj = json.loads(err)
+    assert obj["error"] == "MissingKey" and "'m'" in obj["message"]
+
+
+def test_internal_key_error_is_not_a_validation_failure(monkeypatch):
+    import qrank.cli
+
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(qrank.cli, "_cmd_lattice_build", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["lattice", "build", "--q", "2", "--n", "2"])

@@ -98,6 +98,40 @@ def test_hrep_text_matches_dense_formatter(fixture, reduced, request):
     assert H.to_text() == _dense_hrep_text(H)
 
 
+def _reference_hrep_rows(lat, reduced):
+    """(coeffs, rhs, tag) of every row, built by a double loop over all
+    index pairs with lat.meet and lat.join for each incomparable one."""
+    rows = [(((x, 1),), lat.dims[x], ("type1", x)) for x in range(1, lat.size)]
+    rows += [(((a, -1),), 0, ("nonneg", a)) for a in lat.atom_range]
+    for y in range(1, lat.size):
+        for x in lat.covers_down[y]:
+            if x != lat.zero:
+                rows.append((((x, 1), (y, -1)), 0, ("type2", x, y)))
+    for x in range(1, lat.size):
+        for y in range(x + 1, lat.size):
+            if lat.leq(x, y) or lat.leq(y, x):
+                continue
+            m, j = lat.meet(x, y), lat.join(x, y)
+            coeffs = [(j, 1), (x, -1), (y, -1)]
+            if m != lat.zero or not reduced:
+                coeffs.append((m, 1))
+            rows.append((tuple(sorted(coeffs)), 0, ("type3", x, y)))
+    if not reduced:
+        rows += [(((0, 1),), 0, ("zero", 1)), (((0, -1),), 0, ("zero", -1))]
+    return rows
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_hrep_rows_match_pairwise_reference(fixture, reduced, request):
+    # the row order fixes to_text, membership's row indices and the
+    # double-description insertion order
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=reduced)
+    assert [(r.coeffs, r.rhs, r.tag) for r in H.rows] == \
+        _reference_hrep_rows(lat, reduced)
+
+
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])
 def test_redundancy_filter_soundness(qn, request):
     lat = {(2, 2): "lat22", (3, 2): "lat32", (2, 3): "lat23"}[qn]
@@ -247,6 +281,15 @@ def test_sparse_rank_matches_dense_reference(case):
     labels, m = case
     sparse = [[(labels[j], x) for j, x in enumerate(r)] for r in m]
     assert _rank(sparse) == _int_rank(m)
+
+
+@_PROPERTY_SETTINGS
+@given(_int_matrices())
+def test_full_rank_stop_keeps_the_rank_exact(case):
+    # no rank exceeds the number of columns, so stopping there is exact
+    labels, m = case
+    sparse = [[(labels[j], x) for j, x in enumerate(r)] for r in m]
+    assert _rank(sparse, full=len(labels)) == _int_rank(m)
 
 
 def _dense_normal_rank(H, rows):

@@ -5,6 +5,7 @@ import pytest
 
 from qrank.errors import OutOfRange, TooLarge
 from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
+from qrank.polytope import build_hrep
 from qrank.subspaces import build_lattice, gaussian_binomial
 
 
@@ -122,6 +123,20 @@ def test_meet_join_agree_with_vector_sets(lat24, lat33, lat25):
                        (lat25, sample)):
         for i, j in pairs:
             assert (lat.meet(i, j), lat.join(i, j)) == _meet_join_by_rref(lat, i, j)
+
+
+def test_incomparable_table_agrees_with_vector_sets(lat24, lat33):
+    for lat in (lat24, lat33):
+        expected = tuple((x, y) + _meet_join_by_rref(lat, x, y)
+                         for x in range(lat.size)
+                         for y in range(x + 1, lat.size)
+                         if not lat.leq(x, y) and not lat.leq(y, x))
+        assert lat.incomparable == expected
+
+
+def test_incomparable_table_size_25(lat25):
+    assert len(lat25.incomparable) == 64_356
+    assert build_hrep(lat25).tag_counts()["type3"] == 64_356
 
 
 def test_covers(lat23):
