@@ -42,10 +42,6 @@ class TruncatedPuiseux:
     def zero(cls):
         return cls(())
 
-    @classmethod
-    def monomial(cls, coeff, exp):
-        return cls.from_terms([(exp, coeff)])
-
     def coefficient(self, exp):
         exp = Fraction(exp)
         for e, c in self.terms:

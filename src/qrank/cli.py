@@ -4,8 +4,10 @@ Every subcommand is a one-shot pipeline over the JSON / text formats
 defined by the library modules: lattice dumps, rank-point files with an
 order digest, H-representation text, vertex lists, code files, and
 polynomial serializations.  Exit codes: 0 success, 1 validation
-failure, 2 size cap exceeded.  A file that lacks a key it needs is a
-validation failure naming the key and the file.  With --json-errors
+failure, 2 size cap exceeded.  A file that lacks a key it needs, or
+holds a value that does not parse (a subspace row of the wrong length
+or outside the field, a rational that is not one), is a validation
+failure naming the key and the file.  With --json-errors
 failures are also reported as one JSON object on stderr.
 """
 
@@ -17,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import charpoly, codes, constructions, polytope, rankfun, subspaces
-from .errors import CapExceeded, ValidationError, require_keys
+from .errors import CapExceeded, ValidationError, parse_key, require_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -26,11 +28,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(args, text):
+    _write_lines(args, (text,))
+
+
+def _write_lines(args, lines):
+    """Write the strings in turn to --out, or to stdout without it."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _emit_json(args, obj):
@@ -75,7 +82,7 @@ def _cmd_polytope(args):
         return 0
     H = polytope.build_hrep(lat, reduced=not args.full)
     if args.which == "hrep":
-        _write(args, H.to_text())
+        _write_lines(args, H.text_lines())
     elif args.which == "vertices":
         verts = polytope.enumerate_vertices(H, max_dim=args.max_dim)
         _write(args, _points_text(verts))
@@ -152,9 +159,9 @@ def _cmd_invariant(args):
     spec = _read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
     lat = subspaces.build_lattice(spec["q"], spec["n"], max_size=args.max_lattice)
     k = spec["k"]
-    lam = Fraction(spec["lambda"])
-    s1 = frozenset(lat.index_of_rows([tuple(r) for r in rows]) for rows in spec["s1"])
-    s2 = frozenset(lat.index_of_rows([tuple(r) for r in rows]) for rows in spec["s2"])
+    lam = parse_key(spec, "lambda", Fraction, args.spec)
+    s1, s2 = (parse_key(spec, key, lambda v: constructions.space_indices(lat, v),
+                        args.spec) for key in ("s1", "s2"))
     rep = constructions.paving_combo_report(
         constructions.paving_spec(lat, k, s1),
         constructions.paving_spec(lat, k, s2), lam)

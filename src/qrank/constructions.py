@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
-                     Overlap, OutOfRange, RankMismatch, require_keys)
+                     Overlap, OutOfRange, RankMismatch, parse_key,
+                     require_keys)
 from .rankfun import RankPoint, rank_point
 from .subspaces import build_lattice
 
@@ -63,6 +64,13 @@ class PavingSpec:
 
 def paving_spec(lattice, k, spaces):
     return PavingSpec(lattice, k, frozenset(spaces))
+
+
+def space_indices(lattice, spaces):
+    """Lattice indices of the spaces, each given as a list of spanning
+    rows over F_q (element encodings)."""
+    return frozenset(lattice.index_of_rows([tuple(r) for r in rows])
+                     for rows in spaces)
 
 
 def paving(spec):
@@ -293,11 +301,16 @@ _SPEC_KEYS = {"uniform": ("q", "n", "k"), "paving": ("q", "n", "k", "spaces"),
              "combo": ("coefficients", "terms"), "flag": ("q", "n", "lambdas")}
 
 
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
 def compile_spec(obj, lattice_cache=None, source="spec"):
     """Build a RankPoint from a declarative JSON-style construction spec:
     {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A key the kind
-    needs (_SPEC_KEYS) that is absent raises MissingKey naming source,
-    and for a combo term its position."""
+    needs (_SPEC_KEYS) that is absent raises MissingKey, and spaces,
+    coefficients or lambdas that do not parse raise BadValue, naming
+    source, and for a combo term its position."""
     if lattice_cache is None:
         lattice_cache = {}
 
@@ -314,18 +327,19 @@ def compile_spec(obj, lattice_cache=None, source="spec"):
         return uniform(lat, obj["k"])
     if kind == "paving":
         lat = get_lattice(obj["q"], obj["n"])
-        spaces = frozenset(lat.index_of_rows([tuple(r) for r in rows])
-                           for rows in obj["spaces"])
+        spaces = parse_key(obj, "spaces", lambda v: space_indices(lat, v),
+                           source)
         return paving(paving_spec(lat, obj["k"], spaces))
     if kind == "combo":
-        coeffs = [Fraction(c) for c in obj["coefficients"]]
+        coeffs = parse_key(obj, "coefficients", _fractions, source)
         points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]")
                   for i, t in enumerate(obj["terms"])]
         if len(coeffs) != len(points):
             raise CoefficientSum("coefficient/term count mismatch")
         return convex_combination(list(zip(coeffs, points)))
     if kind == "flag":
+        lambdas = parse_key(obj, "lambdas", _fractions, source)
         lat = get_lattice(obj["q"], obj["n"])
-        rep = flag_uniform_combo(obj["q"], obj["n"], obj["lambdas"], lattice=lat)
+        rep = flag_uniform_combo(obj["q"], obj["n"], lambdas, lattice=lat)
         return rep.point
     raise OutOfRange(f"unknown construction kind {kind!r}")

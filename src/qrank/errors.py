@@ -3,8 +3,9 @@
 Validation problems (bad input data, broken preconditions) raise
 subclasses of ValidationError.  Requests that would exceed a size cap
 raise CapExceeded; the CLI maps the two families to exit codes 1 and 2.
-require_keys turns a key missing from a JSON input into a MissingKey
-that names the key and where the input came from.
+require_keys turns a key missing from a JSON input into a MissingKey,
+and parse_key a value that does not parse into a BadValue; both name
+the key and where the input came from.
 """
 
 
@@ -84,6 +85,10 @@ class MissingKey(ValidationError):
     pass
 
 
+class BadValue(ValidationError):
+    pass
+
+
 def require_keys(obj, keys, source):
     """Return obj once it has every key in keys; otherwise raise
     MissingKey naming the first absent key and source."""
@@ -91,3 +96,12 @@ def require_keys(obj, keys, source):
         if key not in obj:
             raise MissingKey(f"{source}: missing key {key!r}")
     return obj
+
+
+def parse_key(obj, key, parse, source):
+    """parse(obj[key]); a ValueError, TypeError or ZeroDivisionError it
+    raises becomes a BadValue naming key and source."""
+    try:
+        return parse(obj[key])
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise BadValue(f"{source}: bad value for key {key!r}: {exc}") from exc

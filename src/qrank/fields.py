@@ -142,9 +142,6 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
 
-    def div(self, a, b):
-        return self._mul[a][self.inv(b)]
-
     def dot(self, u, v):
         acc = 0
         for x, y in zip(u, v):

@@ -5,15 +5,20 @@ on every nonzero subspace, nonnegativity on atoms, type-2 monotonicity
 only on cover pairs not starting at the zero space, and type-3
 submodularity only on unordered incomparable pairs.  The unreduced
 variant keeps the zero coordinate and pins it with the paired rows
-v_0 <= 0 and -v_0 <= 0 (tag "zero").  The submodularity rows come from
-the lattice's incomparable-pair table, in its order.  Rows are slotted
-and share one (index, 1) and one (index, -1) pair per lattice index, so
-the 66,806 rows of L(F_2^5) stay small.
+v_0 <= 0 and -v_0 <= 0 (tag "zero").
+
+build_hrep holds the rows as blocks of plain index tuples (HRowBlocks),
+in row order: the type-1 bounds, the atoms, the cover pairs (x, y), the
+lattice's incomparable-pair table (x, y, meet, join) as it is, and the
+zero rows.  An HRow(coeffs, rhs, tag) is built only when a caller reads
+H.rows by index or iteration (the text, double description, f-vectors);
+membership and is_vertex never build one.  The text is produced one
+line at a time (HRepresentation.text_lines), so the CLI streams it.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
-point is multiplied once by the lcm mu of its denominators, and each
-row a.v <= b is tested as a.(mu v) <= mu b in Python ints, by one
-plain loop over the row's pairs (HRow.evaluate).
+point is multiplied once by the lcm mu of its denominators, and
+membership runs one plain loop per block, filing row k as tight or
+violated by the sign of s = a.(mu v) - mu b, in Python ints.
 
 Every rank is taken by one exact kernel, _rank: sparse elimination in
 Python ints over rows given as (column, value) pairs, so an H-row keeps
@@ -29,8 +34,10 @@ face dimensions in f_vector by the rank of scaled difference rows.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
 from .rankfun import RankPoint, rank_point, scaled_values
@@ -40,8 +47,10 @@ MAX_FVECTOR_DIM = 6
 MAX_DFS_NODES = 500_000
 
 
-@dataclass(frozen=True, slots=True)
-class HRow:
+class HRow(NamedTuple):
+    """The inequality coeffs . v <= rhs; a tuple, so building one on
+    each read of HRowBlocks stays cheap."""
+
     coeffs: tuple  # sparse ((lattice index, coefficient), ...), increasing index
     rhs: int
     tag: tuple     # ("type1", x) | ("nonneg", x) | ("type2", x, y)
@@ -54,11 +63,87 @@ class HRow:
         return total
 
 
+class HRowBlocks(Sequence):
+    """The rows of build_hrep as blocks of plain index tuples, in row
+    order: bounds (the nonzero indices x, row v_x <= dim x), atoms
+    (-v_a <= 0), covers ((x, y), v_x - v_y <= 0), pairs (the lattice's
+    incomparable-pair table (x, y, meet, join),
+    v_meet - v_x - v_y + v_join <= 0) and zero (the signs of the
+    unreduced rows +-v_0 <= 0).  Row k is an HRow built on each read."""
+
+    def __init__(self, lattice, reduced):
+        self.lattice = lattice
+        self.reduced = reduced
+        self.bounds = range(1, lattice.size)
+        self.atoms = lattice.atom_range
+        self.covers = tuple((x, y) for y in self.bounds
+                            for x in lattice.covers_down[y]
+                            if x != lattice.zero)
+        self.pairs = lattice.incomparable
+        self.zero = () if reduced else (1, -1)
+        self._len = sum(len(block) for block, _ in self._blocks())
+
+    def _blocks(self):
+        """(block, maker of (coeffs, rhs, tag) from an item) in row order."""
+        return ((self.bounds, self._bound), (self.atoms, self._atom),
+                (self.covers, self._cover), (self.pairs, self._pair),
+                (self.zero, self._zero))
+
+    def _bound(self, x):
+        return ((x, 1),), self.lattice.dims[x], ("type1", x)
+
+    def _atom(self, a):
+        return ((a, -1),), 0, ("nonneg", a)
+
+    def _cover(self, pair):
+        x, y = pair
+        return ((x, 1), (y, -1)), 0, ("type2", x, y)
+
+    def _pair(self, pair):
+        # pairs in increasing index order, since meet < x < y < join; the
+        # reduced system has no v_0, so a zero-meet row leaves it out
+        x, y, m, j = pair
+        coeffs = ((x, -1), (y, -1), (j, 1))
+        if m != self.lattice.zero or not self.reduced:
+            coeffs = ((m, 1),) + coeffs
+        return coeffs, 0, ("type3", x, y)
+
+    def _zero(self, sign):
+        return ((0, sign),), 0, ("zero", sign)
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, k):
+        if k < 0:
+            k += self._len
+        if not 0 <= k < self._len:
+            raise IndexError("row index out of range")
+        return HRow(*next(self.entries((k,))))
+
+    def __iter__(self):
+        for block, make in self._blocks():
+            for item in block:
+                yield HRow(*make(item))
+
+    def entries(self, ks):
+        """(coeffs, rhs, tag) of each row k in ks, which must increase
+        and lie in range(len(self)); the blocks are walked once."""
+        blocks = iter(self._blocks())
+        block, make = next(blocks)
+        start = 0
+        for k in ks:
+            while k - start >= len(block):
+                start += len(block)
+                block, make = next(blocks)
+            yield make(block[k - start])
+
+
 @dataclass(frozen=True)
 class HRepresentation:
     lattice: object
     reduced: bool
-    rows: tuple
+    rows: Sequence  # of HRow; build_hrep gives HRowBlocks
 
     @property
     def ambient_dim(self):
@@ -70,8 +155,9 @@ class HRepresentation:
             counts[row.tag[0]] = counts.get(row.tag[0], 0) + 1
         return counts
 
-    def to_text(self):
-        """Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
+    def text_lines(self):
+        """The text one line at a time, each ending in a newline.
+        Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
         line as space-separated reduced rationals a_1 .. a_dim b.
 
         Each line is spliced from runs of zeros between the row's few
@@ -79,7 +165,7 @@ class HRepresentation:
         offset = 1 if self.reduced else 0
         dim = self.ambient_dim
         zeros = ["0 " * k for k in range(dim + 1)]
-        lines = [f"HREP {len(self.rows)} {dim}"]
+        yield f"HREP {len(self.rows)} {dim}\n"
         for row in self.rows:
             parts = []
             col = 0
@@ -89,40 +175,19 @@ class HRepresentation:
                 parts.append(f"{c} ")
                 col = i + 1
             parts.append(zeros[dim - col])
-            parts.append(str(row.rhs))
-            lines.append("".join(parts))
-        return "\n".join(lines) + "\n"
+            parts.append(f"{row.rhs}\n")
+            yield "".join(parts)
+
+    def to_text(self):
+        return "".join(self.text_lines())
 
 
 def build_hrep(lattice, reduced=True):
     """H-representation of the q-rank polytope on the given lattice.
 
-    A submodularity row of the incomparable pair x, y reads
-    v_meet - v_x - v_y + v_join <= 0; its pairs are already in
-    increasing index order, since meet < x < y < join."""
-    lat = lattice
-    plus = tuple((i, 1) for i in range(lat.size))
-    minus = tuple((i, -1) for i in range(lat.size))
-    rows = []
-    for x in range(1, lat.size):
-        rows.append(HRow((plus[x],), lat.dims[x], ("type1", x)))
-    for a in lat.atom_range:
-        rows.append(HRow((minus[a],), 0, ("nonneg", a)))
-    for y in range(1, lat.size):
-        for x in lat.covers_down[y]:
-            if x == lat.zero:
-                continue
-            rows.append(HRow((plus[x], minus[y]), 0, ("type2", x, y)))
-    for x, y, m, j in lat.incomparable:
-        if m == lat.zero and reduced:
-            coeffs = (minus[x], minus[y], plus[j])
-        else:
-            coeffs = (plus[m], minus[x], minus[y], plus[j])
-        rows.append(HRow(coeffs, 0, ("type3", x, y)))
-    if not reduced:
-        rows.append(HRow((plus[0],), 0, ("zero", 1)))
-        rows.append(HRow((minus[0],), 0, ("zero", -1)))
-    return HRepresentation(lat, reduced, tuple(rows))
+    Reads the lattice's incomparable-pair table here, so its one-time
+    cost falls in the set-up and not in the first query."""
+    return HRepresentation(lattice, reduced, HRowBlocks(lattice, reduced))
 
 
 @dataclass(frozen=True)
@@ -133,26 +198,54 @@ class Membership:
 
 
 def membership(H, p):
-    """Exact evaluation of every row at the point.
+    """Exact evaluation of every row at the point, one plain loop per
+    block of build_hrep's H-representation: row k with
+    s = a.(mu v) - mu b is tight at s == 0 and violated at s > 0.
 
     Interior means strict on every inequality (the unreduced zero pair
     only has to hold, since it is an equality in disguise)."""
     if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
+    rows = H.rows
+    if not isinstance(rows, HRowBlocks):
+        raise TypeError("membership evaluates the row blocks of build_hrep")
     mu, vals = scaled_values(p.values)
+    if H.reduced:
+        # the reduced system has no v_0: reading it as 0 leaves it out
+        # of the zero-meet pair rows, the only ones that name index 0
+        vals = (0,) + vals[1:]
+    dims = H.lattice.dims
     tight = []
     violated = []
-    for k, row in enumerate(H.rows):
-        val = row.evaluate(vals)
-        rhs = row.rhs * mu
-        if val > rhs:
-            violated.append(k)
-        elif val == rhs:
-            tight.append(k)
+    start = 0
+    for k, x in enumerate(rows.bounds, start):
+        s = vals[x] - mu * dims[x]
+        if s >= 0:
+            (violated if s else tight).append(k)
+    start += len(rows.bounds)
+    for k, a in enumerate(rows.atoms, start):
+        s = -vals[a]
+        if s >= 0:
+            (violated if s else tight).append(k)
+    start += len(rows.atoms)
+    for k, (x, y) in enumerate(rows.covers, start):
+        s = vals[x] - vals[y]
+        if s >= 0:
+            (violated if s else tight).append(k)
+    start += len(rows.covers)
+    for k, (x, y, m, j) in enumerate(rows.pairs, start):
+        s = vals[m] + vals[j] - vals[x] - vals[y]
+        if s >= 0:
+            (violated if s else tight).append(k)
+    start += len(rows.pairs)
+    for k, sign in enumerate(rows.zero, start):
+        s = sign * vals[0]
+        if s >= 0:
+            (violated if s else tight).append(k)
     if violated:
         return Membership("outside", tuple(tight), tuple(violated))
-    if any(H.rows[k].tag[0] != "zero" for k in tight):
+    if tight and tight[0] < start:  # the zero rows come last
         return Membership("boundary", tuple(tight), ())
     return Membership("interior", tuple(tight), ())
 
@@ -167,14 +260,15 @@ class VertexCertificate:
 
 def is_vertex(H, p):
     """Certify the point: gather tight rows and rank their sparse
-    normals by exact elimination; the point is a vertex iff the rank
-    equals the ambient dimension.  The normals have ambient_dim
-    columns, so elimination may stop at that rank and stay exact."""
+    normals, read from the row blocks, by exact elimination; the point
+    is a vertex iff the rank equals the ambient dimension.  The normals
+    have ambient_dim columns, so elimination may stop at that rank and
+    stay exact."""
     mem = membership(H, p)
     if mem.status == "outside":
         raise NotFeasible(f"point violates rows {mem.violated_rows}")
-    rank = _rank((H.rows[k].coeffs for k in mem.tight_rows),
-                 full=H.ambient_dim)
+    normals = (coeffs for coeffs, _, _ in H.rows.entries(mem.tight_rows))
+    rank = _rank(normals, full=H.ambient_dim)
     return VertexCertificate(p, mem.tight_rows, rank, rank == H.ambient_dim)
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -46,6 +48,33 @@ def test_polytope_hrep_format(capsys):
     assert len(lines) == int(head[1]) + 1
     for line in lines[1:]:
         assert len(line.split()) == 5
+
+
+class _HashingStdout:
+    """Stands in for stdout and keeps only the sha256 of what is
+    written, so a large text is never held."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def write(self, text):
+        self.sha.update(text.encode("utf-8"))
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+@pytest.mark.parametrize("q,n,digest", [
+    (2, 5, "8e8b272662ebcc5fce9793d80a8202f409d4802c0437e5dc2dbad849576a041a"),
+    (3, 4, "281baec1e23f9bea3507980723f9ee84f02e941a3e5ecbda61fcaed5b92fc68d"),
+], ids=["L(F_2^5)", "L(F_3^4)"])
+def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, digest):
+    out = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["polytope", "hrep", "--q", str(q), "--n", str(n)]) == 0
+    assert out.sha.hexdigest() == digest
 
 
 def test_polytope_dim_witness_fvector(capsys):
@@ -233,6 +262,46 @@ def test_spec_and_code_files_missing_keys(capsys, tmp_path):
     assert code == 1
     obj = json.loads(err)
     assert obj["error"] == "MissingKey" and "'m'" in obj["message"]
+
+
+_PAVING_23 = {"kind": "paving", "q": 2, "n": 3, "k": 2,
+              "spaces": [[[0, 1, 0], [0, 0, 1]]]}
+_UNIFORM_23 = {"kind": "uniform", "q": 2, "n": 3, "k": 2}
+_CHI_COMBO_23 = {"q": 2, "n": 3, "k": 2, "lambda": "1/2", "s1": [],
+                 "s2": [[[0, 1, 0], [0, 0, 1]]]}
+
+
+@pytest.mark.parametrize("command,spec,named", [
+    # a subspace row of the wrong length, or with an entry outside F_2
+    (("invariant", "chi-combo"), {**_CHI_COMBO_23, "s2": [[[0, 1]]]},
+     ("'s2'",)),
+    (("make", "paving"), {**_PAVING_23, "spaces": [[[0, 1, 0], [0, 0, 5]]]},
+     ("'spaces'",)),
+    (("make", "combo"), {"kind": "combo", "coefficients": ["1/2", "1/2"],
+                         "terms": [_UNIFORM_23,
+                                   {**_PAVING_23, "spaces": [[[0, 1]]]}]},
+     ("terms[1]", "'spaces'")),
+    # a rational that does not parse
+    (("invariant", "chi-combo"), {**_CHI_COMBO_23, "lambda": "x"},
+     ("'lambda'",)),
+    (("make", "combo"), {"kind": "combo", "coefficients": ["x", "1/2"],
+                         "terms": [_UNIFORM_23, _PAVING_23]},
+     ("'coefficients'",)),
+    (("make", "flag"), {"kind": "flag", "q": 2, "n": 5,
+                        "lambdas": ["1/3", "x", "1/3"]},
+     ("'lambdas'",)),
+], ids=["chi-combo-short-row", "paving-entry-outside-field",
+        "combo-term-short-row", "chi-combo-lambda", "combo-coefficient",
+        "flag-lambda"])
+def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
+                                                     command, spec, named):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "--json-errors", *command, "--spec", str(path))
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "BadValue" and str(path) in obj["message"]
+    assert all(part in obj["message"] for part in named)
 
 
 def test_internal_key_error_is_not_a_validation_failure(monkeypatch):

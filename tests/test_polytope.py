@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import _int_rank, random_disjoint_paving_pair, random_lambda
+from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
                                  two_uniform_combo_report, uniform)
 from qrank.errors import NotFeasible, TooLarge
 from qrank.fields import FqMatrix, make_field, rref
-from qrank.polytope import (_rank, affine_dimension, build_hrep,
-                            enumerate_vertices, f_vector, interior_witness,
-                            is_vertex, lattice_points, membership)
+from qrank.polytope import (HRepresentation, HRow, _rank, affine_dimension,
+                            build_hrep, enumerate_vertices, f_vector,
+                            interior_witness, is_vertex, lattice_points,
+                            membership)
 from qrank.rankfun import check_axioms, rank_point
 from qrank.subspaces import build_lattice
 
@@ -132,6 +134,39 @@ def test_hrep_rows_match_pairwise_reference(fixture, reduced, request):
         _reference_hrep_rows(lat, reduced)
 
 
+@pytest.mark.parametrize("fixture", ["lat23", "lat32"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_row_blocks_index_like_a_tuple(fixture, reduced, request):
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=reduced)
+    rows = tuple(H.rows)
+    assert len(H.rows) == len(rows)
+    assert tuple(H.rows[k] for k in range(-len(rows), len(rows))) == rows * 2
+    for k in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            H.rows[k]
+    ks = range(0, len(rows), 3)
+    assert list(H.rows.entries(ks)) == [tuple(rows[k]) for k in ks]
+    # membership reads the blocks; a hand-built row tuple has none
+    with pytest.raises(TypeError):
+        membership(HRepresentation(lat, reduced, rows), interior_witness(lat))
+
+
+def test_membership_and_certificates_build_no_hrow(lat24, monkeypatch):
+    def no_hrow(*args):
+        raise AssertionError("an HRow was built")
+
+    monkeypatch.setattr(polytope, "HRow", no_hrow)
+    for reduced in (True, False):
+        H = build_hrep(lat24, reduced=reduced)
+        u = uniform(lat24, 2)
+        assert membership(H, interior_witness(lat24)).status == "interior"
+        assert membership(H, rank_point(lat24, [v + 1 for v in u.values])
+                          ).status == "outside"
+        cert = is_vertex(H, u)
+        assert cert.is_vertex and cert.normal_rank == H.ambient_dim
+
+
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])
 def test_redundancy_filter_soundness(qn, request):
     lat = {(2, 2): "lat22", (3, 2): "lat32", (2, 3): "lat23"}[qn]
@@ -182,19 +217,21 @@ def test_membership_feasibility_equals_axioms(lat23):
 
 
 @cache
-def _property_setup(q, n):
+def _property_setup(q, n, reduced):
     lat = build_lattice(q, n)
-    return (lat, build_hrep(lat, reduced=False), lattice_points(lat),
+    return (lat, build_hrep(lat, reduced=reduced), lattice_points(lat),
             interior_witness(lat))
 
 
 @st.composite
-def _rational_points(draw):
-    """A convex combination of a q-matroid with another one or with the
-    interior witness, then a few coordinates moved by small rationals,
-    which may leave the polytope; the zero coordinate is sometimes moved
-    too."""
-    lat, H, pts, wit = _property_setup(*draw(st.sampled_from([(2, 3), (3, 2)])))
+def _rational_points(draw, reduced=(False,)):
+    """(H, point): a convex combination of a q-matroid with another one
+    or with the interior witness, then a few coordinates moved by small
+    rationals, which may leave the polytope; the zero coordinate is
+    sometimes moved too, which the reduced H-rep (drawn when reduced
+    allows True) must ignore."""
+    qn = draw(st.sampled_from([(2, 3), (3, 2)]))
+    lat, H, pts, wit = _property_setup(*qn, draw(st.sampled_from(reduced)))
     a = draw(st.sampled_from(pts))
     b = draw(st.one_of(st.just(wit), st.sampled_from(pts)))
     lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
@@ -236,7 +273,7 @@ _PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
 
 
 @_PROPERTY_SETTINGS
-@given(_rational_points())
+@given(_rational_points(reduced=(False, True)))
 def test_scaled_membership_matches_fraction_rows(hp):
     H, p = hp
     mem = membership(H, p)
@@ -503,6 +540,27 @@ def test_f_vector_simplex(lat22):
     rows.append(HRow(((1, 1), (2, 1), (3, 1), (4, 1)), 1, ("type3", 1, 2)))
     H = HRepresentation(lat22, True, tuple(rows))
     assert f_vector(H) == (5, 10, 10, 5)  # binomial C(5, k+1)
+
+
+def _simplex_hrep(lat22):
+    rows = [HRow(((i, 1),), lat22.dims[i], ("type1", i)) for i in range(1, 5)]
+    rows += [HRow(((i, -1),), 0, ("nonneg", i)) for i in range(1, 5)]
+    rows.append(HRow(((1, 1), (2, 1), (3, 1), (4, 1)), 1, ("type3", 1, 2)))
+    return HRepresentation(lat22, True, tuple(rows))
+
+
+@pytest.mark.parametrize("case,d", [("P(2,2)", 4), ("P(3,2)", 5),
+                                    ("P(4,2)", 6), ("simplex", 4)])
+def test_f_vectors_satisfy_euler(case, d, lat22, lat32):
+    # every f-vector the suite computes: f_0 - f_1 + ... over the faces
+    # of dimension 0 .. d-1 of a d-polytope is 1 - (-1)^d
+    H = {"P(2,2)": lambda: build_hrep(lat22),
+         "P(3,2)": lambda: build_hrep(lat32),
+         "P(4,2)": lambda: build_hrep(build_lattice(4, 2)),
+         "simplex": lambda: _simplex_hrep(lat22)}[case]()
+    fv = f_vector(H)
+    assert len(fv) == d
+    assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
 
 
 def test_unreduced_vertex_certificates(lat22):

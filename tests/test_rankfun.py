@@ -1,7 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrank.constructions import convex_combination, paving, paving_spec, uniform
 from qrank.errors import DimensionMismatch, NotADenominator
@@ -9,6 +13,7 @@ from qrank.rankfun import (check_axioms, classify, closure, cyclic_flats,
                            cyclic_spaces, flats, independence_report,
                            is_strong_independent, mu_bases, point_from_json,
                            point_to_json, principal_denominator, rank_point)
+from qrank.subspaces import build_lattice
 
 
 def dims_set(lat, pred):
@@ -207,6 +212,34 @@ def test_point_json_requires_digest(lat22):
     del obj["order_digest"]
     with pytest.raises(DimensionMismatch, match="order_digest"):
         point_from_json(obj, lat22)
+
+
+_small_lattice = cache(build_lattice)
+
+
+@st.composite
+def _json_points(draw):
+    """A point of arbitrary small rationals on L(F_2^2), L(F_2^3) or
+    L(F_3^2)."""
+    lat = _small_lattice(*draw(st.sampled_from([(2, 2), (2, 3), (3, 2)])))
+    vals = draw(st.lists(st.fractions(-3, 3, max_denominator=9),
+                         min_size=lat.size, max_size=lat.size))
+    return rank_point(lat, vals)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_json_points())
+def test_point_json_roundtrips_under_the_digest(p):
+    lat = p.lattice
+    obj = json.loads(json.dumps(point_to_json(p)))
+    assert obj["order_digest"] == lat.order_digest()
+    assert point_from_json(obj, lat).values == p.values
+    # a lattice built again orders its spaces the same way
+    assert point_from_json(obj, build_lattice(lat.q, lat.n)).values == p.values
+    digest = obj["order_digest"]
+    obj["order_digest"] = digest[:-1] + ("1" if digest[-1] == "0" else "0")
+    with pytest.raises(DimensionMismatch, match="digest"):
+        point_from_json(obj, lat)
 
 
 def test_mu_bases_equal_rank_fractional(lat23):
