@@ -71,10 +71,6 @@ class TruncatedPuiseux:
     def to_pairs(self):
         return [[str(e), c] for e, c in self.terms]
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        return cls.from_terms((Fraction(e), int(c)) for e, c in pairs)
-
     def __str__(self):
         if not self.terms:
             return "0"

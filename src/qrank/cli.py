@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import charpoly, codes, constructions, polytope, rankfun, subspaces
-from .errors import CapExceeded, ValidationError, parse_key, require_keys
+# every other library module is imported inside the handlers that use
+# it, so a subcommand loads only what it runs
+from . import subspaces
+from .errors import (CapExceeded, ValidationError, parse_int, parse_key,
+                     require_keys)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -54,15 +56,26 @@ def _read_json(path, keys=()):
         return require_keys(json.load(fh), keys, path)
 
 
+def _file_lattice(args, obj, source):
+    """The lattice named by the file's integer keys q and n."""
+    q, n = (parse_key(obj, key, parse_int, source) for key in ("q", "n"))
+    return subspaces.build_lattice(q, n, max_size=args.max_lattice)
+
+
 def _load_point(args, path):
+    from . import rankfun
     obj = _read_json(path, ("q", "n", "values"))
-    lat = subspaces.build_lattice(obj["q"], obj["n"], max_size=args.max_lattice)
-    return rankfun.point_from_json(obj, lat)
+    return rankfun.point_from_json(obj, _file_lattice(args, obj, path))
 
 
 def _points_text(points):
     lines = [" ".join(str(v) for v in p.values) for p in points]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _default(value, default):
+    """An option's value, or the library default when it was not given."""
+    return default if value is None else value
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -76,6 +89,7 @@ def _cmd_lattice_build(args):
 
 
 def _cmd_polytope(args):
+    from . import polytope, rankfun
     lat = _lattice(args)
     if args.which == "points":
         _write(args, _points_text(polytope.lattice_points(lat)))
@@ -84,10 +98,12 @@ def _cmd_polytope(args):
     if args.which == "hrep":
         _write_lines(args, H.text_lines())
     elif args.which == "vertices":
-        verts = polytope.enumerate_vertices(H, max_dim=args.max_dim)
+        max_dim = _default(args.max_dim, polytope.MAX_VERTEX_ENUM_DIM)
+        verts = polytope.enumerate_vertices(H, max_dim=max_dim)
         _write(args, _points_text(verts))
     elif args.which == "fvector":
-        fv = polytope.f_vector(H, max_dim=args.max_dim)
+        fv = polytope.f_vector(H, max_dim=_default(args.max_dim,
+                                                   polytope.MAX_FVECTOR_DIM))
         _write(args, " ".join(str(c) for c in fv) + "\n")
     elif args.which == "dim":
         _write(args, f"{polytope.affine_dimension(H)}\n")
@@ -99,6 +115,7 @@ def _cmd_polytope(args):
 
 
 def _cmd_pm(args):
+    from . import rankfun
     p = _load_point(args, args.point)
     if args.which == "check":
         rep = rankfun.check_axioms(p)
@@ -135,6 +152,7 @@ def _cmd_pm(args):
 
 
 def _cmd_make(args):
+    from . import constructions, rankfun
     if args.which == "uniform":
         spec = {"kind": "uniform", "q": args.q, "n": args.n, "k": args.k}
         source = "make uniform"
@@ -149,6 +167,7 @@ def _cmd_make(args):
 
 
 def _cmd_invariant(args):
+    from . import charpoly
     if args.which == "chi":
         p = _load_point(args, args.point)
         chi = charpoly.char_puiseux(p)
@@ -156,9 +175,12 @@ def _cmd_invariant(args):
                           "at_one": chi.eval_at_one()})
         return 0
     # chi-combo: closed form for a paving combination, cross-checked
+    from fractions import Fraction
+
+    from . import constructions
     spec = _read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
-    lat = subspaces.build_lattice(spec["q"], spec["n"], max_size=args.max_lattice)
-    k = spec["k"]
+    lat = _file_lattice(args, spec, args.spec)
+    k = parse_key(spec, "k", parse_int, args.spec)
     lam = parse_key(spec, "lambda", Fraction, args.spec)
     s1, s2 = (parse_key(spec, key, lambda v: constructions.space_indices(lat, v),
                         args.spec) for key in ("s1", "s2"))
@@ -179,6 +201,7 @@ def _cmd_invariant(args):
 
 
 def _cmd_code(args):
+    from . import codes, rankfun
     if args.which == "mrd":
         lat = _lattice(args)
         point = codes.mrd_closed_form(lat, args.m, args.d)
@@ -186,7 +209,8 @@ def _cmd_code(args):
         return 0
     C = codes.load_code(args.code)
     if args.which == "metrics":
-        met = codes.code_metrics(C, cap=args.scan_cap)
+        met = codes.code_metrics(C, cap=_default(args.scan_cap,
+                                                 codes.CODEWORD_SCAN_CAP))
         _emit_json(args, {"k": met.k, "d": met.d, "d_perp": met.d_perp,
                           "is_mrd": met.is_mrd})
     elif args.which == "rho":
@@ -225,9 +249,8 @@ def build_parser():
         pc.add_argument("--n", type=int, required=True)
         pc.add_argument("--full", action="store_true",
                         help="use the unreduced polytope (keep the zero coordinate)")
-        pc.add_argument("--max-dim", type=int,
-                        default=polytope.MAX_VERTEX_ENUM_DIM if name != "fvector"
-                        else polytope.MAX_FVECTOR_DIM)
+        # default: the library's cap for the subcommand, read in the handler
+        pc.add_argument("--max-dim", type=int)
         pc.add_argument("--out", "-o")
         pc.set_defaults(func=_cmd_polytope)
 
@@ -278,7 +301,7 @@ def build_parser():
     csub = code.add_subparsers(dest="which", required=True)
     cm = csub.add_parser("metrics", help="k, d, dual distance, MRD check")
     cm.add_argument("--code", required=True)
-    cm.add_argument("--scan-cap", type=int, default=codes.CODEWORD_SCAN_CAP)
+    cm.add_argument("--scan-cap", type=int)  # default codes.CODEWORD_SCAN_CAP
     cm.add_argument("--out", "-o")
     cm.set_defaults(func=_cmd_code)
     cr = csub.add_parser("rho", help="induced q-polymatroid point")

@@ -20,7 +20,7 @@ from pathlib import Path
 from .constructions import profile_independent_dims, point_from_profile, uniform
 from .errors import (HypothesisFail, LatticeMismatch, OutOfRange, TooLarge,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
-                     ZeroCode, require_keys)
+                     ZeroCode, parse_int, parse_key, require_keys)
 from .fields import FqMatrix, make_field, nullspace, rref
 from .rankfun import rank_point
 
@@ -318,9 +318,11 @@ def code_to_json(C):
     }
 
 
-def code_from_json(obj):
-    field = make_field(obj["q"])
-    n, m = obj["n"], obj["m"]
+def code_from_json(obj, source="code"):
+    """The MatrixCode of a code file's object; q, n and m that are not
+    ints raise BadValue naming the key and source."""
+    q, n, m = (parse_key(obj, key, parse_int, source) for key in ("q", "n", "m"))
+    field = make_field(q)
     gens = [FqMatrix.from_rows(field, [tuple(r) for r in rows], m)
             for rows in obj["generators"]]
     return MatrixCode(field, n, m, tuple(gens))
@@ -329,7 +331,8 @@ def code_from_json(obj):
 def load_code(path):
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
-    return code_from_json(require_keys(obj, ("q", "n", "m", "generators"), path))
+    return code_from_json(require_keys(obj, ("q", "n", "m", "generators"), path),
+                          path)
 
 
 def bundled_vertex_code_path():

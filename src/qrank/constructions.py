@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
-                     Overlap, OutOfRange, RankMismatch, parse_key,
-                     require_keys)
+                     Overlap, OutOfRange, RankMismatch, parse_int,
+                     parse_key, require_keys)
 from .rankfun import RankPoint, rank_point
 from .subspaces import build_lattice
 
@@ -308,28 +308,31 @@ def _fractions(values):
 def compile_spec(obj, lattice_cache=None, source="spec"):
     """Build a RankPoint from a declarative JSON-style construction spec:
     {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A key the kind
-    needs (_SPEC_KEYS) that is absent raises MissingKey, and spaces,
-    coefficients or lambdas that do not parse raise BadValue, naming
-    source, and for a combo term its position."""
+    needs (_SPEC_KEYS) that is absent raises MissingKey, and integer
+    keys (q, n, k), spaces, coefficients or lambdas that do not parse
+    raise BadValue, naming source, and for a combo term its position."""
     if lattice_cache is None:
         lattice_cache = {}
 
-    def get_lattice(q, n):
-        key = (q, n)
+    def int_key(key):
+        return parse_key(obj, key, parse_int, source)
+
+    def get_lattice():
+        key = (int_key("q"), int_key("n"))
         if key not in lattice_cache:
-            lattice_cache[key] = build_lattice(q, n)
+            lattice_cache[key] = build_lattice(*key)
         return lattice_cache[key]
 
     kind = obj.get("kind")
     require_keys(obj, _SPEC_KEYS.get(kind, ()), source)
     if kind == "uniform":
-        lat = get_lattice(obj["q"], obj["n"])
-        return uniform(lat, obj["k"])
+        return uniform(get_lattice(), int_key("k"))
     if kind == "paving":
-        lat = get_lattice(obj["q"], obj["n"])
+        lat = get_lattice()
+        k = int_key("k")
         spaces = parse_key(obj, "spaces", lambda v: space_indices(lat, v),
                            source)
-        return paving(paving_spec(lat, obj["k"], spaces))
+        return paving(paving_spec(lat, k, spaces))
     if kind == "combo":
         coeffs = parse_key(obj, "coefficients", _fractions, source)
         points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]")
@@ -339,7 +342,7 @@ def compile_spec(obj, lattice_cache=None, source="spec"):
         return convex_combination(list(zip(coeffs, points)))
     if kind == "flag":
         lambdas = parse_key(obj, "lambdas", _fractions, source)
-        lat = get_lattice(obj["q"], obj["n"])
-        rep = flag_uniform_combo(obj["q"], obj["n"], lambdas, lattice=lat)
+        lat = get_lattice()
+        rep = flag_uniform_combo(lat.q, lat.n, lambdas, lattice=lat)
         return rep.point
     raise OutOfRange(f"unknown construction kind {kind!r}")

@@ -5,7 +5,8 @@ subclasses of ValidationError.  Requests that would exceed a size cap
 raise CapExceeded; the CLI maps the two families to exit codes 1 and 2.
 require_keys turns a key missing from a JSON input into a MissingKey,
 and parse_key a value that does not parse into a BadValue; both name
-the key and where the input came from.
+the key and where the input came from.  parse_int is the one parser of
+integer keys (q, n, k, m) in point, spec and code files.
 """
 
 
@@ -96,6 +97,14 @@ def require_keys(obj, keys, source):
         if key not in obj:
             raise MissingKey(f"{source}: missing key {key!r}")
     return obj
+
+
+def parse_int(value):
+    """value itself when it is an int; bool, str, float and the rest
+    raise TypeError, so an integer key never passes by conversion."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def parse_key(obj, key, parse, source):

@@ -233,9 +233,6 @@ class FqMatrix:
         ent = tuple(tuple(F.dot(r, c) for c in bt) for r in self.entries)
         return FqMatrix(F, self.rows, other.cols, ent)
 
-    def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -315,16 +312,3 @@ def matrix_vectors(M):
                         v[j] = F.add(v[j], F.mul(c, x))
         vecs.append(tuple(v))
     return vecs
-
-
-def matrix_to_json(M):
-    return {"q": M.field.q, "rows": [list(r) for r in M.entries], "cols": M.cols}
-
-
-def matrix_from_json(obj):
-    field = make_field(obj["q"])
-    rows = [tuple(r) for r in obj["rows"]]
-    cols = obj.get("cols")
-    if cols is None:
-        cols = len(rows[0]) if rows else 0
-    return FqMatrix.from_rows(field, rows, cols) if rows else FqMatrix(field, 0, cols, ())

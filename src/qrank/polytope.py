@@ -11,9 +11,10 @@ build_hrep holds the rows as blocks of plain index tuples (HRowBlocks),
 in row order: the type-1 bounds, the atoms, the cover pairs (x, y), the
 lattice's incomparable-pair table (x, y, meet, join) as it is, and the
 zero rows.  An HRow(coeffs, rhs, tag) is built only when a caller reads
-H.rows by index or iteration (the text, double description, f-vectors);
+H.rows by index or iteration (double description, f-vectors); the text,
 membership and is_vertex never build one.  The text is produced one
-line at a time (HRepresentation.text_lines), so the CLI streams it.
+line at a time by one loop per block (HRepresentation.text_lines), so
+the CLI streams it.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and
@@ -160,23 +161,33 @@ class HRepresentation:
         Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
         line as space-separated reduced rationals a_1 .. a_dim b.
 
-        Each line is spliced from runs of zeros between the row's few
-        nonzero entries."""
-        offset = 1 if self.reduced else 0
+        One loop per block of build_hrep's rows, as in membership; each
+        line is an f-string over the runs of zeros between the row's
+        few nonzero entries."""
+        rows = self.rows
+        if not isinstance(rows, HRowBlocks):
+            raise TypeError("text_lines formats the row blocks of build_hrep")
+        dims = self.lattice.dims
         dim = self.ambient_dim
-        zeros = ["0 " * k for k in range(dim + 1)]
-        yield f"HREP {len(self.rows)} {dim}\n"
-        for row in self.rows:
-            parts = []
-            col = 0
-            for i, c in row.coeffs:
-                i -= offset
-                parts.append(zeros[i - col])
-                parts.append(f"{c} ")
-                col = i + 1
-            parts.append(zeros[dim - col])
-            parts.append(f"{row.rhs}\n")
-            yield "".join(parts)
+        o = 1 if self.reduced else 0  # column of lattice index i is i - o
+        top = self.lattice.top        # so z[top - i] zeros follow index i
+        z = ["0 " * k for k in range(dim + 1)]
+        yield f"HREP {len(rows)} {dim}\n"
+        for x in rows.bounds:
+            yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
+        for a in rows.atoms:
+            yield f"{z[a - o]}-1 {z[top - a]}0\n"
+        for x, y in rows.covers:
+            yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
+        for x, y, m, j in rows.pairs:
+            if m or not self.reduced:
+                yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
+                       f"{z[j - y - 1]}1 {z[top - j]}0\n")
+            else:  # the reduced system has no v_0: a zero meet drops out
+                yield (f"{z[x - o]}-1 {z[y - x - 1]}-1 "
+                       f"{z[j - y - 1]}1 {z[top - j]}0\n")
+        for sign in rows.zero:
+            yield f"{sign} {z[dim - 1]}0\n"
 
     def to_text(self):
         return "".join(self.text_lines())

@@ -9,6 +9,14 @@ build_lattice enumerates every subspace exactly once, records the cover
 relation and the containment bitmasks in both directions, and exposes
 the helpers the rest of the package leans on.
 
+The containment masks come from atom sets, with no span test per pair.
+Each nonzero vector is mapped to the atom (1-dimensional subspace) it
+spans, which gives every subspace its set of atoms; a subspace is the
+span of its atoms, so X <= Y exactly when every atom of X lies in Y.
+The above-mask of X is the AND, over the atoms of X, of the masks of
+the subspaces containing that atom (all subspaces for the zero space),
+and the below-masks are its transpose.
+
 Meet and join are read off the bitmasks, with no linear algebra.  The
 order is graded: index order never decreases dimension.  The common
 lower bounds of X and Y are the subspaces below their meet, and the
@@ -97,24 +105,36 @@ class SubspaceLattice:
         for d in range(1, n + 2):
             offsets[d] += offsets[d - 1]
         self.grade_offsets = tuple(offsets)
-        # containment bitmasks: bit i of below_mask[j] <=> subspace i <= j,
-        # and above_mask is the transpose
-        below = []
-        for j, sj in enumerate(self.subspaces):
-            vs = frozenset(matrix_vectors(sj.basis))
-            mask = 0
-            dj = self.dims[j]
-            for i, s in enumerate(self.subspaces):
-                if self.dims[i] <= dj and all(r in vs for r in s.basis.entries):
-                    mask |= 1 << i
-            below.append(mask)
+        self.atom_range = range(offsets[1], offsets[2])
+        # containment masks from atom sets (see the module docstring);
+        # containing[a] has bit j set when atom a lies in subspace j
+        atom_of = {}
+        for a in self.atom_range:
+            for v in matrix_vectors(self.subspaces[a].basis):
+                if any(v):
+                    atom_of[v] = a
+        containing = dict.fromkeys(self.atom_range, 0)
+        atoms_of = []
+        for j, s in enumerate(self.subspaces):
+            atoms = sorted({atom_of[v] for v in matrix_vectors(s.basis) if any(v)})
+            for a in atoms:
+                containing[a] |= 1 << j
+            atoms_of.append(tuple(atoms))
+        self.atoms_of = tuple(atoms_of)
+        full = (1 << self.size) - 1
+        above = []
+        for atoms in self.atoms_of:
+            mask = full
+            for a in atoms:
+                mask &= containing[a]
+            above.append(mask)
+        self.above_mask = tuple(above)
+        below = [0] * self.size
+        for i, mask in enumerate(self.above_mask):
+            for j in self._bits(mask):
+                below[j] |= 1 << i
         self.below_mask = tuple(below)
         self._below_list = tuple(tuple(self._bits(m)) for m in self.below_mask)
-        above = [0] * self.size
-        for j, lows in enumerate(self._below_list):
-            for i in lows:
-                above[i] |= 1 << j
-        self.above_mask = tuple(above)
         self.covers_down = tuple(
             tuple(i for i in self._below_list[j] if self.dims[i] == self.dims[j] - 1)
             for j in range(self.size))
@@ -123,11 +143,6 @@ class SubspaceLattice:
             for i in self.covers_down[j]:
                 ups[i].append(j)
         self.covers_up = tuple(tuple(u) for u in ups)
-        a0, a1 = self.grade_offsets[1], self.grade_offsets[2]
-        self.atom_range = range(a0, a1)
-        self.atoms_of = tuple(
-            tuple(i for i in self._below_list[j] if self.dims[i] == 1)
-            for j in range(self.size))
         self._digest = None
 
     @staticmethod
@@ -219,10 +234,6 @@ class SubspaceLattice:
         if ns.rows == 0:
             return 0
         return self.index[ns.entries]
-
-    def boundary_sets(self, i):
-        """(hyperplanes of X, atoms of X) for the subspace at index i."""
-        return self.covers_down[i], self.atoms_of[i]
 
     # -- serialization -------------------------------------------------
 

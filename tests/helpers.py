@@ -3,6 +3,9 @@
 import math
 from fractions import Fraction
 
+from qrank.charpoly import TruncatedPuiseux
+from qrank.fields import FqMatrix, make_field, matrix_vectors
+
 
 def random_paving_collection(rng, lat, k, limit=3):
     candidates = [i for i in range(lat.size) if lat.dims[i] == k]
@@ -65,3 +68,43 @@ def _int_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def span_containment_order(lat):
+    """(below_mask, above_mask, covers_down, covers_up, atoms_of) of the
+    lattice, by testing for every pair whether each basis row of i lies
+    in the span of j: the reference for the masks built from atoms."""
+    subs, dims = lat.subspaces, lat.dims
+    below = []
+    for sj in subs:
+        vs = frozenset(matrix_vectors(sj.basis))
+        below.append(sum(1 << i for i, s in enumerate(subs)
+                         if s.dim <= sj.dim and all(r in vs for r in s.basis.entries)))
+    above = [sum(1 << j for j in range(lat.size) if (below[j] >> i) & 1)
+             for i in range(lat.size)]
+    lows = [[i for i in range(lat.size) if (m >> i) & 1] for m in below]
+    covers_down = tuple(tuple(i for i in lows[j] if dims[i] == dims[j] - 1)
+                        for j in range(lat.size))
+    covers_up = tuple(tuple(j for j in range(lat.size) if i in covers_down[j])
+                      for i in range(lat.size))
+    atoms_of = tuple(tuple(i for i in lows[j] if dims[i] == 1)
+                     for j in range(lat.size))
+    return tuple(below), tuple(above), covers_down, covers_up, atoms_of
+
+
+def matrix_to_json(M):
+    return {"q": M.field.q, "rows": [list(r) for r in M.entries], "cols": M.cols}
+
+
+def matrix_from_json(obj):
+    field = make_field(obj["q"])
+    rows = [tuple(r) for r in obj["rows"]]
+    cols = obj.get("cols")
+    if cols is None:
+        cols = len(rows[0]) if rows else 0
+    return FqMatrix.from_rows(field, rows, cols) if rows else FqMatrix(field, 0, cols, ())
+
+
+def puiseux_from_pairs(pairs):
+    """The inverse of TruncatedPuiseux.to_pairs."""
+    return TruncatedPuiseux.from_terms((Fraction(e), int(c)) for e, c in pairs)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,9 +293,16 @@ _CHI_COMBO_23 = {"q": 2, "n": 3, "k": 2, "lambda": "1/2", "s1": [],
     (("make", "flag"), {"kind": "flag", "q": 2, "n": 5,
                         "lambdas": ["1/3", "x", "1/3"]},
      ("'lambdas'",)),
+    # an integer key that is a string, a bool or a float
+    (("make", "paving"), {**_PAVING_23, "k": "x"}, ("'k'",)),
+    (("invariant", "chi-combo"), {**_CHI_COMBO_23, "k": True}, ("'k'",)),
+    (("make", "combo"), {"kind": "combo", "coefficients": ["1/2", "1/2"],
+                         "terms": [_UNIFORM_23, {**_PAVING_23, "n": 3.0}]},
+     ("terms[1]", "'n'")),
 ], ids=["chi-combo-short-row", "paving-entry-outside-field",
         "combo-term-short-row", "chi-combo-lambda", "combo-coefficient",
-        "flag-lambda"])
+        "flag-lambda", "paving-k-string", "chi-combo-k-bool",
+        "combo-term-n-float"])
 def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
                                                      command, spec, named):
     path = tmp_path / "spec.json"
@@ -304,6 +314,31 @@ def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
     assert all(part in obj["message"] for part in named)
 
 
+@pytest.mark.parametrize("command,key,value", [
+    (("pm", "check", "--point"), "n", 3.0),
+    (("invariant", "chi", "--point"), "q", "2"),
+    (("code", "metrics", "--code"), "m", 3.0),
+    (("code", "rho", "--code"), "n", True),
+], ids=["pm-check-n-float", "chi-q-string", "code-metrics-m-float",
+        "code-rho-n-bool"])
+def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
+                                                      command, key, value):
+    path = tmp_path / "input.json"
+    if command[0] == "code":
+        obj = {"q": 2, "n": 3, "m": 3, "generators": [[[1, 0, 0], [0, 1, 0],
+                                                       [0, 0, 1]]]}
+    else:
+        assert main(["make", "uniform", "--q", "2", "--n", "3", "--k", "1",
+                     "-o", str(path)]) == 0
+        obj = json.loads(path.read_text())
+    path.write_text(json.dumps({**obj, key: value}))
+    code, out, err = run(capsys, "--json-errors", *command, str(path))
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == "BadValue"
+    assert str(path) in obj["message"] and repr(key) in obj["message"]
+
+
 def test_internal_key_error_is_not_a_validation_failure(monkeypatch):
     import qrank.cli
 
@@ -313,3 +348,34 @@ def test_internal_key_error_is_not_a_validation_failure(monkeypatch):
     monkeypatch.setattr(qrank.cli, "_cmd_lattice_build", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["lattice", "build", "--q", "2", "--n", "2"])
+
+
+def test_lattice_build_imports_only_the_lattice_modules():
+    # -X importtime lists every module the run imports on stderr
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "qrank",
+                          "lattice", "build", "--q", "2", "--n", "3"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0 and json.loads(res.stdout)["q"] == 2
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+    assert {"qrank.cli", "qrank.subspaces"} <= loaded
+    for name in ("polytope", "constructions", "codes", "charpoly", "rankfun"):
+        assert f"qrank.{name}" not in loaded
+
+
+def test_public_names_resolve_to_their_submodules():
+    import importlib
+
+    import qrank
+    for name in qrank.__all__:
+        obj = getattr(qrank, name)
+        assert obj.__module__.startswith("qrank.")
+        assert getattr(importlib.import_module(obj.__module__), name) is obj
+        assert name in dir(qrank)
+    namespace = {}
+    exec("from qrank import *", namespace)
+    assert set(qrank.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        qrank.no_such_name

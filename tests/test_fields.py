@@ -116,7 +116,7 @@ def test_rank_nullity(q):
         ns = nullspace(M)
         for v in ns.entries:
             prod_ = M.mul(FqMatrix.from_rows(F, [v], cols).transpose())
-            assert prod_.is_zero()
+            assert all(x == 0 for row in prod_.entries for x in row)
 
 
 def test_matrix_validation():
@@ -128,7 +128,7 @@ def test_matrix_validation():
 
 
 def test_matrix_json_roundtrip():
-    from qrank.fields import matrix_from_json, matrix_to_json
+    from helpers import matrix_from_json, matrix_to_json
     F3 = make_field(3)
     M = FqMatrix.from_rows(F3, [(1, 2, 0), (0, 1, 1)])
     obj = matrix_to_json(M)

@@ -147,9 +147,11 @@ def test_row_blocks_index_like_a_tuple(fixture, reduced, request):
             H.rows[k]
     ks = range(0, len(rows), 3)
     assert list(H.rows.entries(ks)) == [tuple(rows[k]) for k in ks]
-    # membership reads the blocks; a hand-built row tuple has none
+    # membership and the text read the blocks; a hand-built row tuple has none
     with pytest.raises(TypeError):
         membership(HRepresentation(lat, reduced, rows), interior_witness(lat))
+    with pytest.raises(TypeError):
+        HRepresentation(lat, reduced, rows).to_text()
 
 
 def test_membership_and_certificates_build_no_hrow(lat24, monkeypatch):
@@ -165,6 +167,7 @@ def test_membership_and_certificates_build_no_hrow(lat24, monkeypatch):
                           ).status == "outside"
         cert = is_vertex(H, u)
         assert cert.is_vertex and cert.normal_rank == H.ambient_dim
+        assert H.to_text().count("\n") == len(H.rows) + 1
 
 
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])

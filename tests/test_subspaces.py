@@ -8,6 +8,8 @@ from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import build_hrep
 from qrank.subspaces import build_lattice, gaussian_binomial
 
+from helpers import span_containment_order
+
 
 def _brute_count_subspaces(q, n, l):
     """Count l-dim subspaces by collecting RREF forms of all l-tuples."""
@@ -148,12 +150,12 @@ def test_covers(lat23):
 
 
 def test_boundary_sets(lat22, lat23):
+    # the hyperplanes and the atoms of a subspace
     a = next(iter(lat22.atom_range))
-    hyps, atoms = lat22.boundary_sets(a)
-    assert hyps == (lat22.zero,) and atoms == (a,)
-    hyps, atoms = lat22.boundary_sets(lat22.top)
-    assert len(hyps) == 3 and len(atoms) == 3
-    assert len(lat23.boundary_sets(lat23.top)[0]) == 7
+    assert lat22.covers_down[a] == (lat22.zero,) and lat22.atoms_of[a] == (a,)
+    assert len(lat22.covers_down[lat22.top]) == 3
+    assert len(lat22.atoms_of[lat22.top]) == 3
+    assert len(lat23.covers_down[lat23.top]) == 7
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (3, 2), (2, 4)])
@@ -183,6 +185,23 @@ def test_dump_digest_stable(lat22):
     d2 = build_lattice(2, 2).order_digest()
     assert d1 == d2
     assert len(d1) == 16
+
+
+@pytest.mark.parametrize("q,n,digest", [(2, 5, "13b06af2d2929c83"),
+                                         (3, 4, "b95b55863a599b34"),
+                                         (4, 3, "703389ed3522faa0"),
+                                         (9, 2, "c17aca4e3ba4521b")])
+def test_order_digest_is_pinned(q, n, digest):
+    # the linear order coordinatizes every point file
+    assert build_lattice(q, n).order_digest() == digest
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                 (4, 2), (4, 3), (5, 2), (7, 2), (9, 2)])
+def test_masks_from_atoms_match_span_containment(q, n):
+    lat = build_lattice(q, n)
+    assert (lat.below_mask, lat.above_mask, lat.covers_down, lat.covers_up,
+            lat.atoms_of) == span_containment_order(lat)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
