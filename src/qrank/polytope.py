@@ -26,10 +26,17 @@ Python ints over rows given as (column, value) pairs, so an H-row keeps
 its at most four nonzero entries.  Vertex certification ranks the
 tight-row normals, so every certificate is checkable by hand; the
 elimination stops once the rank reaches the number of columns, since
-no further row can raise it.  Vertex enumeration runs an exact integer
-double description pass over sparse homogenized constraints; adjacency
-of rays is decided by the same kernel on their common tight sets, and
-face dimensions in f_vector by the rank of scaled difference rows.
+no further row can raise it.  Face dimensions in f_vector are the rank
+of scaled difference rows.
+
+Two search kernels materialize points.  Vertex enumeration runs an
+exact integer double description pass over sparse homogenized
+constraints, with the combinatorial adjacency test in bitset form: two
+rays are adjacent iff no third ray is tight on every constraint tight
+at both (Fukuda & Prodon 1996), read off an AND of per-constraint
+bitsets over the rays.  The integer points (the q-matroids) come from a
+depth-first search that forward-checks bounds on the spaces not yet
+assigned.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .rankfun import RankPoint, rank_point, scaled_values
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 6
-MAX_DFS_NODES = 500_000
+MAX_DFS_NODES = 100_000
 
 
 class HRow(NamedTuple):
@@ -302,22 +309,65 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     """All integer points of the polytope, i.e. all q-matroid rank
     functions on the lattice.
 
-    Depth-first search in the lattice's linear order.  Integer
-    feasibility prunes hard: on a cover X < Y every feasible point obeys
-    v_X <= v_Y <= v_X + 1 (the upper step is submodularity against an
-    atom), and each submodularity row is checked as soon as its join,
-    the largest of its four spaces, is reached.
+    Depth-first search in the lattice's linear order, with forward
+    checking: every space not yet assigned keeps bounds lo <= v <= hi
+    (at first 0 and its dimension).  Setting v_Z = v raises lo to v on
+    every space above Z (monotonicity), lowers hi to v + 1 on every
+    upper cover of Z (on a cover X < Y, v_Y <= v_X + 1 is submodularity
+    against an atom), and, for each incomparable pair X < Z with meet M
+    and join J, lowers hi on J to v_X + v - v_M (submodularity), so a
+    row is applied as soon as the later space of its pair is set.  A
+    branch is cut once some bounds cross; the changes are undone on
+    backtrack.  Values are tried in increasing order, so the points come
+    out sorted by their values, and forward checking removes only values
+    no point takes, so the points are the same as without it.
 
     Raises TooLarge once the search has visited more than max_nodes
-    partial assignments (the default admits L(F_3^3), about 64,000)."""
+    partial assignments (the default admits L(F_2^4), 41,756, and
+    L(F_7^3), 16,059, and refuses L(F_2^5) within seconds)."""
     lat = lattice
     size = lat.size
-    join_pairs = [[] for _ in range(size)]
+    above = [[] for _ in range(size)]  # above[z]: the spaces j > z over z
+    for j in range(size):
+        for i in lat.below(j):
+            if i < j:
+                above[i].append(j)
+    covers_up = lat.covers_up
+    later = [[] for _ in range(size)]  # later[y]: (x, meet, join), x < y
     for x, y, m, j in lat.incomparable:
-        join_pairs[j].append((x, y, m))
+        later[y].append((x, m, j))
+    lo = [0] * size
+    hi = list(lat.dims)
     vals = [0] * size
+    trail = []  # (bounds list, index, old value), undone on backtrack
     out = []
     nodes = 0
+
+    def assign(z, v):
+        """Set v_z = v and tighten the bounds it implies; False once
+        some space is left with no value."""
+        vals[z] = v
+        for j in above[z]:
+            if lo[j] < v:
+                trail.append((lo, j, lo[j]))
+                lo[j] = v
+                if v > hi[j]:
+                    return False
+        w = v + 1
+        for j in covers_up[z]:
+            if hi[j] > w:
+                trail.append((hi, j, hi[j]))
+                hi[j] = w
+                if lo[j] > w:
+                    return False
+        for x, m, j in later[z]:
+            w = vals[x] + v - vals[m]
+            if hi[j] > w:
+                trail.append((hi, j, hi[j]))
+                hi[j] = w
+                if lo[j] > w:
+                    return False
+        return True
 
     def rec(z):
         nonlocal nodes
@@ -328,22 +378,13 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
         if z == size:
             out.append(rank_point(lat, vals))
             return
-        lo = 0
-        hi = lat.dims[z]
-        for x in lat.covers_down[z]:
-            v = vals[x]
-            if v > lo:
-                lo = v
-            if v + 1 < hi:
-                hi = v + 1
-        for a, b, m in join_pairs[z]:
-            bound = vals[a] + vals[b] - vals[m]
-            if bound < hi:
-                hi = bound
-        for v in range(lo, hi + 1):
-            vals[z] = v
-            rec(z + 1)
-        vals[z] = 0
+        for v in range(lo[z], hi[z] + 1):
+            mark = len(trail)
+            if assign(z, v):
+                rec(z + 1)
+            while len(trail) > mark:
+                bounds, j, old = trail.pop()
+                bounds[j] = old
 
     rec(1)
     return out
@@ -426,9 +467,13 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
     initial simplicial cone comes from the type-1 rows plus the t-row,
     and the remaining rows are inserted one at a time.  Constraints are
     sparse (column, coefficient) rows; rays are dense primitive integer
-    vectors.  A positive/negative ray pair combines only if the
-    constraints tight at both have rank exactly dim-1, the exact sparse
-    rank test for adjacency.  Output is sorted by coordinates."""
+    vectors, each with the bitmask of the constraints it is tight on.
+    A positive/negative ray pair combines only if it is adjacent: the
+    constraints tight at both number at least dim-1 and no third ray is
+    tight on all of them.  Each step keeps, per constraint, a bitset
+    over the current rays tight on it, so the test is one AND of
+    bitsets that must leave exactly the pair.  Output is sorted by
+    coordinates."""
     lat = H.lattice
     d = lat.size - 1
     if d > max_dim:
@@ -462,36 +507,50 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
     corner = tuple(lat.dims[1:]) + (1,)
     rays.append((corner, base_mask ^ (1 << d)))
 
-    def adjacent(zmask):
-        tight = []
-        m = zmask
-        while m:
-            low = m & -m
-            tight.append(cons[low.bit_length() - 1])
-            m ^= low
-        return _rank(tight) == D - 2
-
     for ci in range(base, len(cons)):
         c = cons[ci]
         bit = 1 << ci
         plus, zero, minus = [], [], []
-        for vec, z in rays:
+        for r, (vec, z) in enumerate(rays):
             val = sum(a * vec[i] for i, a in c)
             if val > 0:
-                plus.append((vec, z, val))
+                plus.append((vec, z, val, r))
             elif val < 0:
-                minus.append((vec, z, val))
+                minus.append((vec, z, val, r))
             else:
                 zero.append((vec, z | bit))
         if not plus:
-            rays = zero + [(vec, z) for vec, z, _ in minus]
+            rays = zero + [(vec, z) for vec, z, _, _ in minus]
             continue
+        # tight[k]: bitset over the positions in rays of the rays tight
+        # on constraint k
+        tight = [0] * ci
+        for r, (_, z) in enumerate(rays):
+            rbit = 1 << r
+            while z:
+                low = z & -z
+                tight[low.bit_length() - 1] |= rbit
+                z ^= low
         new = []
         need = D - 2
-        for pvec, pz, pval in plus:
-            for mvec, mz, mval in minus:
+        for pvec, pz, pval, pr in plus:
+            pbit = 1 << pr
+            for mvec, mz, mval, mr in minus:
                 z = pz & mz
-                if z.bit_count() < need or not adjacent(z):
+                if z.bit_count() < need:
+                    continue
+                # adjacent iff no third ray is tight on all of z: the
+                # AND of the tight sets can stop once only the pair is left
+                pair = pbit | (1 << mr)
+                common = -1
+                m = z
+                while m:
+                    low = m & -m
+                    common &= tight[low.bit_length() - 1]
+                    if common == pair:
+                        break
+                    m ^= low
+                if common != pair:
                     continue
                 comb = [pval * mm - mval * pp for pp, mm in zip(pvec, mvec)]
                 g = 0
@@ -500,7 +559,7 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
                 if g > 1:
                     comb = [x // g for x in comb]
                 new.append((tuple(comb), z | bit))
-        rays = zero + [(vec, z) for vec, z, _ in minus] + new
+        rays = zero + [(vec, z) for vec, z, _, _ in minus] + new
 
     verts = []
     for vec, _ in rays:

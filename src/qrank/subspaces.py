@@ -261,14 +261,24 @@ def build_lattice(q, n, max_size=MAX_LATTICE_SIZE):
     """Enumerate L(F_q^n) in canonical order.
 
     Raises TooLarge when the lattice would have more than max_size
-    elements (the default keeps exhaustive oracles feasible).
+    elements (the default keeps exhaustive oracles feasible).  The
+    grades are counted one at a time and the count stops at the first
+    that passes the cap, so a large n is refused at once rather than
+    after summing every Gaussian binomial of it.
     """
     if n < 2:
         raise OutOfRange(f"need n >= 2, got {n}")
     field = make_field(q)
-    total = sum(gaussian_binomial(n, l, q) for l in range(n + 1))
-    if total > max_size:
-        raise TooLarge(f"L(F_{q}^{n}) has {total} subspaces, cap is {max_size}")
+    refusal = f"L(F_{q}^{n}) has more than {max_size} subspaces, the cap"
+    # grade 1 alone holds more than q^(n-1) >= 2^(n-1) subspaces, so a
+    # huge n is refused before q**n is formed
+    if n > max_size.bit_length():
+        raise TooLarge(refusal)
+    total = 0
+    for l in range(n + 1):
+        total += gaussian_binomial(n, l, q)
+        if total > max_size:
+            raise TooLarge(refusal)
     subspaces = []
     for r in range(n + 1):
         grade = sorted(_rref_bases(field, n, r),

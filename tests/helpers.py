@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from qrank.charpoly import TruncatedPuiseux
 from qrank.fields import FqMatrix, make_field, matrix_vectors
+from qrank.polytope import _dd_constraint_order, _rank
+from qrank.rankfun import rank_point
 
 
 def random_paving_collection(rng, lat, k, limit=3):
@@ -108,3 +110,102 @@ def matrix_from_json(obj):
 def puiseux_from_pairs(pairs):
     """The inverse of TruncatedPuiseux.to_pairs."""
     return TruncatedPuiseux.from_terms((Fraction(e), int(c)) for e, c in pairs)
+
+
+def plain_dfs_lattice_points(lat):
+    """The integer points by depth-first search in the lattice order
+    with no forward checking: the bounds of each space come from its
+    lower covers and from the submodularity rows whose join it is.  The
+    reference for the forward-checked search of lattice_points."""
+    size = lat.size
+    join_pairs = [[] for _ in range(size)]
+    for x, y, m, j in lat.incomparable:
+        join_pairs[j].append((x, y, m))
+    vals = [0] * size
+    out = []
+
+    def rec(z):
+        if z == size:
+            out.append(rank_point(lat, vals))
+            return
+        lo = 0
+        hi = lat.dims[z]
+        for x in lat.covers_down[z]:
+            lo = max(lo, vals[x])
+            hi = min(hi, vals[x] + 1)
+        for a, b, m in join_pairs[z]:
+            hi = min(hi, vals[a] + vals[b] - vals[m])
+        for v in range(lo, hi + 1):
+            vals[z] = v
+            rec(z + 1)
+        vals[z] = 0
+
+    rec(1)
+    return out
+
+
+def rank_test_vertices(H):
+    """The vertices by the same double description as
+    enumerate_vertices, deciding adjacency by the algebraic test: a
+    plus/minus pair combines iff the constraints tight at both have rank
+    dim - 1.  The reference for the bitset adjacency test."""
+    lat = H.lattice
+    d = lat.size - 1
+    type1 = {}
+    rest = []
+    for row in H.rows:
+        if row.tag[0] == "zero":
+            continue
+        vec = tuple((i - 1, c) for i, c in row.coeffs if i != 0)
+        if row.rhs:
+            vec += ((d, -row.rhs),)
+        if row.tag[0] == "type1":
+            type1[row.tag[1]] = vec
+        else:
+            rest.append((row, vec))
+    cons = [type1[i] for i in range(1, lat.size)]
+    cons.append(((d, -1),))
+    base = len(cons)
+    cons.extend(vec for _, vec in _dd_constraint_order(rest))
+
+    D = d + 1
+    base_mask = (1 << base) - 1
+    rays = []
+    for k in range(d):
+        vec = [0] * D
+        vec[k] = -1
+        rays.append((tuple(vec), base_mask ^ (1 << k)))
+    rays.append((tuple(lat.dims[1:]) + (1,), base_mask ^ (1 << d)))
+
+    def adjacent(z):
+        tight = [cons[k] for k in range(len(cons)) if (z >> k) & 1]
+        return _rank(tight) == D - 2
+
+    for ci in range(base, len(cons)):
+        c = cons[ci]
+        bit = 1 << ci
+        plus, zero, minus = [], [], []
+        for vec, z in rays:
+            val = sum(a * vec[i] for i, a in c)
+            if val > 0:
+                plus.append((vec, z, val))
+            elif val < 0:
+                minus.append((vec, z, val))
+            else:
+                zero.append((vec, z | bit))
+        new = []
+        for pvec, pz, pval in plus:
+            for mvec, mz, mval in minus:
+                z = pz & mz
+                if z.bit_count() < D - 2 or not adjacent(z):
+                    continue
+                comb = [pval * mm - mval * pp for pp, mm in zip(pvec, mvec)]
+                g = math.gcd(*comb)
+                new.append((tuple(x // g for x in comb), z | bit))
+        rays = zero + [(vec, z) for vec, z, _ in minus] + new
+
+    verts = [rank_point(lat, (Fraction(0),)
+                        + tuple(Fraction(x, vec[-1]) for x in vec[:-1]))
+             for vec, _ in rays]
+    verts.sort(key=lambda p: p.values)
+    return verts

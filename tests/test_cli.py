@@ -186,6 +186,33 @@ def test_json_errors_flag(capsys):
     assert obj["error"] == "TooLarge"
 
 
+def _qrank_subprocess(*argv, timeout, python_flags=()):
+    """python -m qrank argv in a child that imports qrank from src/."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *python_flags, "-m", "qrank", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def test_large_n_is_refused_at_once(tmp_path):
+    # a large n is refused before q**n is formed, and under a huge cap the
+    # grades are counted one at a time up to the first past the cap
+    # (summing all 998 Gaussian binomials of F_2^997 takes minutes); a
+    # subprocess, so a hang fails on the timeout instead of stalling
+    point = tmp_path / "big.json"
+    point.write_text(json.dumps({"q": 2, "n": 2000, "order_digest": "0" * 16,
+                                 "values": ["0"]}))
+    for argv in (("lattice", "build", "--q", "2", "--n", "2000"),
+                 ("lattice", "build", "--q", "9", "--n", "100000000"),
+                 ("--max-lattice", str(10 ** 300),
+                  "lattice", "build", "--q", "2", "--n", "997"),
+                 ("pm", "check", "--point", str(point))):
+        res = _qrank_subprocess(*argv, timeout=10)
+        assert res.returncode == 2 and res.stdout == "", argv
+        assert "subspaces, the cap" in res.stderr, argv
+
+
 def test_digest_guard(capsys, tmp_path):
     point = tmp_path / "u.json"
     assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",
@@ -352,12 +379,8 @@ def test_internal_key_error_is_not_a_validation_failure(monkeypatch):
 
 def test_lattice_build_imports_only_the_lattice_modules():
     # -X importtime lists every module the run imports on stderr
-    paths = [str(Path(__file__).resolve().parents[1] / "src"),
-             os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    res = subprocess.run([sys.executable, "-X", "importtime", "-m", "qrank",
-                          "lattice", "build", "--q", "2", "--n", "3"],
-                         env=env, capture_output=True, text=True, timeout=60)
+    res = _qrank_subprocess("lattice", "build", "--q", "2", "--n", "3",
+                            timeout=60, python_flags=("-X", "importtime"))
     assert res.returncode == 0 and json.loads(res.stdout)["q"] == 2
     loaded = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
     assert {"qrank.cli", "qrank.subspaces"} <= loaded

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import _int_rank, random_disjoint_paving_pair, random_lambda
+from helpers import (_int_rank, plain_dfs_lattice_points, random_disjoint_paving_pair,
+                     random_lambda, rank_test_vertices)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
@@ -398,7 +399,8 @@ def test_lattice_points_22(lat22):
     assert {tuple(int(v) for v in p.values) for p in pts} == PAPER_POINTS_22
 
 
-@pytest.mark.parametrize("fixture,count", [("lat32", 7), ("lat23", 32)])
+@pytest.mark.parametrize("fixture,count",
+                         [("lat32", 7), ("lat23", 32), ("lat24", 1516)])
 def test_lattice_point_counts(fixture, count, request):
     lat = request.getfixturevalue(fixture)
     pts = lattice_points(lat)
@@ -406,15 +408,33 @@ def test_lattice_point_counts(fixture, count, request):
     for p in pts:
         assert check_axioms(p).ok
         assert p.is_integral()
+    # closed under q-matroid duality: r*(X) = dim X - r(E) + r(X^perp)
+    values = {p.values for p in pts}
+    perp = [lat.orthogonal_complement(i) for i in range(lat.size)]
+    for v in values:
+        assert tuple(lat.dims[i] - v[lat.top] + v[perp[i]]
+                     for i in range(lat.size)) in values
 
 
-def test_lattice_points_node_cap(lat24, lat33):
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3), (5, 2)])
+def test_lattice_points_match_plain_dfs(q, n):
+    lat = build_lattice(q, n)
+    assert ([p.values for p in lattice_points(lat)]
+            == [p.values for p in plain_dfs_lattice_points(lat)])
+
+
+def test_lattice_points_node_cap(lat24, lat25, lat33):
     start = time.perf_counter()
     with pytest.raises(TooLarge):
-        lattice_points(lat24)
+        lattice_points(lat25)
     assert time.perf_counter() - start < 30
+    # forward checking visits 41,756 nodes on L(F_2^4) and exactly 903
+    # on L(F_3^3); a weaker propagation would pass the latter cap
     with pytest.raises(TooLarge):
-        lattice_points(lat33, max_nodes=1000)
+        lattice_points(lat24, max_nodes=10_000)
+    assert len(lattice_points(lat33, max_nodes=903)) == 56
+    with pytest.raises(TooLarge):
+        lattice_points(lat33, max_nodes=902)
 
 
 def test_every_lattice_point_is_vertex_and_not_interior(lat22, lat32):
@@ -472,6 +492,13 @@ def test_vertices_32(lat32):
         assert check_axioms(p).ok
         cert = is_vertex(H, p)
         assert cert.is_vertex and cert.normal_rank == H.ambient_dim
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_vertices_match_rank_test_adjacency(q):
+    H = build_hrep(build_lattice(q, 2), reduced=True)
+    assert ([p.values for p in enumerate_vertices(H)]
+            == [p.values for p in rank_test_vertices(H)])
 
 
 def test_vertices_deterministic(lat32):
