@@ -73,11 +73,6 @@ def _points_text(points):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _default(value, default):
-    """An option's value, or the library default when it was not given."""
-    return default if value is None else value
-
-
 # -- subcommand handlers -------------------------------------------------
 
 def _cmd_lattice_build(args):
@@ -98,12 +93,9 @@ def _cmd_polytope(args):
     if args.which == "hrep":
         _write_lines(args, H.text_lines())
     elif args.which == "vertices":
-        max_dim = _default(args.max_dim, polytope.MAX_VERTEX_ENUM_DIM)
-        verts = polytope.enumerate_vertices(H, max_dim=max_dim)
-        _write(args, _points_text(verts))
+        _write(args, _points_text(polytope.enumerate_vertices(H)))
     elif args.which == "fvector":
-        fv = polytope.f_vector(H, max_dim=_default(args.max_dim,
-                                                   polytope.MAX_FVECTOR_DIM))
+        fv = polytope.f_vector(H)
         _write(args, " ".join(str(c) for c in fv) + "\n")
     elif args.which == "dim":
         _write(args, f"{polytope.affine_dimension(H)}\n")
@@ -184,14 +176,11 @@ def _cmd_invariant(args):
     lam = parse_key(spec, "lambda", Fraction, args.spec)
     s1, s2 = (parse_key(spec, key, lambda v: constructions.space_indices(lat, v),
                         args.spec) for key in ("s1", "s2"))
-    rep = constructions.paving_combo_report(
-        constructions.paving_spec(lat, k, s1),
-        constructions.paving_spec(lat, k, s2), lam)
+    specs = [constructions.paving_spec(lat, k, s) for s in (s1, s2)]
+    rep = constructions.paving_combo_report(*specs, lam)
     direct = charpoly.char_puiseux(rep.point)
-    chi1 = charpoly.char_puiseux(constructions.paving(constructions.paving_spec(lat, k, s1)))
     via = args.via
-    base = chi1 if via == 1 else charpoly.char_puiseux(
-        constructions.paving(constructions.paving_spec(lat, k, s2)))
+    base = charpoly.char_puiseux(constructions.paving(specs[via - 1]))
     formula = charpoly.paving_combo_char(base, (len(s1), len(s2)), k, lat.q, lam, via=via)
     if formula != direct:
         raise ValidationError("closed form disagrees with the direct computation")
@@ -209,8 +198,7 @@ def _cmd_code(args):
         return 0
     C = codes.load_code(args.code)
     if args.which == "metrics":
-        met = codes.code_metrics(C, cap=_default(args.scan_cap,
-                                                 codes.CODEWORD_SCAN_CAP))
+        met = codes.code_metrics(C)
         _emit_json(args, {"k": met.k, "d": met.d, "d_perp": met.d_perp,
                           "is_mrd": met.is_mrd})
     elif args.which == "rho":
@@ -249,8 +237,6 @@ def build_parser():
         pc.add_argument("--n", type=int, required=True)
         pc.add_argument("--full", action="store_true",
                         help="use the unreduced polytope (keep the zero coordinate)")
-        # default: the library's cap for the subcommand, read in the handler
-        pc.add_argument("--max-dim", type=int)
         pc.add_argument("--out", "-o")
         pc.set_defaults(func=_cmd_polytope)
 
@@ -301,7 +287,6 @@ def build_parser():
     csub = code.add_subparsers(dest="which", required=True)
     cm = csub.add_parser("metrics", help="k, d, dual distance, MRD check")
     cm.add_argument("--code", required=True)
-    cm.add_argument("--scan-cap", type=int)  # default codes.CODEWORD_SCAN_CAP
     cm.add_argument("--out", "-o")
     cm.set_defaults(func=_cmd_code)
     cr = csub.add_parser("rho", help="induced q-polymatroid point")

@@ -14,17 +14,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
 
 from .constructions import profile_independent_dims, point_from_profile, uniform
-from .errors import (HypothesisFail, LatticeMismatch, OutOfRange, TooLarge,
+from .errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
                      ZeroCode, parse_int, parse_key, require_keys)
-from .fields import FqMatrix, make_field, nullspace, rref
+from .fields import (EXHAUSTIVE_SPAN_CAP, FqMatrix, make_field, matrix_vectors,
+                     nullspace, rref)
 from .rankfun import rank_point
 
-CODEWORD_SCAN_CAP = 2 ** 20
+CODEWORD_SCAN_CAP = EXHAUSTIVE_SPAN_CAP  # the row-space cap of matrix_vectors
 
 
 def _flatten(M):
@@ -55,22 +55,12 @@ class MatrixCode:
     def k(self):
         return len(self.generators)
 
-    def codewords(self, cap=CODEWORD_SCAN_CAP):
-        """All q^k codewords as entry tuples (row-major)."""
-        q = self.field.q
-        if q ** self.k > cap:
-            raise TooLarge(f"codeword scan of size {q}^{self.k} exceeds cap {cap}")
-        F = self.field
-        gens = [_flatten(G) for G in self.generators]
-        nm = self.n * self.m
-        for coeffs in product(range(q), repeat=self.k):
-            w = [0] * nm
-            for c, g in zip(coeffs, gens):
-                if c:
-                    for j, x in enumerate(g):
-                        if x:
-                            w[j] = F.add(w[j], F.mul(c, x))
-            yield tuple(w)
+    def codewords(self):
+        """All q^k codewords as entry tuples (row-major), lazily; raises
+        TooLarge past CODEWORD_SCAN_CAP words before forming any."""
+        flat = FqMatrix(self.field, self.k, self.n * self.m,
+                        tuple(_flatten(G) for G in self.generators))
+        return matrix_vectors(flat)
 
     def word_rank(self, flat_word):
         rows = [flat_word[i * self.m:(i + 1) * self.m] for i in range(self.n)]
@@ -97,11 +87,11 @@ def dual_code(C):
     return MatrixCode(C.field, C.n, C.m, tuple(gens))
 
 
-def minimum_distance(C, cap=CODEWORD_SCAN_CAP):
+def minimum_distance(C):
     if C.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     best = None
-    for w in C.codewords(cap):
+    for w in C.codewords():
         if any(w):
             r = C.word_rank(w)
             if best is None or r < best:
@@ -119,11 +109,11 @@ class CodeMetrics:
     is_mrd: bool
 
 
-def code_metrics(C, cap=CODEWORD_SCAN_CAP):
+def code_metrics(C):
     """Dimension, minimum distance, dual distance, and the Singleton
     bound check k = max(n,m) (min(n,m) - d + 1)."""
-    d = minimum_distance(C, cap)
-    d_perp = minimum_distance(dual_code(C), cap)
+    d = minimum_distance(C)
+    d_perp = minimum_distance(dual_code(C))
     singleton = max(C.n, C.m) * (min(C.n, C.m) - d + 1)
     return CodeMetrics(C.k, d, d_perp, C.k == singleton)
 

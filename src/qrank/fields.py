@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotAPrimePower, UnsupportedOrder
+from .errors import NotAPrimePower, TooLarge, UnsupportedOrder
 
 MAX_ORDER = 9
 
@@ -215,9 +215,6 @@ class FqMatrix:
         return cls(field, n, n,
                    tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self):
         ent = tuple(tuple(self.entries[i][j] for i in range(self.rows))
                     for j in range(self.cols))
@@ -295,20 +292,22 @@ EXHAUSTIVE_SPAN_CAP = 2 ** 20
 
 
 def matrix_vectors(M):
-    """All vectors in the row space of M, as encoding tuples."""
+    """All vectors in the row space of M, as encoding tuples, one at a
+    time: the combinations of its rows with coefficient tuples in
+    lexicographic order.  Raises TooLarge before forming any vector when
+    there are more than EXHAUSTIVE_SPAN_CAP of them."""
     F = M.field
     if F.q ** M.rows > EXHAUSTIVE_SPAN_CAP:
-        from .errors import TooLarge
-        raise TooLarge(
-            f"row space of size {F.q}^{M.rows} exceeds the exhaustive cap")
+        raise TooLarge(f"row space of size {F.q}^{M.rows} exceeds "
+                       f"the cap {EXHAUSTIVE_SPAN_CAP}")
+    add, mul = F._add, F._mul
     n = M.cols
-    vecs = []
     for coeffs in product(range(F.q), repeat=M.rows):
         v = [0] * n
         for c, row in zip(coeffs, M.entries):
             if c:
+                times_c = mul[c]
                 for j, x in enumerate(row):
                     if x:
-                        v[j] = F.add(v[j], F.mul(c, x))
-        vecs.append(tuple(v))
-    return vecs
+                        v[j] = add[v[j]][times_c[x]]
+        yield tuple(v)

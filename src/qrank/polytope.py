@@ -10,11 +10,12 @@ v_0 <= 0 and -v_0 <= 0 (tag "zero").
 build_hrep holds the rows as blocks of plain index tuples (HRowBlocks),
 in row order: the type-1 bounds, the atoms, the cover pairs (x, y), the
 lattice's incomparable-pair table (x, y, meet, join) as it is, and the
-zero rows.  An HRow(coeffs, rhs, tag) is built only when a caller reads
-H.rows by index or iteration (double description, f-vectors); the text,
-membership and is_vertex never build one.  The text is produced one
-line at a time by one loop per block (HRepresentation.text_lines), so
-the CLI streams it.
+zero rows.  Every reader in this module walks the blocks: the text,
+membership, is_vertex, the double description constraints, f-vectors
+and tag counts.  An HRow(coeffs, rhs, tag) is built only when a caller
+reads H.rows by index or iteration, a read-only view that nothing here
+uses.  The text is produced one line at a time by one loop per block
+(HRepresentation.text_lines), so the CLI streams it.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and
@@ -26,8 +27,9 @@ Python ints over rows given as (column, value) pairs, so an H-row keeps
 its at most four nonzero entries.  Vertex certification ranks the
 tight-row normals, so every certificate is checkable by hand; the
 elimination stops once the rank reaches the number of columns, since
-no further row can raise it.  Face dimensions in f_vector are the rank
-of scaled difference rows.
+no further row can raise it.  f_vector reads each vertex's tight rows
+from membership, and its face dimensions are the rank of scaled
+difference rows.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass over sparse homogenized
@@ -56,19 +58,12 @@ MAX_DFS_NODES = 100_000
 
 
 class HRow(NamedTuple):
-    """The inequality coeffs . v <= rhs; a tuple, so building one on
-    each read of HRowBlocks stays cheap."""
+    """The inequality coeffs . v <= rhs, as a read of HRowBlocks gives it."""
 
     coeffs: tuple  # sparse ((lattice index, coefficient), ...), increasing index
     rhs: int
     tag: tuple     # ("type1", x) | ("nonneg", x) | ("type2", x, y)
                    # | ("type3", x, y) | ("zero", +1 or -1)
-
-    def evaluate(self, values):
-        total = 0
-        for i, c in self.coeffs:
-            total += c * values[i]
-        return total
 
 
 class HRowBlocks(Sequence):
@@ -147,21 +142,26 @@ class HRowBlocks(Sequence):
             yield make(block[k - start])
 
 
-@dataclass(frozen=True)
 class HRepresentation:
-    lattice: object
-    reduced: bool
-    rows: Sequence  # of HRow; build_hrep gives HRowBlocks
+    """The H-representation of the polytope on the lattice; rows holds
+    it as HRowBlocks."""
+
+    def __init__(self, lattice, reduced):
+        self.lattice = lattice
+        self.reduced = reduced
+        self.rows = HRowBlocks(lattice, reduced)
 
     @property
     def ambient_dim(self):
         return self.lattice.size - (1 if self.reduced else 0)
 
     def tag_counts(self):
-        counts = {}
-        for row in self.rows:
-            counts[row.tag[0]] = counts.get(row.tag[0], 0) + 1
-        return counts
+        """The number of rows of each tag that has any, by block length."""
+        rows = self.rows
+        counts = {"type1": len(rows.bounds), "nonneg": len(rows.atoms),
+                  "type2": len(rows.covers), "type3": len(rows.pairs),
+                  "zero": len(rows.zero)}
+        return {tag: n for tag, n in counts.items() if n}
 
     def text_lines(self):
         """The text one line at a time, each ending in a newline.
@@ -172,8 +172,6 @@ class HRepresentation:
         line is an f-string over the runs of zeros between the row's
         few nonzero entries."""
         rows = self.rows
-        if not isinstance(rows, HRowBlocks):
-            raise TypeError("text_lines formats the row blocks of build_hrep")
         dims = self.lattice.dims
         dim = self.ambient_dim
         o = 1 if self.reduced else 0  # column of lattice index i is i - o
@@ -205,7 +203,7 @@ def build_hrep(lattice, reduced=True):
 
     Reads the lattice's incomparable-pair table here, so its one-time
     cost falls in the set-up and not in the first query."""
-    return HRepresentation(lattice, reduced, HRowBlocks(lattice, reduced))
+    return HRepresentation(lattice, reduced)
 
 
 @dataclass(frozen=True)
@@ -226,8 +224,6 @@ def membership(H, p):
         raise DimensionMismatch(
             "point and H-representation use different lattices")
     rows = H.rows
-    if not isinstance(rows, HRowBlocks):
-        raise TypeError("membership evaluates the row blocks of build_hrep")
     mu, vals = scaled_values(p.values)
     if H.reduced:
         # the reduced system has no v_0: reading it as 0 leaves it out
@@ -443,59 +439,58 @@ def _affine_rank(points):
 
 # -- vertex enumeration: exact double description ------------------------
 
-def _dd_constraint_order(reduced_rows):
-    """Deterministic insertion order: coordinate-major along the lattice
-    order, nonneg then type-2 then type-3 inside each coordinate's
-    stage.  A submodularity row belongs to the stage of its join, the
-    last of its spaces in the linear order and so the row's largest
-    column, which keeps every intermediate cone equal to a small prefix
-    polytope crossed with down-rays on the untouched coordinates."""
-    def stage(row):
-        tag = row.tag
-        if tag[0] == "nonneg":
-            return (tag[1], 0, tag[1], 0)
-        if tag[0] == "type2":
-            return (tag[2], 1, tag[1], 0)
-        return (row.coeffs[-1][0], 2, tag[1], tag[2])
-    return sorted(reduced_rows, key=lambda rv: stage(rv[0]))
+def _dd_constraints(H):
+    """The homogenized constraints of double description in insertion
+    order, as sparse (column, coefficient) rows over the columns
+    v_1 .. v_d and t (column d): first the type-1 rows
+    v_x - dim(x) t <= 0 and the row -t <= 0, which cut out the initial
+    simplicial cone, then the atom, cover and pair rows.
+
+    These come coordinate-major along the lattice order, atom then cover
+    then pair rows inside each coordinate's stage.  A submodularity row
+    belongs to the stage of its join, the last of its spaces in the
+    linear order, which keeps every intermediate cone equal to a small
+    prefix polytope crossed with down-rays on the untouched coordinates.
+    v_0 is 0 in both systems, so a zero meet drops out and the zero rows
+    are left out."""
+    rows = H.rows
+    d = H.lattice.size - 1
+    dims = H.lattice.dims
+    cons = [((x - 1, 1), (d, -dims[x])) for x in rows.bounds]
+    cons.append(((d, -1),))
+    # (stage, row); every stage key is distinct, so no row is compared
+    staged = [((a, 0, a, 0), ((a - 1, -1),)) for a in rows.atoms]
+    staged += [((y, 1, x, 0), ((x - 1, 1), (y - 1, -1)))
+               for x, y in rows.covers]
+    staged += [((j, 2, x, y),
+                ((m - 1, 1), (x - 1, -1), (y - 1, -1), (j - 1, 1)) if m
+                else ((x - 1, -1), (y - 1, -1), (j - 1, 1)))
+               for x, y, m, j in rows.pairs]
+    staged.sort()
+    cons.extend(row for _, row in staged)
+    return cons
 
 
-def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
+def enumerate_vertices(H):
     """All vertices of the polytope, by exact double description.
 
     Works over the homogenization cone {(v, t) : Av <= bt, t >= 0}: the
     initial simplicial cone comes from the type-1 rows plus the t-row,
-    and the remaining rows are inserted one at a time.  Constraints are
-    sparse (column, coefficient) rows; rays are dense primitive integer
-    vectors, each with the bitmask of the constraints it is tight on.
+    and the remaining rows are inserted one at a time (_dd_constraints).
+    Rays are dense primitive integer vectors, each with the bitmask of
+    the constraints it is tight on.
     A positive/negative ray pair combines only if it is adjacent: the
     constraints tight at both number at least dim-1 and no third ray is
     tight on all of them.  Each step keeps, per constraint, a bitset
     over the current rays tight on it, so the test is one AND of
     bitsets that must leave exactly the pair.  Output is sorted by
-    coordinates."""
+    coordinates.  Raises TooLarge past MAX_VERTEX_ENUM_DIM coordinates."""
     lat = H.lattice
     d = lat.size - 1
-    if d > max_dim:
-        raise TooLarge(f"ambient dimension {d} exceeds cap {max_dim}")
-
-    type1 = {}
-    rest = []
-    for row in H.rows:
-        if row.tag[0] == "zero":
-            continue
-        vec = tuple((i - 1, c) for i, c in row.coeffs if i != 0)
-        if row.rhs:
-            vec += ((d, -row.rhs),)
-        if row.tag[0] == "type1":
-            type1[row.tag[1]] = vec
-        else:
-            rest.append((row, vec))
-
-    cons = [type1[i] for i in range(1, lat.size)]
-    cons.append(((d, -1),))  # t >= 0
-    base = len(cons)  # == d + 1
-    cons.extend(vec for _, vec in _dd_constraint_order(rest))
+    if d > MAX_VERTEX_ENUM_DIM:
+        raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_VERTEX_ENUM_DIM}")
+    cons = _dd_constraints(H)
+    base = d + 1
 
     D = d + 1
     base_mask = (1 << base) - 1
@@ -572,23 +567,28 @@ def enumerate_vertices(H, max_dim=MAX_VERTEX_ENUM_DIM):
     return verts
 
 
-def f_vector(H, max_dim=MAX_FVECTOR_DIM):
-    """Face counts by dimension 0 .. dim(P)-1, from the vertex-facet
-    incidence closed under intersection."""
-    lat = H.lattice
-    if lat.size - 1 > max_dim:
-        raise TooLarge(f"ambient dimension {lat.size - 1} exceeds cap {max_dim}")
-    verts = enumerate_vertices(H, max_dim=max_dim)
-    coords = [p.values for p in verts]
-    scaled = [scaled_values(vals) for vals in coords]
-    all_v = frozenset(range(len(verts)))
-    rowsets = []
-    for row in H.rows:
-        s = frozenset(i for i, (mu, ints) in enumerate(scaled)
-                      if row.evaluate(ints) == row.rhs * mu)
-        if s and s != all_v:
-            rowsets.append(s)
-    rowsets = list(set(rowsets))
+def f_vector(H):
+    """Face counts by dimension 0 .. dim(P)-1, from the vertex-row
+    incidence that membership reports at each vertex.  Raises TooLarge
+    past MAX_FVECTOR_DIM coordinates."""
+    d = H.lattice.size - 1
+    if d > MAX_FVECTOR_DIM:
+        raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_FVECTOR_DIM}")
+    verts = enumerate_vertices(H)
+    rowsets = {}  # row index -> the vertices tight on it
+    for i, p in enumerate(verts):
+        for k in membership(H, p).tight_rows:
+            rowsets.setdefault(k, set()).add(i)
+    return _face_counts([p.values for p in verts], rowsets.values())
+
+
+def _face_counts(coords, rowsets):
+    """Face counts by dimension 0 .. dim-1 of the polytope with the
+    given vertex coordinates, where each of rowsets holds the indices of
+    the vertices tight on one valid inequality: the faces are the
+    incidence sets closed under intersection, less the whole polytope."""
+    all_v = frozenset(range(len(coords)))
+    rowsets = {frozenset(s) for s in rowsets} - {all_v}
     faces = set()
     frontier = set(rowsets)
     while frontier:

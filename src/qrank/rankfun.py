@@ -57,9 +57,6 @@ class RankPoint:
             raise DimensionMismatch(
                 f"expected {self.lattice.size} values, got {len(self.values)}")
 
-    def value(self, i):
-        return self.values[i]
-
     @property
     def rank(self):
         return self.values[self.lattice.top]
@@ -99,9 +96,12 @@ def check_axioms(p):
     """Check (R1) bounds, (R2) on covers, (R3) on incomparable pairs,
     read with their meets and joins from the lattice's pair table.
 
-    Monotonicity on covers implies monotonicity everywhere, and
-    submodularity holds with equality on comparable pairs, so this row
-    set is exactly the irredundant one.  Violations are reported with
+    This is the literal axiom check: monotonicity on covers implies
+    monotonicity everywhere, and submodularity holds with equality on
+    comparable pairs, but R1's lower bounds on the spaces of dimension 2
+    or more and R2 on the covers of the zero space are still checked,
+    though the other rows imply them.  The irredundant system is the
+    row blocks of polytope.build_hrep.  Violations are reported with
     their exact positive slack; they are data, not errors.
     """
     lat = p.lattice

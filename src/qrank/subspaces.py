@@ -162,9 +162,6 @@ class SubspaceLattice:
     def top(self):
         return self.size - 1
 
-    def dim(self, i):
-        return self.dims[i]
-
     def grade(self, d):
         return range(self.grade_offsets[d], self.grade_offsets[d + 1])
 

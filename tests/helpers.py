@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from qrank.charpoly import TruncatedPuiseux
 from qrank.fields import FqMatrix, make_field, matrix_vectors
-from qrank.polytope import _dd_constraint_order, _rank
+from qrank.polytope import _dd_constraints, _rank
 from qrank.rankfun import rank_point
 
 
@@ -151,22 +151,8 @@ def rank_test_vertices(H):
     dim - 1.  The reference for the bitset adjacency test."""
     lat = H.lattice
     d = lat.size - 1
-    type1 = {}
-    rest = []
-    for row in H.rows:
-        if row.tag[0] == "zero":
-            continue
-        vec = tuple((i - 1, c) for i, c in row.coeffs if i != 0)
-        if row.rhs:
-            vec += ((d, -row.rhs),)
-        if row.tag[0] == "type1":
-            type1[row.tag[1]] = vec
-        else:
-            rest.append((row, vec))
-    cons = [type1[i] for i in range(1, lat.size)]
-    cons.append(((d, -1),))
-    base = len(cons)
-    cons.extend(vec for _, vec in _dd_constraint_order(rest))
+    cons = _dd_constraints(H)
+    base = d + 1
 
     D = d + 1
     base_mask = (1 << base) - 1

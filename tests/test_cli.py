@@ -186,6 +186,22 @@ def test_json_errors_flag(capsys):
     assert obj["error"] == "TooLarge"
 
 
+def test_exhaustive_caps_exit_2_with_empty_stdout(capsys, tmp_path):
+    # the library caps are the only limits: P(2,4) has 66 coordinates,
+    # past the 15 of vertex enumeration; P(2,3) has 15, past the 6 of
+    # the f-vector; the 21 unit 3 x 7 matrices span 2^21 words
+    units = [[[int((r, c) == (i, j)) for c in range(7)] for r in range(3)]
+             for i in range(3) for j in range(7)]
+    code_file = tmp_path / "units.json"
+    code_file.write_text(json.dumps({"q": 2, "n": 3, "m": 7, "generators": units}))
+    for argv, size in ((("polytope", "vertices", "--q", "2", "--n", "4"), "66"),
+                       (("polytope", "fvector", "--q", "2", "--n", "3"), "15"),
+                       (("code", "metrics", "--code", str(code_file)), "2^21")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert size in err, argv
+
+
 def _qrank_subprocess(*argv, timeout, python_flags=()):
     """python -m qrank argv in a child that imports qrank from src/."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"),

@@ -15,7 +15,7 @@ from qrank.constructions import (paving, paving_combo_report, paving_spec,
                                  two_uniform_combo_report, uniform)
 from qrank.errors import NotFeasible, TooLarge
 from qrank.fields import FqMatrix, make_field, rref
-from qrank.polytope import (HRepresentation, HRow, _rank, affine_dimension,
+from qrank.polytope import (_rank, affine_dimension,
                             build_hrep, enumerate_vertices, f_vector,
                             interior_witness, is_vertex, lattice_points,
                             membership)
@@ -74,6 +74,10 @@ def test_hrep_matches_paper_rows(lat22):
         ((-1, 0, 0, 0), 0), ((0, -1, 0, 0), 0), ((0, 0, -1, 0), 0),
     }
     assert dense == paper
+
+
+def _row_value(row, values):
+    return sum(c * values[i] for i, c in row.coeffs)
 
 
 def _dense_normal(H, row):
@@ -148,14 +152,10 @@ def test_row_blocks_index_like_a_tuple(fixture, reduced, request):
             H.rows[k]
     ks = range(0, len(rows), 3)
     assert list(H.rows.entries(ks)) == [tuple(rows[k]) for k in ks]
-    # membership and the text read the blocks; a hand-built row tuple has none
-    with pytest.raises(TypeError):
-        membership(HRepresentation(lat, reduced, rows), interior_witness(lat))
-    with pytest.raises(TypeError):
-        HRepresentation(lat, reduced, rows).to_text()
 
 
-def test_membership_and_certificates_build_no_hrow(lat24, monkeypatch):
+def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24,
+                                                  monkeypatch):
     def no_hrow(*args):
         raise AssertionError("an HRow was built")
 
@@ -169,6 +169,14 @@ def test_membership_and_certificates_build_no_hrow(lat24, monkeypatch):
         cert = is_vertex(H, u)
         assert cert.is_vertex and cert.normal_rank == H.ambient_dim
         assert H.to_text().count("\n") == len(H.rows) + 1
+        assert sum(H.tag_counts().values()) == len(H.rows)
+    # double description and the f-vector read the blocks too
+    for lat, n_verts, fv in ((lat22, 6, (6, 15, 18, 9)),
+                             (lat32, 11, (11, 41, 70, 52, 14))):
+        for reduced in (True, False):
+            H = build_hrep(lat, reduced=reduced)
+            assert len(enumerate_vertices(H)) == n_verts
+            assert f_vector(H) == fv
 
 
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])
@@ -282,9 +290,9 @@ def test_scaled_membership_matches_fraction_rows(hp):
     H, p = hp
     mem = membership(H, p)
     tight = tuple(k for k, row in enumerate(H.rows)
-                  if row.evaluate(p.values) == row.rhs)
+                  if _row_value(row, p.values) == row.rhs)
     violated = tuple(k for k, row in enumerate(H.rows)
-                     if row.evaluate(p.values) > row.rhs)
+                     if _row_value(row, p.values) > row.rhs)
     assert mem.tight_rows == tight
     assert mem.violated_rows == violated
     assert (mem.status == "outside") == bool(violated)
@@ -529,7 +537,7 @@ def _edge_count_by_rank_certificates(H, verts):
     tight = []
     for p in verts:
         tight.append([k for k, row in enumerate(H.rows)
-                      if row.evaluate(p.values) == row.rhs])
+                      if _row_value(row, p.values) == row.rhs])
     edges = 0
     for i in range(len(verts)):
         ti = set(tight[i])
@@ -560,23 +568,18 @@ def test_f_vector_32_regression(lat32):
     assert sum((-1) ** i * c for i, c in enumerate(fv)) == 2
 
 
-def test_f_vector_simplex(lat22):
-    # hand-built system over the (2,2) coordinate frame describing the
-    # standard 4-simplex {v >= 0, sum v_i <= 1}; type-1 rows keep their
-    # dim bounds (redundant here) so the initial cone stays valid
-    from qrank.polytope import HRepresentation, HRow
-    rows = [HRow(((i, 1),), lat22.dims[i], ("type1", i)) for i in range(1, 5)]
-    rows += [HRow(((i, -1),), 0, ("nonneg", i)) for i in range(1, 5)]
-    rows.append(HRow(((1, 1), (2, 1), (3, 1), (4, 1)), 1, ("type3", 1, 2)))
-    H = HRepresentation(lat22, True, tuple(rows))
-    assert f_vector(H) == (5, 10, 10, 5)  # binomial C(5, k+1)
+def _simplex_face_counts():
+    # the standard 4-simplex {v >= 0, sum v_i <= 1}: its vertices 0 and
+    # the unit vectors e_1 .. e_4, and the vertex set of each facet
+    # (v_i = 0 holds at all but e_i; the sum is 1 at all but 0)
+    coords = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4))
+                               for i in range(4)]
+    facets = [set(range(5)) - {i + 1} for i in range(4)] + [{1, 2, 3, 4}]
+    return polytope._face_counts(coords, facets)
 
 
-def _simplex_hrep(lat22):
-    rows = [HRow(((i, 1),), lat22.dims[i], ("type1", i)) for i in range(1, 5)]
-    rows += [HRow(((i, -1),), 0, ("nonneg", i)) for i in range(1, 5)]
-    rows.append(HRow(((1, 1), (2, 1), (3, 1), (4, 1)), 1, ("type3", 1, 2)))
-    return HRepresentation(lat22, True, tuple(rows))
+def test_f_vector_simplex():
+    assert _simplex_face_counts() == (5, 10, 10, 5)  # binomial C(5, k+1)
 
 
 @pytest.mark.parametrize("case,d", [("P(2,2)", 4), ("P(3,2)", 5),
@@ -584,11 +587,10 @@ def _simplex_hrep(lat22):
 def test_f_vectors_satisfy_euler(case, d, lat22, lat32):
     # every f-vector the suite computes: f_0 - f_1 + ... over the faces
     # of dimension 0 .. d-1 of a d-polytope is 1 - (-1)^d
-    H = {"P(2,2)": lambda: build_hrep(lat22),
-         "P(3,2)": lambda: build_hrep(lat32),
-         "P(4,2)": lambda: build_hrep(build_lattice(4, 2)),
-         "simplex": lambda: _simplex_hrep(lat22)}[case]()
-    fv = f_vector(H)
+    fv = {"P(2,2)": lambda: f_vector(build_hrep(lat22)),
+          "P(3,2)": lambda: f_vector(build_hrep(lat32)),
+          "P(4,2)": lambda: f_vector(build_hrep(build_lattice(4, 2))),
+          "simplex": _simplex_face_counts}[case]()
     assert len(fv) == d
     assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
 
