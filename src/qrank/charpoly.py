@@ -99,10 +99,6 @@ def char_puiseux(p):
         for i in range(lat.size))
 
 
-def eval_at_one(f):
-    return f.eval_at_one()
-
-
 def paving_combo_char(chi, sizes, k, q, lam, via=1):
     """Closed form for the polynomial of a paving convex combination.
 

@@ -65,7 +65,7 @@ def _file_lattice(args, obj, source):
 def _load_point(args, path):
     from . import rankfun
     obj = _read_json(path, ("q", "n", "values"))
-    return rankfun.point_from_json(obj, _file_lattice(args, obj, path))
+    return rankfun.point_from_json(obj, _file_lattice(args, obj, path), path)
 
 
 def _points_text(points):

@@ -164,12 +164,12 @@ def _field_cached(q):
     return Field(q, p, e, modulus)
 
 
-def make_field(q, max_order=MAX_ORDER):
-    """Return the interned Field of order q (2 <= q <= max_order)."""
+def make_field(q):
+    """Return the interned Field of order q (2 <= q <= MAX_ORDER)."""
     if not isinstance(q, int):
         raise NotAPrimePower(f"field order must be an integer, got {q!r}")
-    if q > max_order:
-        raise UnsupportedOrder(f"GF({q}) exceeds the order cap {max_order}")
+    if q > MAX_ORDER:
+        raise UnsupportedOrder(f"GF({q}) exceeds the order cap {MAX_ORDER}")
     if q < 2:
         raise NotAPrimePower(f"{q} is not a prime power")
     return _field_cached(q)

@@ -7,14 +7,14 @@ submodularity only on unordered incomparable pairs.  The unreduced
 variant keeps the zero coordinate and pins it with the paired rows
 v_0 <= 0 and -v_0 <= 0 (tag "zero").
 
-build_hrep holds the rows as blocks of plain index tuples (HRowBlocks),
-in row order: the type-1 bounds, the atoms, the cover pairs (x, y), the
-lattice's incomparable-pair table (x, y, meet, join) as it is, and the
-zero rows.  Every reader in this module walks the blocks: the text,
-membership, is_vertex, the double description constraints, f-vectors
-and tag counts.  An HRow(coeffs, rhs, tag) is built only when a caller
-reads H.rows by index or iteration, a read-only view that nothing here
-uses.  The text is produced one line at a time by one loop per block
+build_hrep returns an HRepresentation that holds the rows as blocks of
+plain index tuples, in row order: the type-1 bounds, the atoms, the
+cover pairs (x, y), the lattice's incomparable-pair table
+(x, y, meet, join) as it is, and the zero rows.  No row object exists:
+H.rows is the range of row numbers, and every reader in this module
+walks the blocks (the text, membership, the sparse normals is_vertex
+ranks, the double description constraints, f-vectors and tag counts).
+The text is produced one line at a time by one loop per block
 (HRepresentation.text_lines), so the CLI streams it.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
@@ -44,10 +44,8 @@ assigned.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
 from .rankfun import RankPoint, rank_point, scaled_values
@@ -57,22 +55,14 @@ MAX_FVECTOR_DIM = 6
 MAX_DFS_NODES = 100_000
 
 
-class HRow(NamedTuple):
-    """The inequality coeffs . v <= rhs, as a read of HRowBlocks gives it."""
-
-    coeffs: tuple  # sparse ((lattice index, coefficient), ...), increasing index
-    rhs: int
-    tag: tuple     # ("type1", x) | ("nonneg", x) | ("type2", x, y)
-                   # | ("type3", x, y) | ("zero", +1 or -1)
-
-
-class HRowBlocks(Sequence):
-    """The rows of build_hrep as blocks of plain index tuples, in row
-    order: bounds (the nonzero indices x, row v_x <= dim x), atoms
-    (-v_a <= 0), covers ((x, y), v_x - v_y <= 0), pairs (the lattice's
-    incomparable-pair table (x, y, meet, join),
+class HRepresentation:
+    """The H-representation of the polytope on the lattice, as blocks of
+    plain index tuples in row order: bounds (the nonzero indices x, row
+    v_x <= dim x), atoms (-v_a <= 0), covers ((x, y), v_x - v_y <= 0),
+    pairs (the lattice's incomparable-pair table (x, y, meet, join),
     v_meet - v_x - v_y + v_join <= 0) and zero (the signs of the
-    unreduced rows +-v_0 <= 0).  Row k is an HRow built on each read."""
+    unreduced rows +-v_0 <= 0).  rows is range(N), the row numbers
+    that membership reports."""
 
     def __init__(self, lattice, reduced):
         self.lattice = lattice
@@ -84,72 +74,8 @@ class HRowBlocks(Sequence):
                             if x != lattice.zero)
         self.pairs = lattice.incomparable
         self.zero = () if reduced else (1, -1)
-        self._len = sum(len(block) for block, _ in self._blocks())
-
-    def _blocks(self):
-        """(block, maker of (coeffs, rhs, tag) from an item) in row order."""
-        return ((self.bounds, self._bound), (self.atoms, self._atom),
-                (self.covers, self._cover), (self.pairs, self._pair),
-                (self.zero, self._zero))
-
-    def _bound(self, x):
-        return ((x, 1),), self.lattice.dims[x], ("type1", x)
-
-    def _atom(self, a):
-        return ((a, -1),), 0, ("nonneg", a)
-
-    def _cover(self, pair):
-        x, y = pair
-        return ((x, 1), (y, -1)), 0, ("type2", x, y)
-
-    def _pair(self, pair):
-        # pairs in increasing index order, since meet < x < y < join; the
-        # reduced system has no v_0, so a zero-meet row leaves it out
-        x, y, m, j = pair
-        coeffs = ((x, -1), (y, -1), (j, 1))
-        if m != self.lattice.zero or not self.reduced:
-            coeffs = ((m, 1),) + coeffs
-        return coeffs, 0, ("type3", x, y)
-
-    def _zero(self, sign):
-        return ((0, sign),), 0, ("zero", sign)
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, k):
-        if k < 0:
-            k += self._len
-        if not 0 <= k < self._len:
-            raise IndexError("row index out of range")
-        return HRow(*next(self.entries((k,))))
-
-    def __iter__(self):
-        for block, make in self._blocks():
-            for item in block:
-                yield HRow(*make(item))
-
-    def entries(self, ks):
-        """(coeffs, rhs, tag) of each row k in ks, which must increase
-        and lie in range(len(self)); the blocks are walked once."""
-        blocks = iter(self._blocks())
-        block, make = next(blocks)
-        start = 0
-        for k in ks:
-            while k - start >= len(block):
-                start += len(block)
-                block, make = next(blocks)
-            yield make(block[k - start])
-
-
-class HRepresentation:
-    """The H-representation of the polytope on the lattice; rows holds
-    it as HRowBlocks."""
-
-    def __init__(self, lattice, reduced):
-        self.lattice = lattice
-        self.reduced = reduced
-        self.rows = HRowBlocks(lattice, reduced)
+        self.rows = range(len(self.bounds) + len(self.atoms)
+                          + len(self.covers) + len(self.pairs) + len(self.zero))
 
     @property
     def ambient_dim(self):
@@ -157,11 +83,35 @@ class HRepresentation:
 
     def tag_counts(self):
         """The number of rows of each tag that has any, by block length."""
-        rows = self.rows
-        counts = {"type1": len(rows.bounds), "nonneg": len(rows.atoms),
-                  "type2": len(rows.covers), "type3": len(rows.pairs),
-                  "zero": len(rows.zero)}
+        counts = {"type1": len(self.bounds), "nonneg": len(self.atoms),
+                  "type2": len(self.covers), "type3": len(self.pairs),
+                  "zero": len(self.zero)}
         return {tag: n for tag, n in counts.items() if n}
+
+    def normals(self, ks):
+        """The sparse normal ((lattice index, coefficient), ...), in
+        increasing index, of each row k in ks, which must increase and
+        lie in rows; the blocks are walked once."""
+        def pair(row):
+            # meet < x < y < join; the reduced system has no v_0, so a
+            # zero-meet row leaves it out
+            x, y, m, j = row
+            if m or not self.reduced:
+                return (m, 1), (x, -1), (y, -1), (j, 1)
+            return (x, -1), (y, -1), (j, 1)
+
+        blocks = iter(((self.bounds, lambda x: ((x, 1),)),
+                       (self.atoms, lambda a: ((a, -1),)),
+                       (self.covers, lambda c: ((c[0], 1), (c[1], -1))),
+                       (self.pairs, pair),
+                       (self.zero, lambda sign: ((0, sign),))))
+        block, normal = next(blocks)
+        start = 0
+        for k in ks:
+            while k - start >= len(block):
+                start += len(block)
+                block, normal = next(blocks)
+            yield normal(block[k - start])
 
     def text_lines(self):
         """The text one line at a time, each ending in a newline.
@@ -171,27 +121,26 @@ class HRepresentation:
         One loop per block of build_hrep's rows, as in membership; each
         line is an f-string over the runs of zeros between the row's
         few nonzero entries."""
-        rows = self.rows
         dims = self.lattice.dims
         dim = self.ambient_dim
         o = 1 if self.reduced else 0  # column of lattice index i is i - o
         top = self.lattice.top        # so z[top - i] zeros follow index i
         z = ["0 " * k for k in range(dim + 1)]
-        yield f"HREP {len(rows)} {dim}\n"
-        for x in rows.bounds:
+        yield f"HREP {len(self.rows)} {dim}\n"
+        for x in self.bounds:
             yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
-        for a in rows.atoms:
+        for a in self.atoms:
             yield f"{z[a - o]}-1 {z[top - a]}0\n"
-        for x, y in rows.covers:
+        for x, y in self.covers:
             yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
-        for x, y, m, j in rows.pairs:
+        for x, y, m, j in self.pairs:
             if m or not self.reduced:
                 yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
                        f"{z[j - y - 1]}1 {z[top - j]}0\n")
             else:  # the reduced system has no v_0: a zero meet drops out
                 yield (f"{z[x - o]}-1 {z[y - x - 1]}-1 "
                        f"{z[j - y - 1]}1 {z[top - j]}0\n")
-        for sign in rows.zero:
+        for sign in self.zero:
             yield f"{sign} {z[dim - 1]}0\n"
 
     def to_text(self):
@@ -223,7 +172,6 @@ def membership(H, p):
     if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
-    rows = H.rows
     mu, vals = scaled_values(p.values)
     if H.reduced:
         # the reduced system has no v_0: reading it as 0 leaves it out
@@ -233,27 +181,27 @@ def membership(H, p):
     tight = []
     violated = []
     start = 0
-    for k, x in enumerate(rows.bounds, start):
+    for k, x in enumerate(H.bounds, start):
         s = vals[x] - mu * dims[x]
         if s >= 0:
             (violated if s else tight).append(k)
-    start += len(rows.bounds)
-    for k, a in enumerate(rows.atoms, start):
+    start += len(H.bounds)
+    for k, a in enumerate(H.atoms, start):
         s = -vals[a]
         if s >= 0:
             (violated if s else tight).append(k)
-    start += len(rows.atoms)
-    for k, (x, y) in enumerate(rows.covers, start):
+    start += len(H.atoms)
+    for k, (x, y) in enumerate(H.covers, start):
         s = vals[x] - vals[y]
         if s >= 0:
             (violated if s else tight).append(k)
-    start += len(rows.covers)
-    for k, (x, y, m, j) in enumerate(rows.pairs, start):
+    start += len(H.covers)
+    for k, (x, y, m, j) in enumerate(H.pairs, start):
         s = vals[m] + vals[j] - vals[x] - vals[y]
         if s >= 0:
             (violated if s else tight).append(k)
-    start += len(rows.pairs)
-    for k, sign in enumerate(rows.zero, start):
+    start += len(H.pairs)
+    for k, sign in enumerate(H.zero, start):
         s = sign * vals[0]
         if s >= 0:
             (violated if s else tight).append(k)
@@ -281,8 +229,7 @@ def is_vertex(H, p):
     mem = membership(H, p)
     if mem.status == "outside":
         raise NotFeasible(f"point violates rows {mem.violated_rows}")
-    normals = (coeffs for coeffs, _, _ in H.rows.entries(mem.tight_rows))
-    rank = _rank(normals, full=H.ambient_dim)
+    rank = _rank(H.normals(mem.tight_rows), full=H.ambient_dim)
     return VertexCertificate(p, mem.tight_rows, rank, rank == H.ambient_dim)
 
 
@@ -292,13 +239,15 @@ def interior_witness(lattice):
 
 
 def affine_dimension(H):
-    """Ambient dimension minus the rank of implied equalities, certified
-    by the interior witness being strict on every inequality row."""
+    """The dimension of the polytope, certified by the interior witness
+    being strict on every inequality row: one less than the lattice
+    size in both systems, since v_0 = 0 is the one implied equality of
+    the unreduced system and the reduced one has no v_0 coordinate."""
     wit = interior_witness(H.lattice)
     mem = membership(H, wit)
     if mem.status != "interior":
         raise AssertionError("interior witness failed; cannot certify dimension")
-    return H.ambient_dim - (1 if not H.reduced else 0)
+    return H.lattice.size - 1
 
 
 def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
@@ -453,19 +402,18 @@ def _dd_constraints(H):
     prefix polytope crossed with down-rays on the untouched coordinates.
     v_0 is 0 in both systems, so a zero meet drops out and the zero rows
     are left out."""
-    rows = H.rows
     d = H.lattice.size - 1
     dims = H.lattice.dims
-    cons = [((x - 1, 1), (d, -dims[x])) for x in rows.bounds]
+    cons = [((x - 1, 1), (d, -dims[x])) for x in H.bounds]
     cons.append(((d, -1),))
     # (stage, row); every stage key is distinct, so no row is compared
-    staged = [((a, 0, a, 0), ((a - 1, -1),)) for a in rows.atoms]
+    staged = [((a, 0, a, 0), ((a - 1, -1),)) for a in H.atoms]
     staged += [((y, 1, x, 0), ((x - 1, 1), (y - 1, -1)))
-               for x, y in rows.covers]
+               for x, y in H.covers]
     staged += [((j, 2, x, y),
                 ((m - 1, 1), (x - 1, -1), (y - 1, -1), (j - 1, 1)) if m
                 else ((x - 1, -1), (y - 1, -1), (j - 1, 1)))
-               for x, y, m, j in rows.pairs]
+               for x, y, m, j in H.pairs]
     staged.sort()
     cons.extend(row for _, row in staged)
     return cons
@@ -490,10 +438,8 @@ def enumerate_vertices(H):
     if d > MAX_VERTEX_ENUM_DIM:
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_VERTEX_ENUM_DIM}")
     cons = _dd_constraints(H)
-    base = d + 1
-
-    D = d + 1
-    base_mask = (1 << base) - 1
+    D = d + 1  # columns v_1 .. v_d and t; as many initial constraints
+    base_mask = (1 << D) - 1
     rays = []
     for k in range(d):
         vec = [0] * D
@@ -502,7 +448,7 @@ def enumerate_vertices(H):
     corner = tuple(lat.dims[1:]) + (1,)
     rays.append((corner, base_mask ^ (1 << d)))
 
-    for ci in range(base, len(cons)):
+    for ci in range(D, len(cons)):
         c = cons[ci]
         bit = 1 << ci
         plus, zero, minus = [], [], []
@@ -559,8 +505,7 @@ def enumerate_vertices(H):
     verts = []
     for vec, _ in rays:
         t = vec[-1]
-        assert t != 0, "unbounded direction survived; polytope must be bounded"
-        assert t > 0
+        assert t > 0, "unbounded direction survived; polytope must be bounded"
         values = (Fraction(0),) + tuple(Fraction(x, t) for x in vec[:-1])
         verts.append(rank_point(lat, values))
     verts.sort(key=lambda p: p.values)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotADenominator
+from .errors import DimensionMismatch, NotADenominator, parse_key
 
 __all__ = [
     "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
@@ -282,7 +282,23 @@ def point_to_json(p):
     }
 
 
-def point_from_json(obj, lattice):
+def _values_from_json(values):
+    """The Fractions of a point file's values, a list of ints and
+    rational strings; a bool, a float or a non-list raises TypeError,
+    a string that is not a rational ValueError."""
+    if type(values) is not list:
+        raise TypeError(f"expected a list, got {values!r}")
+    for v in values:
+        if type(v) is not int and type(v) is not str:
+            raise TypeError(
+                f"expected an integer or a rational string, got {v!r}")
+    return [Fraction(v) for v in values]
+
+
+def point_from_json(obj, lattice, source="point"):
+    """The RankPoint of a point file's object on the lattice; values
+    that do not parse raise BadValue naming the key and source, and a
+    wrong number of them DimensionMismatch."""
     if obj.get("q") != lattice.q or obj.get("n") != lattice.n:
         raise DimensionMismatch("point parameters do not match the lattice")
     if "order_digest" not in obj:
@@ -293,4 +309,5 @@ def point_from_json(obj, lattice):
         raise DimensionMismatch(
             "order digest mismatch: point was serialized against a "
             "different lattice ordering")
-    return rank_point(lattice, obj["values"])
+    return rank_point(lattice,
+                      parse_key(obj, "values", _values_from_json, source))

@@ -191,9 +191,6 @@ class SubspaceLattice:
         common = self.above_mask[i] & self.above_mask[j]
         return (common & -common).bit_length() - 1
 
-    def meet_join(self, i, j):
-        return self.meet(i, j), self.join(i, j)
-
     @cached_property
     def incomparable(self):
         """Every incomparable pair x < y as (x, y, meet, join), in order

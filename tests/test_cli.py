@@ -69,14 +69,16 @@ class _HashingStdout:
             self.write(line)
 
 
-@pytest.mark.parametrize("q,n,digest", [
-    (2, 5, "8e8b272662ebcc5fce9793d80a8202f409d4802c0437e5dc2dbad849576a041a"),
-    (3, 4, "281baec1e23f9bea3507980723f9ee84f02e941a3e5ecbda61fcaed5b92fc68d"),
-], ids=["L(F_2^5)", "L(F_3^4)"])
-def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, digest):
+@pytest.mark.parametrize("q,n,flags,digest", [
+    (2, 5, (), "8e8b272662ebcc5fce9793d80a8202f409d4802c0437e5dc2dbad849576a041a"),
+    (3, 4, (), "281baec1e23f9bea3507980723f9ee84f02e941a3e5ecbda61fcaed5b92fc68d"),
+    (2, 5, ("--full",),
+     "1006ec8ccdc146a2403506a28cae8e985a2b926ec5275d5f20dd30dc2fc21e7f"),
+], ids=["L(F_2^5)", "L(F_3^4)", "L(F_2^5)-full"])
+def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, flags, digest):
     out = _HashingStdout()
     monkeypatch.setattr(sys, "stdout", out)
-    assert main(["polytope", "hrep", "--q", str(q), "--n", str(n)]) == 0
+    assert main(["polytope", "hrep", "--q", str(q), "--n", str(n), *flags]) == 0
     assert out.sha.hexdigest() == digest
 
 
@@ -357,15 +359,9 @@ def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
     assert all(part in obj["message"] for part in named)
 
 
-@pytest.mark.parametrize("command,key,value", [
-    (("pm", "check", "--point"), "n", 3.0),
-    (("invariant", "chi", "--point"), "q", "2"),
-    (("code", "metrics", "--code"), "m", 3.0),
-    (("code", "rho", "--code"), "n", True),
-], ids=["pm-check-n-float", "chi-q-string", "code-metrics-m-float",
-        "code-rho-n-bool"])
-def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
-                                                      command, key, value):
+def _input_file(tmp_path, command, key, value):
+    """A valid file for the command, a point of L(F_2^3) (16 values) or
+    a code of 3 x 3 matrices over F_2, with key set to value."""
     path = tmp_path / "input.json"
     if command[0] == "code":
         obj = {"q": 2, "n": 3, "m": 3, "generators": [[[1, 0, 0], [0, 1, 0],
@@ -375,11 +371,48 @@ def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
                      "-o", str(path)]) == 0
         obj = json.loads(path.read_text())
     path.write_text(json.dumps({**obj, key: value}))
+    return path
+
+
+@pytest.mark.parametrize("command,key,value", [
+    (("pm", "check", "--point"), "n", 3.0),
+    (("invariant", "chi", "--point"), "q", "2"),
+    (("code", "metrics", "--code"), "m", 3.0),
+    (("code", "rho", "--code"), "n", True),
+    # beyond the integer keys: a point's values and a code's generators
+    (("pm", "check", "--point"), "values", [0.5] * 16),
+    (("pm", "check", "--point"), "values", ["x"] * 16),
+    (("pm", "check", "--point"), "values", 5),
+    (("pm", "check", "--point"), "values", "0" * 16),
+    (("pm", "check", "--point"), "values", [True] * 16),
+    (("code", "metrics", "--code"), "generators",
+     [[[1, 0, 0], [0, 1, 0], [0, 0, 5]]]),
+    (("code", "metrics", "--code"), "generators",
+     [[[1, 0, 0], [0, 1], [0, 0, 1]]]),
+    (("code", "metrics", "--code"), "generators",
+     [[[True, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+], ids=["pm-check-n-float", "chi-q-string", "code-metrics-m-float",
+        "code-rho-n-bool", "pm-check-values-float", "pm-check-values-string",
+        "pm-check-values-not-a-list", "pm-check-values-one-string",
+        "pm-check-values-bool",
+        "code-metrics-generators-outside-field",
+        "code-metrics-generators-ragged", "code-metrics-generators-bool"])
+def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
+                                                      command, key, value):
+    path = _input_file(tmp_path, command, key, value)
     code, out, err = run(capsys, "--json-errors", *command, str(path))
     assert code == 1 and out == ""
     obj = json.loads(err)
     assert obj["error"] == "BadValue"
     assert str(path) in obj["message"] and repr(key) in obj["message"]
+
+
+def test_point_value_count_is_a_dimension_mismatch(capsys, tmp_path):
+    command = ("pm", "check", "--point")
+    path = _input_file(tmp_path, command, "values", ["0"] * 15)
+    code, out, err = run(capsys, "--json-errors", *command, str(path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "DimensionMismatch"
 
 
 def test_internal_key_error_is_not_a_validation_failure(monkeypatch):

@@ -215,12 +215,6 @@ def test_extension_and_larger_prime_lattices(q):
         assert lat.orthogonal_complement(c) == i
 
 
-def test_meet_join_combined(lat23):
-    for i in (0, 3, 9, lat23.top):
-        for j in (1, 5, 12):
-            assert lat23.meet_join(i, j) == (lat23.meet(i, j), lat23.join(i, j))
-
-
 def test_build_lattice_rejects_n1():
     with pytest.raises(OutOfRange):
         build_lattice(2, 1)
