@@ -140,9 +140,25 @@ def test_hrep_rows_match_pairwise_reference(fixture, reduced, request):
     assert H.rows == range(len(ref))
     assert list(H.normals(H.rows)) == [coeffs for coeffs, _, _ in ref]
     assert H.tag_counts() == Counter(tag[0] for _, _, tag in ref)
-    # a subset of the rows, as is_vertex reads its tight rows
-    ks = range(0, len(ref), 3)
-    assert list(H.normals(ks)) == [ref[k][0] for k in ks]
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat32"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_row_blocks_index_like_a_tuple(fixture, reduced, request):
+    # rows are the row numbers; normals reads any increasing subset of
+    # them, as is_vertex reads its tight rows
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=reduced)
+    ref = _reference_hrep_rows(lat, reduced)
+    rows = tuple(H.rows)
+    assert rows == tuple(range(len(ref)))
+    assert tuple(H.rows[k] for k in range(-len(rows), len(rows))) == rows * 2
+    for k in (len(rows), -len(rows) - 1):
+        with pytest.raises(IndexError):
+            H.rows[k]
+    for ks in (range(0, len(rows), 3), rows[1::2], rows[-1:], ()):
+        assert list(H.normals(ks)) == [ref[k][0] for k in ks]
+    assert sum(1 for _ in H.text_lines()) == len(rows) + 1
 
 
 def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24):
