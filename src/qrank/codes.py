@@ -310,14 +310,15 @@ def code_to_json(C):
 
 def code_from_json(obj, source="code"):
     """The MatrixCode of a code file's object; q, n and m that are not
-    ints, and generators with a ragged row or an entry that is not an
-    int of the field, raise BadValue naming the key and source."""
+    ints, and generators with a ragged row, an entry that is not an int
+    of the field, a shape other than n x m or a linear dependence, raise
+    BadValue naming the key and source."""
     q, n, m = (parse_key(obj, key, parse_int, source) for key in ("q", "n", "m"))
     field = make_field(q)
-    gens = parse_key(obj, "generators", lambda gens: [
-        FqMatrix.from_rows(field, [[parse_int(x) for x in r] for r in rows], m)
-        for rows in gens], source)
-    return MatrixCode(field, n, m, tuple(gens))
+    return parse_key(obj, "generators", lambda gens: MatrixCode(
+        field, n, m, tuple(
+            FqMatrix.from_rows(field, [[parse_int(x) for x in r] for r in rows], m)
+            for rows in gens)), source)
 
 
 def load_code(path):

@@ -12,20 +12,49 @@ plain index tuples, in row order: the type-1 bounds, the atoms, the
 cover pairs (x, y), the lattice's incomparable-pair table
 (x, y, meet, join) as it is, and the zero rows.  No row object exists:
 H.rows is the range of row numbers, and every reader in this module
-walks the blocks (the text, membership, the sparse normals is_vertex
-ranks, the double description constraints, f-vectors and tag counts).
-The text is produced one line at a time by one loop per block
-(HRepresentation.text_lines), so the CLI streams it.
+walks the blocks (the text, membership, the sparse normals, f-vectors
+and tag counts).  The text is produced one line at a time by one loop
+per block (HRepresentation.text_lines), so the CLI streams it.
+
+The facets are a marked subset of these rows, not a second system:
+the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
+hyperplanes h (the last rows of the cover block), the submodularity
+rows on the diamonds, two spaces x, y that both cover their meet
+(SubspaceLattice.diamonds), and the zero rows.  Every other row is a
+nonnegative sum of these with the same right-hand side, by these
+identities on a modular lattice:
+  - a pair (x, y) with meet m, and x' with m < x' covered by x: with
+    y' = x' v y, modularity gives x ^ y' = x', so
+    row(x, y) = row(x', y) + row(x, y'); by induction on the height
+    gap every pair row is a sum of diamond rows (the local-to-global
+    argument for submodularity on lattices; Topkis, Oper. Res. 1978);
+  - a cover x < y below the top, and y' another cover of x:
+    cover(x, y) = diamond(x; y, y') + cover(y', y v y');
+  - a bound on X with dim X >= 2, a hyperplane X' of X and an atom a of
+    X not in X': bound(X) = pair(X', a) + bound(X') + bound(a);
+  - atom nonnegativity, with h a hyperplane not above a:
+    -v_a <= 0 is pair(a, h) + cover(h, top) (plus -v_0 <= 0 unreduced).
+So the facets hold iff every row holds, and at a feasible point a
+tight row forces its summands tight, so the tight rows and the tight
+facets span the same normals.  is_vertex, check_axioms' fast path
+(rankfun) and double description read the facets alone; each facet
+keeps its row number (the atom bound on a is row a - 1, and
+HRepresentation.pair_rows numbers diamonds from the masks), so a
+certificate names rows of the whole system.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and
 membership runs one plain loop per block, filing row k as tight or
 violated by the sign of s = a.(mu v) - mu b, in Python ints.
 
-Every rank is taken by one exact kernel, _rank: sparse elimination in
-Python ints over rows given as (column, value) pairs, so an H-row keeps
-its at most four nonzero entries.  Vertex certification ranks the
-tight-row normals, so every certificate is checkable by hand; the
+Every rank is taken by one exact kernel, _rank: Gauss-Jordan
+elimination in Python ints over rows given as (column, value) pairs, so
+an H-row keeps its at most four nonzero entries.  Each pivot row is
+primitive and holds no other pivot's column, and an index maps each
+free column to the rows that hold it, so a dependent row is reduced to
+zero in one pass over its own entries, and a new pivot is cleared from
+only the rows that hold its column.  Vertex certification ranks the
+tight facet normals, so every certificate is checkable by hand; the
 elimination stops once the rank reaches the number of columns, since
 no further row can raise it.  f_vector reads each vertex's tight rows
 from membership, and its face dimensions are the rank of scaled
@@ -33,12 +62,13 @@ difference rows.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass over sparse homogenized
-constraints, with the combinatorial adjacency test in bitset form: two
-rays are adjacent iff no third ray is tight on every constraint tight
-at both (Fukuda & Prodon 1996), read off an AND of per-constraint
-bitsets over the rays.  The integer points (the q-matroids) come from a
-depth-first search that forward-checks bounds on the spaces not yet
-assigned.
+constraints (the type-1 bounds for the initial cone, then the top
+covers and the diamonds), with the combinatorial adjacency test in
+bitset form: two rays are adjacent iff no third ray is tight on every
+constraint tight at both (Fukuda & Prodon 1996), read off an AND of
+per-constraint bitsets over the rays.  The integer points (the
+q-matroids) come from a depth-first search that forward-checks bounds
+on the spaces not yet assigned.
 """
 
 from __future__ import annotations
@@ -76,6 +106,23 @@ class HRepresentation:
         self.zero = () if reduced else (1, -1)
         self.rows = range(len(self.bounds) + len(self.atoms)
                           + len(self.covers) + len(self.pairs) + len(self.zero))
+        # the facet subset: the bounds on the atoms, the top covers (the
+        # hyperplanes h, whose rows v_h - v_top <= 0 end the cover
+        # block), the diamonds and the zero rows, at their row numbers
+        self.hyperplanes = lattice.covers_down[lattice.top]
+        self.diamonds = lattice.diamonds
+        pair_offset = len(self.bounds) + len(self.atoms) + len(self.covers)
+        self.top_cover_rows = range(pair_offset - len(self.hyperplanes),
+                                    pair_offset)
+        # _pair_base[x] + x is the first pair row of x: each x'' < x
+        # has one row for each of the size - x'' - |above x''| spaces
+        # after it that do not lie above it (see pair_rows)
+        base = []
+        for x, ax in enumerate(lattice.above_mask):
+            base.append(pair_offset - x)
+            pair_offset += lattice.size - x - ax.bit_count()
+        self._pair_base = tuple(base)
+        self._low = tuple((1 << y) - 1 for y in range(lattice.size))
 
     @property
     def ambient_dim(self):
@@ -87,6 +134,15 @@ class HRepresentation:
                   "type2": len(self.covers), "type3": len(self.pairs),
                   "zero": len(self.zero)}
         return {tag: n for tag, n in counts.items() if n}
+
+    def pair_rows(self, pairs):
+        """The row numbers of the pair rows on pairs, (x, y, meet, join)
+        entries of the pair table such as the diamonds, counted from
+        the masks with no pass over the table: the pairs (x, y') before
+        (x, y) are the y' strictly between x and y not above x."""
+        base, above, low = self._pair_base, self.lattice.above_mask, self._low
+        return [base[x] + y - (above[x] & low[y]).bit_count()
+                for x, y, _, _ in pairs]
 
     def normals(self, ks):
         """The sparse normal ((lattice index, coefficient), ...), in
@@ -221,16 +277,69 @@ class VertexCertificate:
 
 
 def is_vertex(H, p):
-    """Certify the point: gather tight rows and rank their sparse
-    normals, read from the row blocks, by exact elimination; the point
-    is a vertex iff the rank equals the ambient dimension.  The normals
-    have ambient_dim columns, so elimination may stop at that rank and
-    stay exact."""
-    mem = membership(H, p)
-    if mem.status == "outside":
-        raise NotFeasible(f"point violates rows {mem.violated_rows}")
-    rank = _rank(H.normals(mem.tight_rows), full=H.ambient_dim)
-    return VertexCertificate(p, mem.tight_rows, rank, rank == H.ambient_dim)
+    """Certify the point on the facet rows alone: evaluate the bounds on
+    the atoms, the top covers, the diamonds and the zero rows on the
+    mu-scaled ints, as membership does; a violated facet raises
+    NotFeasible.  The certificate lists the row numbers of the tight
+    facets and the rank of their normals, taken by exact elimination;
+    the point is a vertex iff that rank equals the ambient dimension.
+    The normals have ambient_dim columns, so elimination may stop at
+    that rank and stay exact.
+
+    This reads no other row, and the result is that of the whole
+    system: every row is a nonnegative sum of facet rows with the same
+    right-hand side, so the facets hold iff every row holds, and a
+    tight row at a feasible point forces its summands tight, so the
+    tight rows and the tight facets have normals of equal span."""
+    lat = H.lattice
+    if p.lattice is not lat:
+        raise DimensionMismatch(
+            "point and H-representation use different lattices")
+    mu, vals = scaled_values(p.values)
+    if H.reduced:
+        vals = (0,) + vals[1:]  # as in membership: v_0 drops out
+    rows, normals, violated = [], [], []  # tight rows in row order
+    for a in H.atoms:  # the bound on atom a is row a - 1
+        s = vals[a] - mu
+        if s >= 0:
+            if s:
+                violated.append(a - 1)
+            else:
+                rows.append(a - 1)
+                normals.append(((a, 1),))
+    top = lat.top
+    vtop = vals[top]
+    for k, h in zip(H.top_cover_rows, H.hyperplanes):
+        s = vals[h] - vtop
+        if s >= 0:
+            if s:
+                violated.append(k)
+            else:
+                rows.append(k)
+                normals.append(((h, 1), (top, -1)))
+    tight, bad = [], []
+    for d in H.diamonds:
+        x, y, m, j = d
+        s = vals[m] + vals[j] - vals[x] - vals[y]
+        if s >= 0:
+            (bad if s else tight).append(d)
+    rows += H.pair_rows(tight)
+    violated += H.pair_rows(bad)
+    keep_zero = not H.reduced  # else v_0 drops out of a zero-meet row
+    normals += [((m, 1), (x, -1), (y, -1), (j, 1)) if m or keep_zero
+                else ((x, -1), (y, -1), (j, 1)) for x, y, m, j in tight]
+    for k, sign in enumerate(H.zero, len(H.rows) - len(H.zero)):
+        s = sign * vals[0]
+        if s >= 0:
+            if s:
+                violated.append(k)
+            else:
+                rows.append(k)
+                normals.append(((0, sign),))
+    if violated:
+        raise NotFeasible(f"point violates facet rows {tuple(violated)}")
+    rank = _rank(normals, full=H.ambient_dim)
+    return VertexCertificate(p, tuple(rows), rank, rank == H.ambient_dim)
 
 
 def interior_witness(lattice):
@@ -344,32 +453,70 @@ def _rank(rows, full=None):
     (or any known bound on the rank), the remaining rows are skipped
     once that many pivots are found.
 
-    Exact sparse elimination: each pivot row, divided by its gcd, is
-    keyed by its lowest column.  An incoming row is reduced by the pivot
-    of its current lowest column until it vanishes or its lowest column
-    has no pivot, and then becomes that column's pivot."""
-    pivots = {}
+    Exact Gauss-Jordan elimination in ints.  Each pivot row is
+    primitive, positive at its pivot column and zero at every other
+    pivot column, and an index maps each free column to the pivot
+    columns whose rows hold it.  So an incoming row is reduced in one
+    pass over its own pivot entries, each cleared by one multiple of
+    that pivot's row, and what is left lies on free columns.  If it does
+    not vanish, it becomes the pivot of its first column, which is
+    cleared from just the rows that hold it."""
+    pivots = {}   # pivot column -> its row {column: value}
+    holders = {}  # free column -> the pivot columns whose rows hold it
+    gcd = math.gcd
     for row in rows:
         if len(pivots) == full:
             break
         r = {c: v for c, v in row if v}
-        while r:
-            col = min(r)
-            p = pivots.get(col)
-            if p is None:
-                g = math.gcd(*r.values())
-                pivots[col] = {c: v // g for c, v in r.items()} if g > 1 else r
-                break
-            a, b = p[col], r[col]
-            g = math.gcd(a, b)
-            a, b = a // g, b // g
-            r = {c: v * a for c, v in r.items()}
-            for c, v in p.items():
-                x = r.get(c, 0) - b * v
-                if x:
-                    r[c] = x
-                else:
-                    del r[c]
+        for c in [c for c in r if c in pivots]:
+            p = pivots[c]
+            a, b = p[c], r.pop(c)
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    r = {k: a * v for k, v in r.items()}
+            for k, v in p.items():
+                if k != c:
+                    x = r.get(k, 0) - b * v
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
+        if not r:
+            continue
+        col = next(iter(r))
+        g = gcd(*r.values())
+        if r[col] < 0:
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
+        a = r[col]
+        for pc in holders.pop(col, ()):
+            p = pivots[pc]
+            g = gcd(a, p[col])
+            s, t = a // g, p.pop(col) // g
+            if s != 1:
+                for k in p:
+                    p[k] *= s
+            for k, v in r.items():
+                if k != col:
+                    x = p.get(k, 0) - t * v
+                    if not x:
+                        del p[k]
+                        holders[k].discard(pc)
+                    else:
+                        if k not in p:
+                            holders.setdefault(k, set()).add(pc)
+                        p[k] = x
+            g = gcd(*p.values())
+            if g != 1:
+                for k in p:
+                    p[k] //= g
+        pivots[col] = r
+        for k in r:
+            if k != col:
+                holders.setdefault(k, set()).add(col)
     return len(pivots)
 
 
@@ -393,27 +540,29 @@ def _dd_constraints(H):
     order, as sparse (column, coefficient) rows over the columns
     v_1 .. v_d and t (column d): first the type-1 rows
     v_x - dim(x) t <= 0 and the row -t <= 0, which cut out the initial
-    simplicial cone, then the atom, cover and pair rows.
+    simplicial cone, then the facet rows not among them: the top covers
+    and the diamonds.  Every other row is a sum of these (see is_vertex),
+    so it cuts nothing more off.
 
-    These come coordinate-major along the lattice order, atom then cover
-    then pair rows inside each coordinate's stage.  A submodularity row
-    belongs to the stage of its join, the last of its spaces in the
-    linear order, which keeps every intermediate cone equal to a small
-    prefix polytope crossed with down-rays on the untouched coordinates.
+    These come coordinate-major along the lattice order, top cover then
+    diamond rows inside each coordinate's stage.  A diamond row belongs
+    to the stage of its join, the last of its spaces in the linear
+    order, which keeps every intermediate cone equal to a small prefix
+    polytope crossed with down-rays on the untouched coordinates.
     v_0 is 0 in both systems, so a zero meet drops out and the zero rows
     are left out."""
     d = H.lattice.size - 1
     dims = H.lattice.dims
+    top = H.lattice.top
     cons = [((x - 1, 1), (d, -dims[x])) for x in H.bounds]
     cons.append(((d, -1),))
     # (stage, row); every stage key is distinct, so no row is compared
-    staged = [((a, 0, a, 0), ((a - 1, -1),)) for a in H.atoms]
-    staged += [((y, 1, x, 0), ((x - 1, 1), (y - 1, -1)))
-               for x, y in H.covers]
+    staged = [((top, 1, h, 0), ((h - 1, 1), (top - 1, -1)))
+              for h in H.hyperplanes]
     staged += [((j, 2, x, y),
                 ((m - 1, 1), (x - 1, -1), (y - 1, -1), (j - 1, 1)) if m
                 else ((x - 1, -1), (y - 1, -1), (j - 1, 1)))
-               for x, y, m, j in H.pairs]
+               for x, y, m, j in H.diamonds]
     staged.sort()
     cons.extend(row for _, row in staged)
     return cons

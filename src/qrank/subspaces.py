@@ -27,7 +27,10 @@ index set in both above-masks.
 The incomparable pairs, with their meets and joins, are tabulated once
 per lattice on first use (SubspaceLattice.incomparable).  That table
 is the one source of the submodularity rows, the R3 axiom check and
-the integer-point search.
+the integer-point search.  The diamonds, the pairs x, y that both cover
+their meet, are tabulated apart from it (SubspaceLattice.diamonds),
+from the cover relation alone: they carry the facets among the
+submodularity rows, which is all that certification reads.
 """
 
 from __future__ import annotations
@@ -211,6 +214,28 @@ class SubspaceLattice:
                 common = ax & above[y]
                 out.append((x, y, ids[(bx & below[y]).bit_length() - 1],
                             ids[(common & -common).bit_length() - 1]))
+        return tuple(out)
+
+    @cached_property
+    def diamonds(self):
+        """Every diamond (x, y, meet, join): x < y both upper covers of
+        their meet, so the join covers both; in order of x, then y, the
+        order of the incomparable-pair table, which holds them all.
+        Built on first use from each space's upper covers, taken in
+        pairs, with no pass over the pair table; each index is one
+        shared int object, as in that table.
+
+        The diamonds carry the facets among the submodularity rows:
+        every other pair row is a sum of diamond rows."""
+        above = self.above_mask
+        ids = tuple(range(self.size))
+        out = []
+        for m, ups in enumerate(self.covers_up):
+            for x, y in combinations(ups, 2):
+                common = above[x] & above[y]
+                out.append((ids[x], ids[y], ids[m],
+                            ids[(common & -common).bit_length() - 1]))
+        out.sort()
         return tuple(out)
 
     def join_many(self, indices):

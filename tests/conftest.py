@@ -3,20 +3,6 @@ import pytest
 from qrank.subspaces import build_lattice
 
 
-def pytest_addoption(parser):
-    parser.addoption("--runslow", action="store_true", default=False,
-                     help="run slow tests (full vertex enumeration of P(2,3))")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="slow; pass --runslow to enable")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def lat22():
     return build_lattice(2, 2)

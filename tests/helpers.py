@@ -72,6 +72,32 @@ def _int_rank(rows):
     return rank
 
 
+def literal_axiom_violations(p):
+    """The axiom check walked literally in plain Fraction arithmetic:
+    R1 on every space, R2 on every cover and R3 on every incomparable
+    pair, found by a double loop with lat.meet and lat.join.  The
+    reference for check_axioms, its fast path included."""
+    lat, vals = p.lattice, p.values
+    bad = []
+    for i, v in enumerate(vals):
+        if v < 0:
+            bad.append(("R1", (i,), -v))
+        elif v > lat.dims[i]:
+            bad.append(("R1", (i,), v - lat.dims[i]))
+    for y in range(lat.size):
+        for x in lat.covers_down[y]:
+            if vals[x] > vals[y]:
+                bad.append(("R2", (x, y), vals[x] - vals[y]))
+    for x in range(lat.size):
+        for y in range(x + 1, lat.size):
+            if lat.leq(x, y) or lat.leq(y, x):
+                continue
+            slack = vals[lat.meet(x, y)] + vals[lat.join(x, y)] - vals[x] - vals[y]
+            if slack > 0:
+                bad.append(("R3", (x, y), slack))
+    return tuple(bad)
+
+
 def span_containment_order(lat):
     """(below_mask, above_mask, covers_down, covers_up, atoms_of) of the
     lattice, by testing for every pair whether each basis row of i lies

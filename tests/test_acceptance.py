@@ -4,16 +4,11 @@ with its runtime.  Criterion 4 asserts the Euler-consistent f-vector
 4-dimensional, and Euler's relation f0 - f1 + f2 - f3 = 0 with the
 published f0 = 6, f1 = 15, f3 = 9 forces f2 = 18 (see
 tests/test_polytope.py::test_f_vector_22_computed).
-
-Criterion 3's 3483-vertex enumeration is the opt-in slow test
-(pytest --runslow).
 """
 
 import random
 import time
 from fractions import Fraction
-
-import pytest
 
 from helpers import random_disjoint_paving_pair, random_lambda
 from qrank.charpoly import TruncatedPuiseux, char_puiseux, paving_combo_char
@@ -82,7 +77,6 @@ def test_criterion_3_polytope_2_3(lat23):
             assert is_vertex(H, p).is_vertex
 
 
-@pytest.mark.slow
 def test_criterion_3_long_vertex_count_2_3(lat23):
     with _Timer("3 (long)", 3600.0):
         H = build_hrep(lat23, reduced=True)

@@ -391,12 +391,18 @@ def _input_file(tmp_path, command, key, value):
      [[[1, 0, 0], [0, 1], [0, 0, 1]]]),
     (("code", "metrics", "--code"), "generators",
      [[[True, 0, 0], [0, 1, 0], [0, 0, 1]]]),
+    (("code", "metrics", "--code"), "generators",
+     [[[1, 0, 0], [0, 1, 0]]]),
+    (("code", "metrics", "--code"), "generators",
+     [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2),
 ], ids=["pm-check-n-float", "chi-q-string", "code-metrics-m-float",
         "code-rho-n-bool", "pm-check-values-float", "pm-check-values-string",
         "pm-check-values-not-a-list", "pm-check-values-one-string",
         "pm-check-values-bool",
         "code-metrics-generators-outside-field",
-        "code-metrics-generators-ragged", "code-metrics-generators-bool"])
+        "code-metrics-generators-ragged", "code-metrics-generators-bool",
+        "code-metrics-generators-wrong-shape",
+        "code-metrics-generators-dependent"])
 def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
                                                       command, key, value):
     path = _input_file(tmp_path, command, key, value)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (_int_rank, plain_dfs_lattice_points, random_disjoint_paving_pair,
-                     random_lambda, rank_test_vertices)
+from helpers import (_int_rank, literal_axiom_violations, plain_dfs_lattice_points,
+                     random_disjoint_paving_pair, random_lambda,
+                     rank_test_vertices)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
@@ -260,29 +261,6 @@ def _rational_points(draw, reduced=(False,)):
     return H, rank_point(lat, vals)
 
 
-def _fraction_axiom_violations(p):
-    """Oracle: the axiom check in plain Fraction arithmetic."""
-    lat, vals = p.lattice, p.values
-    bad = []
-    for i, v in enumerate(vals):
-        if v < 0:
-            bad.append(("R1", (i,), -v))
-        elif v > lat.dims[i]:
-            bad.append(("R1", (i,), v - lat.dims[i]))
-    for y in range(lat.size):
-        for x in lat.covers_down[y]:
-            if vals[x] > vals[y]:
-                bad.append(("R2", (x, y), vals[x] - vals[y]))
-    for x in range(lat.size):
-        for y in range(x + 1, lat.size):
-            if lat.leq(x, y) or lat.leq(y, x):
-                continue
-            slack = vals[lat.meet(x, y)] + vals[lat.join(x, y)] - vals[x] - vals[y]
-            if slack > 0:
-                bad.append(("R3", (x, y), slack))
-    return tuple(bad)
-
-
 _PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
                               derandomize=True, database=None)
 
@@ -308,7 +286,7 @@ def test_axioms_agree_with_membership_and_fraction_slacks(hp):
     H, p = hp
     rep = check_axioms(p)
     assert rep.ok == (membership(H, p).status != "outside")
-    assert rep.violations == _fraction_axiom_violations(p)
+    assert rep.violations == literal_axiom_violations(p)
     assert all(type(slack) is Fraction for _, _, slack in rep.violations)
 
 
@@ -388,23 +366,123 @@ def _point_kinds(lat, rng):
     return pts + raised
 
 
-@pytest.mark.parametrize("fixture", ["lat24", "lat33"])
-def test_vertex_normal_rank_matches_dense_reference(fixture, request):
-    lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=True)
+def _check_certificates(lat, reduced):
+    H = build_hrep(lat, reduced=reduced)
     kinds, certified = set(), set()
     for kind, p in _point_kinds(lat, random.Random(41)):
         kinds.add(kind)
-        if membership(H, p).status == "outside":
+        mem = membership(H, p)
+        if mem.status == "outside":
             with pytest.raises(NotFeasible):
                 is_vertex(H, p)
             continue
         cert = is_vertex(H, p)
         assert cert.normal_rank == _dense_normal_rank(H, cert.tight_rows), kind
+        # the certificate lists tight facets by their row numbers, and
+        # they span what all the tight rows span
+        assert set(cert.tight_rows) <= set(mem.tight_rows), kind
+        assert cert.normal_rank == _dense_normal_rank(H, mem.tight_rows), kind
         assert cert.is_vertex == (cert.normal_rank == H.ambient_dim)
         certified.add(kind)
     assert certified == {k for k in kinds if not k.startswith("raised")}
     assert len(kinds) == 2 * len(certified)
+
+
+@pytest.mark.parametrize("fixture", ["lat24", "lat33"])
+def test_vertex_normal_rank_matches_dense_reference(fixture, request):
+    _check_certificates(request.getfixturevalue(fixture), reduced=True)
+
+
+@pytest.mark.parametrize("fixture", ["lat24", "lat33"])
+def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
+    _check_certificates(request.getfixturevalue(fixture), reduced=False)
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
+@pytest.mark.parametrize("reduced", [True, False])
+def test_facet_row_numbers_match_the_reference(fixture, reduced, request):
+    # the atom bounds, the top covers and every pair row (the diamonds
+    # among them) sit at the row numbers the certificates report
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=reduced)
+    ref = _reference_hrep_rows(lat, reduced)
+    assert all(ref[a - 1][2] == ("type1", a) for a in H.atoms)
+    assert [ref[k][2] for k in H.top_cover_rows] == [
+        ("type2", h, lat.top) for h in H.hyperplanes]
+    assert [ref[k][2] for k in H.pair_rows(lat.incomparable)] == [
+        ("type3", x, y) for x, y, _, _ in lat.incomparable]
+
+
+def test_pair_row_numbers_25(lat25):
+    H = build_hrep(lat25)
+    start = len(H.bounds) + len(H.atoms) + len(H.covers)
+    assert H.pair_rows(lat25.incomparable) == list(
+        range(start, start + len(lat25.incomparable)))
+    assert H.pair_rows(lat25.diamonds) == [
+        k for k, (x, y, m, _) in enumerate(lat25.incomparable, start)
+        if lat25.dims[x] == lat25.dims[y] == lat25.dims[m] + 1]
+
+
+def _row_sum(rows):
+    """The sum of (coeffs, rhs) rows, as ({index: coefficient}, rhs)."""
+    total, rhs = Counter(), 0
+    for coeffs, b in rows:
+        total.update(dict(coeffs))
+        rhs += b
+    return {i: c for i, c in total.items() if c}, rhs
+
+
+def _diamond_summands(lat, x, y):
+    """Pairs whose rows sum to the row of the incomparable pair x, y:
+    with m = x ^ y and m < x' < x, the row is row(x', y) + row(x, x' v y),
+    by modularity, until both spaces cover their meet."""
+    m = lat.meet(x, y)
+    for a, b in ((x, y), (y, x)):
+        if lat.dims[a] > lat.dims[m] + 1:
+            a1 = next(c for c in lat.covers_down[a] if lat.leq(m, c))
+            b1 = lat.join(a1, b)
+            assert lat.meet(a, b1) == a1
+            return _diamond_summands(lat, a1, b) + _diamond_summands(lat, a, b1)
+    return [(min(x, y), max(x, y))]
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
+def test_paper_rows_are_sums_of_facet_rows(fixture, request):
+    # every row of the reduced system is a nonnegative sum of facet rows
+    # and other rows with the same right-hand side, so the facets imply it
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=True)
+    ref = _reference_hrep_rows(lat, True)
+    row = {tag: (coeffs, rhs) for coeffs, rhs, tag in ref}
+    diamonds = {(x, y) for x, y, _, _ in H.diamonds}
+    top = lat.top
+
+    def pair(x, y):
+        return row["type3", min(x, y), max(x, y)]
+
+    for x, y, _, _ in lat.incomparable:
+        parts = _diamond_summands(lat, x, y)
+        assert set(parts) <= diamonds
+        assert _row_sum([pair(*d) for d in parts]) == _row_sum([pair(x, y)])
+    for y in range(1, top):
+        for x in lat.covers_down[y]:
+            if x == lat.zero:
+                continue
+            y2 = next(c for c in lat.covers_up[x] if c != y)
+            j = lat.join(y, y2)
+            assert (min(y, y2), max(y, y2)) in diamonds
+            assert (_row_sum([pair(y, y2), row["type2", y2, j]])
+                    == _row_sum([row["type2", x, y]]))
+    for x in range(1, lat.size):
+        if lat.dims[x] >= 2:
+            h = lat.covers_down[x][0]
+            a = next(a for a in lat.atoms_of[x] if not lat.leq(a, h))
+            assert (_row_sum([pair(h, a), row["type1", h], row["type1", a]])
+                    == _row_sum([row["type1", x]]))
+    for a in lat.atom_range:
+        h = next(h for h in H.hyperplanes if not lat.leq(a, h))
+        assert (_row_sum([pair(a, h), row["type2", h, top]])
+                == _row_sum([row["nonneg", a]]))
 
 
 def test_lattice_points_22(lat22):

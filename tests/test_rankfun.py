@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import literal_axiom_violations
 from qrank.constructions import convex_combination, paving, paving_spec, uniform
 from qrank.errors import DimensionMismatch, NotADenominator
-from qrank.rankfun import (check_axioms, classify, closure, cyclic_flats,
-                           cyclic_spaces, flats, independence_report,
+from qrank.polytope import interior_witness, lattice_points
+from qrank.rankfun import (AxiomReport, check_axioms, classify, closure,
+                           cyclic_flats, cyclic_spaces, flats,
+                           independence_report,
                            is_strong_independent, mu_bases, point_from_json,
                            point_to_json, principal_denominator, rank_point)
-from qrank.subspaces import build_lattice
+from qrank.subspaces import SubspaceLattice, build_lattice
 
 
 def dims_set(lat, pred):
@@ -240,6 +243,63 @@ def test_point_json_roundtrips_under_the_digest(p):
     obj["order_digest"] = digest[:-1] + ("1" if digest[-1] == "0" else "0")
     with pytest.raises(DimensionMismatch, match="digest"):
         point_from_json(obj, lat)
+
+
+@cache
+def _qmatroids(q, n):
+    lat = _small_lattice(q, n)
+    return lat, lattice_points(lat), interior_witness(lat)
+
+
+@st.composite
+def _axiom_points(draw):
+    """(kind, point): a convex combination of a q-matroid with another
+    one or with the interior witness, which is feasible; the same with a
+    few coordinates moved by small rationals, which is often outside;
+    or the same with v_0 moved off 0."""
+    lat, pts, wit = _qmatroids(*draw(st.sampled_from(
+        [(2, 2), (3, 2), (2, 3), (3, 3)])))
+    a = draw(st.sampled_from(pts))
+    b = draw(st.one_of(st.just(wit), st.sampled_from(pts)))
+    lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
+    vals = [lam * x + (1 - lam) * y for x, y in zip(a.values, b.values)]
+    kind = draw(st.sampled_from(["feasible", "moved", "zero moved"]))
+    small = st.fractions(min_value=-1, max_value=1, max_denominator=5)
+    if kind == "moved":
+        for i, d in draw(st.lists(st.tuples(st.integers(1, lat.size - 1),
+                                            small), min_size=1, max_size=3)):
+            vals[i] += d
+    elif kind == "zero moved":
+        vals[0] = draw(small.filter(bool))
+    return kind, rank_point(lat, vals)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_axiom_points())
+def test_check_axioms_matches_the_literal_walk(case):
+    kind, p = case
+    rep = check_axioms(p)
+    assert rep.violations == literal_axiom_violations(p)
+    assert rep.ok == (not rep.violations)
+    if kind != "moved":
+        assert rep.ok == (kind == "feasible")
+
+
+def test_check_axioms_reads_no_pair_table_when_the_facets_hold(monkeypatch):
+    # the fast path reads the diamonds, the atoms and the top covers only
+    lat = build_lattice(2, 4)
+
+    def fail(self):
+        raise AssertionError("the incomparable-pair table was read")
+
+    monkeypatch.setattr(SubspaceLattice, "incomparable", property(fail))
+    for p in (uniform(lat, 2), interior_witness(lat), convex_combination(
+            [(Fraction(1, 3), uniform(lat, 1)),
+             (Fraction(2, 3), uniform(lat, 3))])):
+        assert check_axioms(p) == AxiomReport(True, ())
+    # a point that fails a facet takes the literal walk, which reads it
+    with pytest.raises(AssertionError, match="pair table"):
+        check_axioms(rank_point(lat, [0] + [2] * (lat.size - 1)))
 
 
 def test_mu_bases_equal_rank_fractional(lat23):

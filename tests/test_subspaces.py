@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -139,6 +140,30 @@ def test_incomparable_table_agrees_with_vector_sets(lat24, lat33):
 def test_incomparable_table_size_25(lat25):
     assert len(lat25.incomparable) == 64_356
     assert build_hrep(lat25).tag_counts()["type3"] == 64_356
+
+
+@pytest.mark.parametrize("fixture", ["lat22", "lat32", "lat23", "lat33",
+                                     "lat24", "lat25"])
+def test_diamonds_are_the_pairs_covering_their_meet(fixture, request):
+    # the diamond table keeps the pair table's order and entries
+    lat = request.getfixturevalue(fixture)
+    dims = lat.dims
+    assert lat.diamonds == tuple(
+        row for row in lat.incomparable
+        if dims[row[0]] == dims[row[1]] == dims[row[2]] + 1)
+    for x, y, m, j in lat.diamonds:
+        assert m in lat.covers_down[x] and m in lat.covers_down[y]
+        assert x in lat.covers_down[j] and y in lat.covers_down[j]
+
+
+def test_diamond_counts():
+    # sum over the grades k of [n k]_q * C([n-k 1]_q, 2)
+    for (q, n), count in (((2, 5), 7_440), ((3, 4), 4_680)):
+        lat = build_lattice(q, n)
+        expected = sum(gaussian_binomial(n, k, q)
+                       * math.comb(gaussian_binomial(n - k, 1, q), 2)
+                       for k in range(n))
+        assert len(lat.diamonds) == expected == count
 
 
 def test_covers(lat23):
