@@ -10,7 +10,7 @@ only the coefficient sum, i.e. the value at t = 1, is supported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -23,11 +23,11 @@ def moebius(dim, q):
     return sign * q ** comb(dim, 2)
 
 
-@dataclass(frozen=True)
-class TruncatedPuiseux:
-    """Finite map exponent -> nonzero integer coefficient."""
+class TruncatedPuiseux(namedtuple("TruncatedPuiseux", "terms")):
+    """Finite map exponent -> nonzero integer coefficient, held as terms,
+    a sorted tuple of (Fraction exponent, int coefficient)."""
 
-    terms: tuple  # sorted tuple of (Fraction exponent, int coefficient)
+    __slots__ = ()
 
     @classmethod
     def from_terms(cls, pairs):

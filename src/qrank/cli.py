@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 # every other library module is imported inside the handlers that use
 # it, so a subcommand loads only what it runs
@@ -37,9 +38,17 @@ def _write_lines(args, lines):
     """Write the strings in turn to --out, or to stdout without it."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(lines)
+            fh.writelines(_chunks(lines))
     else:
-        sys.stdout.writelines(lines)
+        sys.stdout.writelines(_chunks(lines))
+
+
+def _chunks(lines, size=4096):
+    """The strings joined size at a time: an unbuffered stream (python -u,
+    PYTHONUNBUFFERED) makes one system call of each write."""
+    lines = iter(lines)
+    for first in lines:
+        yield first + "".join(islice(lines, size - 1))
 
 
 def _emit_json(args, obj):
@@ -208,31 +217,22 @@ def _cmd_code(args):
     return 0
 
 
-def build_parser():
-    top = _Parser(prog="qrank", description=__doc__)
-    top.add_argument("--json-errors", action="store_true",
-                     help="report failures as JSON on stderr")
-    top.add_argument("--max-lattice", type=int, default=subspaces.MAX_LATTICE_SIZE,
-                     help="cap on the number of subspaces")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    lat = sub.add_parser("lattice", help="subspace lattice pipelines")
-    lsub = lat.add_subparsers(dest="which", required=True)
-    lb = lsub.add_parser("build", help="enumerate L(F_q^n) and dump it as JSON")
+def _add_lattice(leaves):
+    lb = leaves.add_parser("build", help="enumerate L(F_q^n) and dump it as JSON")
     lb.add_argument("--q", type=int, required=True)
     lb.add_argument("--n", type=int, required=True)
     lb.add_argument("--out", "-o")
     lb.set_defaults(func=_cmd_lattice_build)
 
-    poly = sub.add_parser("polytope", help="q-rank polytope pipelines")
-    psub = poly.add_subparsers(dest="which", required=True)
+
+def _add_polytope(leaves):
     for name, hlp in [("hrep", "H-representation as text"),
                       ("points", "all integer points"),
                       ("vertices", "all vertices (double description)"),
                       ("fvector", "face counts by dimension"),
                       ("dim", "affine dimension"),
                       ("witness", "interior witness and its membership")]:
-        pc = psub.add_parser(name, help=hlp)
+        pc = leaves.add_parser(name, help=hlp)
         pc.add_argument("--q", type=int, required=True)
         pc.add_argument("--n", type=int, required=True)
         pc.add_argument("--full", action="store_true",
@@ -240,15 +240,15 @@ def build_parser():
         pc.add_argument("--out", "-o")
         pc.set_defaults(func=_cmd_polytope)
 
-    pm = sub.add_parser("pm", help="q-polymatroid reports for a point file")
-    msub = pm.add_subparsers(dest="which", required=True)
+
+def _add_pm(leaves):
     for name, hlp in [("check", "axiom report"),
                       ("flats", "set of flats"),
                       ("cyclic", "set of cyclic spaces"),
                       ("zflats", "set of cyclic flats"),
                       ("indep", "mu-independence report"),
                       ("classify", "classification report")]:
-        mc = msub.add_parser(name, help=hlp)
+        mc = leaves.add_parser(name, help=hlp)
         mc.add_argument("--point", required=True)
         if name in ("indep", "classify"):
             mc.add_argument("--mu", type=int, default=0 if name == "classify" else None,
@@ -256,44 +256,44 @@ def build_parser():
         mc.add_argument("--out", "-o")
         mc.set_defaults(func=_cmd_pm)
 
-    mk = sub.add_parser("make", help="compile a construction to a point file")
-    ksub = mk.add_subparsers(dest="which", required=True)
-    ku = ksub.add_parser("uniform", help="uniform q-matroid")
+
+def _add_make(leaves):
+    ku = leaves.add_parser("uniform", help="uniform q-matroid")
     ku.add_argument("--q", type=int, required=True)
     ku.add_argument("--n", type=int, required=True)
     ku.add_argument("--k", type=int, required=True)
     ku.add_argument("--out", "-o")
     ku.set_defaults(func=_cmd_make)
     for name in ("paving", "combo", "flag"):
-        kc = ksub.add_parser(name, help=f"{name} construction from a JSON spec")
+        kc = leaves.add_parser(name, help=f"{name} construction from a JSON spec")
         kc.add_argument("--spec", required=True)
         kc.add_argument("--out", "-o")
         kc.set_defaults(func=_cmd_make)
 
-    inv = sub.add_parser("invariant", help="characteristic Puiseux polynomial")
-    isub = inv.add_subparsers(dest="which", required=True)
-    ic = isub.add_parser("chi", help="polynomial of a point file")
+
+def _add_invariant(leaves):
+    ic = leaves.add_parser("chi", help="polynomial of a point file")
     ic.add_argument("--point", required=True)
     ic.add_argument("--out", "-o")
     ic.set_defaults(func=_cmd_invariant)
-    icc = isub.add_parser("chi-combo",
-                          help="closed form for a paving combination spec")
+    icc = leaves.add_parser("chi-combo",
+                            help="closed form for a paving combination spec")
     icc.add_argument("--spec", required=True)
     icc.add_argument("--via", type=int, choices=(1, 2), default=1)
     icc.add_argument("--out", "-o")
     icc.set_defaults(func=_cmd_invariant)
 
-    code = sub.add_parser("code", help="rank-metric code pipelines")
-    csub = code.add_subparsers(dest="which", required=True)
-    cm = csub.add_parser("metrics", help="k, d, dual distance, MRD check")
+
+def _add_code(leaves):
+    cm = leaves.add_parser("metrics", help="k, d, dual distance, MRD check")
     cm.add_argument("--code", required=True)
     cm.add_argument("--out", "-o")
     cm.set_defaults(func=_cmd_code)
-    cr = csub.add_parser("rho", help="induced q-polymatroid point")
+    cr = leaves.add_parser("rho", help="induced q-polymatroid point")
     cr.add_argument("--code", required=True)
     cr.add_argument("--out", "-o")
     cr.set_defaults(func=_cmd_code)
-    cd = csub.add_parser("mrd", help="MRD closed-form rank function")
+    cd = leaves.add_parser("mrd", help="MRD closed-form rank function")
     cd.add_argument("--q", type=int, required=True)
     cd.add_argument("--n", type=int, required=True)
     cd.add_argument("--m", type=int, required=True)
@@ -301,12 +301,43 @@ def build_parser():
     cd.add_argument("--out", "-o")
     cd.set_defaults(func=_cmd_code)
 
+
+# group name -> (help, the function that adds its leaf sub-parsers)
+_GROUPS = {
+    "lattice": ("subspace lattice pipelines", _add_lattice),
+    "polytope": ("q-rank polytope pipelines", _add_polytope),
+    "pm": ("q-polymatroid reports for a point file", _add_pm),
+    "make": ("compile a construction to a point file", _add_make),
+    "invariant": ("characteristic Puiseux polynomial", _add_invariant),
+    "code": ("rank-metric code pipelines", _add_code),
+}
+
+
+def build_parser(argv=None):
+    """The qrank parser.  Every group is added, but the leaf sub-parsers
+    only of the group named by the first token of argv that names one,
+    since a process parses one command; with no group named (argv None,
+    --help, a bad group) every group gets its leaves."""
+    top = _Parser(prog="qrank", description=__doc__)
+    top.add_argument("--json-errors", action="store_true",
+                     help="report failures as JSON on stderr")
+    top.add_argument("--max-lattice", type=int, default=subspaces.MAX_LATTICE_SIZE,
+                     help="cap on the number of subspaces")
+    sub = top.add_subparsers(dest="command", required=True)
+    named = next((a for a in argv or () if a in _GROUPS), None)
+    for name, (hlp, add_leaves) in _GROUPS.items():
+        leaves = sub.add_parser(name, help=hlp).add_subparsers(
+            dest="which", required=True)
+        if named in (None, name):
+            add_leaves(leaves)
     return top
 
 
 def main(argv=None):
-    parser = build_parser()
-    json_errors = "--json-errors" in (argv if argv is not None else sys.argv[1:])
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
+    json_errors = "--json-errors" in argv
     try:
         args = parser.parse_args(argv)
         return args.func(args)

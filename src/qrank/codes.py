@@ -12,7 +12,7 @@ examples all have k <= 3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,25 +31,22 @@ def _flatten(M):
     return tuple(x for row in M.entries for x in row)
 
 
-@dataclass(frozen=True)
-class MatrixCode:
-    """F_q-linear rank-metric code in F_q^{n x m}, given by a basis."""
+class MatrixCode(namedtuple("MatrixCode", "field n m generators")):
+    """F_q-linear rank-metric code in F_q^{n x m}, given by a basis:
+    generators is a tuple of linearly independent n x m FqMatrix."""
 
-    field: object
-    n: int
-    m: int
-    generators: tuple  # tuple of n x m FqMatrix, linearly independent
+    __slots__ = ()
 
-    def __post_init__(self):
-        for G in self.generators:
-            if G.field is not self.field or (G.rows, G.cols) != (self.n, self.m):
+    def __new__(cls, field, n, m, generators):
+        for G in generators:
+            if G.field is not field or (G.rows, G.cols) != (n, m):
                 raise ValidationError("generator shape or field mismatch")
-        if self.generators:
-            flat = FqMatrix.from_rows(self.field,
-                                      [_flatten(G) for G in self.generators],
-                                      self.n * self.m)
-            if rref(flat).rank != len(self.generators):
+        if generators:
+            flat = FqMatrix.from_rows(field, [_flatten(G) for G in generators],
+                                      n * m)
+            if rref(flat).rank != len(generators):
                 raise ValidationError("generators are linearly dependent")
+        return super().__new__(cls, field, n, m, generators)
 
     @property
     def k(self):
@@ -101,12 +98,7 @@ def minimum_distance(C):
     return best
 
 
-@dataclass(frozen=True)
-class CodeMetrics:
-    k: int
-    d: int
-    d_perp: int
-    is_mrd: bool
+CodeMetrics = namedtuple("CodeMetrics", "k d d_perp is_mrd")
 
 
 def code_metrics(C):
@@ -182,16 +174,9 @@ def mrd_combo_values(n, d1, d2, lam):
     return tuple(vals)
 
 
-@dataclass(frozen=True)
-class MrdComboReport:
-    n: int
-    k1: int
-    k2: int
-    lam: Fraction
-    mu: int
-    values_by_dim: tuple
-    all_independent: bool
-    point: object  # RankPoint when a lattice was supplied
+MrdComboReport = namedtuple("MrdComboReport", [
+    "n", "k1", "k2", "lam", "mu", "values_by_dim", "all_independent",
+    "point"])  # a RankPoint when a lattice was supplied
 
 
 def mrd_combo_independence(n, d1, d2, lam, lattice=None):
@@ -220,27 +205,26 @@ def mrd_combo_independence(n, d1, d2, lam, lattice=None):
 
 # -- vector codes over an extension field --------------------------------
 
-@dataclass(frozen=True)
-class VectorCode:
-    """F_{q^m}-linear code of length n, given by a basis over F_{q^m}."""
+class VectorCode(namedtuple("VectorCode", "base_field ext_field n generators")):
+    """F_{q^m}-linear code of length n, given by a basis over F_{q^m}:
+    base_field is GF(q), ext_field GF(q^m), and generators a tuple of
+    length-n tuples of GF(q^m) encodings."""
 
-    base_field: object   # GF(q)
-    ext_field: object    # GF(q^m)
-    n: int
-    generators: tuple    # tuple of length-n tuples of GF(q^m) encodings
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ext_field.p != self.base_field.p:
+    def __new__(cls, base_field, ext_field, n, generators):
+        if ext_field.p != base_field.p:
             raise UnsupportedOrder("extension field characteristic mismatch")
-        if self.base_field.e != 1:
+        if base_field.e != 1:
             raise UnsupportedOrder("vector codes are supported over prime base fields")
-        for g in self.generators:
-            if len(g) != self.n:
+        for g in generators:
+            if len(g) != n:
                 raise ValidationError("generator length mismatch")
-        if self.generators:
-            M = FqMatrix.from_rows(self.ext_field, self.generators, self.n)
-            if rref(M).rank != len(self.generators):
+        if generators:
+            M = FqMatrix.from_rows(ext_field, generators, n)
+            if rref(M).rank != len(generators):
                 raise ValidationError("generators dependent over the extension field")
+        return super().__new__(cls, base_field, ext_field, n, generators)
 
     @property
     def k(self):

@@ -18,7 +18,7 @@ mu-independence of such a point is decided exactly from the profile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
@@ -35,31 +35,29 @@ def uniform(lattice, k):
     return rank_point(lattice, (min(k, d) for d in lattice.dims))
 
 
-@dataclass(frozen=True)
-class PavingSpec:
+class PavingSpec(namedtuple("PavingSpec", "lattice k spaces")):
     """A collection S of k-dimensional spaces with pairwise intersections
-    of dimension at most k-2, the input of the paving construction."""
+    of dimension at most k-2, the input of the paving construction;
+    spaces is a frozenset of lattice indices."""
 
-    lattice: object
-    k: int
-    spaces: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        lat = self.lattice
-        if not 1 <= self.k <= lat.n - 1:
-            raise InvalidCollection(f"need 1 <= k <= n-1, got k={self.k}")
-        spaces = sorted(self.spaces)
-        for i in spaces:
-            if lat.dims[i] != self.k:
+    def __new__(cls, lattice, k, spaces):
+        if not 1 <= k <= lattice.n - 1:
+            raise InvalidCollection(f"need 1 <= k <= n-1, got k={k}")
+        ordered = sorted(spaces)
+        for i in ordered:
+            if lattice.dims[i] != k:
                 raise InvalidCollection(
-                    f"space {i} has dimension {lat.dims[i]}, expected {self.k}")
-        for a in range(len(spaces)):
-            for b in range(a + 1, len(spaces)):
-                m = lat.meet(spaces[a], spaces[b])
-                if lat.dims[m] > self.k - 2:
+                    f"space {i} has dimension {lattice.dims[i]}, expected {k}")
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                m = lattice.meet(ordered[a], ordered[b])
+                if lattice.dims[m] > k - 2:
                     raise InvalidCollection(
-                        f"spaces {spaces[a]} and {spaces[b]} intersect in "
-                        f"dimension {lat.dims[m]} > k-2")
+                        f"spaces {ordered[a]} and {ordered[b]} intersect in "
+                        f"dimension {lattice.dims[m]} > k-2")
+        return super().__new__(cls, lattice, k, spaces)
 
 
 def paving_spec(lattice, k, spaces):
@@ -125,18 +123,11 @@ def profile_independent_dims(values_by_dim, mu):
 
 # -- paving combination --------------------------------------------------
 
-@dataclass(frozen=True)
-class PavingComboReport:
-    point: RankPoint
-    lam: Fraction
-    mu: int
-    k: int
-    s0: object  # int, or None when no dimension violates the bound
-    independent_prediction: frozenset
-    circuits_prediction: frozenset
-    flats_prediction: frozenset
-    cyclic_prediction: frozenset
-    cyclic_flats_prediction: frozenset
+PavingComboReport = namedtuple("PavingComboReport", [
+    "point", "lam", "mu", "k",
+    "s0",  # int, or None when no dimension violates the bound
+    "independent_prediction", "circuits_prediction", "flats_prediction",
+    "cyclic_prediction", "cyclic_flats_prediction"])
 
 
 def paving_combo_report(spec1, spec2, lam):
@@ -186,21 +177,11 @@ def paving_combo_report(spec1, spec2, lam):
 
 # -- two uniform q-matroids ----------------------------------------------
 
-@dataclass(frozen=True)
-class TwoUniformReport:
-    q: int
-    n: int
-    k1: int
-    k2: int
-    lam: Fraction
-    mu: int
-    values_by_dim: tuple
-    predicts_all_independent: bool
-    all_independent: bool
-    flat_dims: frozenset
-    cyclic_dims: frozenset
-    cyclic_flat_dims: frozenset
-    point: object  # RankPoint when a lattice was supplied, else None
+TwoUniformReport = namedtuple("TwoUniformReport", [
+    "q", "n", "k1", "k2", "lam", "mu", "values_by_dim",
+    "predicts_all_independent", "all_independent", "flat_dims",
+    "cyclic_dims", "cyclic_flat_dims",
+    "point"])  # a RankPoint when a lattice was supplied, else None
 
 
 def two_uniform_values(n, k1, k2, lam):
@@ -246,17 +227,9 @@ def two_uniform_combo_report(q, n, k1, k2, lam, lattice=None):
 
 # -- flag of n-2 uniform q-matroids ---------------------------------------
 
-@dataclass(frozen=True)
-class FlagComboReport:
-    q: int
-    n: int
-    lambdas: tuple
-    mu: int
-    values_by_dim: tuple
-    predicts_all_independent: bool
-    all_independent: bool
-    independent_dims: frozenset
-    point: object
+FlagComboReport = namedtuple("FlagComboReport", [
+    "q", "n", "lambdas", "mu", "values_by_dim", "predicts_all_independent",
+    "all_independent", "independent_dims", "point"])
 
 
 def flag_uniform_values(n, lambdas):

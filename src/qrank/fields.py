@@ -16,7 +16,7 @@ canonical subspace ordering downstream, reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -175,27 +175,25 @@ def make_field(q):
     return _field_cached(q)
 
 
-@dataclass(frozen=True)
-class FqMatrix:
-    """Immutable matrix over a Field; entries are element encodings."""
+class FqMatrix(namedtuple("FqMatrix", "field rows cols entries")):
+    """Immutable matrix over a Field; entries are element encodings, a
+    tuple of row tuples."""
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, field, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count does not match entries")
-        q = self.field.q
-        for row in self.entries:
-            if len(row) != self.cols:
+        q = field.q
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("ragged matrix")
             for x in row:
                 if not (0 <= x < q):
                     raise ValueError(f"entry {x} out of range for GF({q})")
+        return super().__new__(cls, field, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, field, rows, cols=None):
@@ -231,11 +229,8 @@ class FqMatrix:
         return FqMatrix(F, self.rows, other.cols, ent)
 
 
-@dataclass(frozen=True)
-class RrefResult:
-    matrix: FqMatrix  # zero rows dropped
-    rank: int
-    pivots: tuple
+# matrix is the FqMatrix with its zero rows dropped
+RrefResult = namedtuple("RrefResult", "matrix rank pivots")
 
 
 def rref(M):

@@ -12,9 +12,9 @@ plain index tuples, in row order: the type-1 bounds, the atoms, the
 cover pairs (x, y), the lattice's incomparable-pair table
 (x, y, meet, join) as it is, and the zero rows.  No row object exists:
 H.rows is the range of row numbers, and every reader in this module
-walks the blocks (the text, membership, the sparse normals, f-vectors
-and tag counts).  The text is produced one line at a time by one loop
-per block (HRepresentation.text_lines), so the CLI streams it.
+walks the blocks (the text, membership, f-vectors and tag counts).
+The text is produced one line at a time by one loop per block
+(HRepresentation.text_lines), so the CLI streams it.
 
 The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
@@ -74,11 +74,11 @@ on the spaces not yet assigned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
-from .rankfun import RankPoint, rank_point, scaled_values
+from .rankfun import rank_point, scaled_values
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 6
@@ -144,31 +144,6 @@ class HRepresentation:
         return [base[x] + y - (above[x] & low[y]).bit_count()
                 for x, y, _, _ in pairs]
 
-    def normals(self, ks):
-        """The sparse normal ((lattice index, coefficient), ...), in
-        increasing index, of each row k in ks, which must increase and
-        lie in rows; the blocks are walked once."""
-        def pair(row):
-            # meet < x < y < join; the reduced system has no v_0, so a
-            # zero-meet row leaves it out
-            x, y, m, j = row
-            if m or not self.reduced:
-                return (m, 1), (x, -1), (y, -1), (j, 1)
-            return (x, -1), (y, -1), (j, 1)
-
-        blocks = iter(((self.bounds, lambda x: ((x, 1),)),
-                       (self.atoms, lambda a: ((a, -1),)),
-                       (self.covers, lambda c: ((c[0], 1), (c[1], -1))),
-                       (self.pairs, pair),
-                       (self.zero, lambda sign: ((0, sign),))))
-        block, normal = next(blocks)
-        start = 0
-        for k in ks:
-            while k - start >= len(block):
-                start += len(block)
-                block, normal = next(blocks)
-            yield normal(block[k - start])
-
     def text_lines(self):
         """The text one line at a time, each ending in a newline.
         Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
@@ -211,11 +186,8 @@ def build_hrep(lattice, reduced=True):
     return HRepresentation(lattice, reduced)
 
 
-@dataclass(frozen=True)
-class Membership:
-    status: str          # "interior" | "boundary" | "outside"
-    tight_rows: tuple
-    violated_rows: tuple
+# status is "interior", "boundary" or "outside"
+Membership = namedtuple("Membership", "status tight_rows violated_rows")
 
 
 def membership(H, p):
@@ -268,12 +240,8 @@ def membership(H, p):
     return Membership("interior", tuple(tight), ())
 
 
-@dataclass(frozen=True)
-class VertexCertificate:
-    point: RankPoint
-    tight_rows: tuple
-    normal_rank: int
-    is_vertex: bool
+VertexCertificate = namedtuple("VertexCertificate",
+                               "point tight_rows normal_rank is_vertex")
 
 
 def is_vertex(H, p):

@@ -20,7 +20,7 @@ its right-hand side times mu, so no Fraction arithmetic happens per row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotADenominator, parse_key
@@ -45,17 +45,16 @@ def _to_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class RankPoint:
+class RankPoint(namedtuple("RankPoint", "lattice values")):
     """A vector of exact rationals indexed by lattice positions."""
 
-    lattice: object
-    values: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.values) != self.lattice.size:
+    def __new__(cls, lattice, values):
+        if len(values) != lattice.size:
             raise DimensionMismatch(
-                f"expected {self.lattice.size} values, got {len(self.values)}")
+                f"expected {lattice.size} values, got {len(values)}")
+        return super().__new__(cls, lattice, values)
 
     @property
     def rank(self):
@@ -86,10 +85,7 @@ def scaled_values(values):
 Violation = tuple  # (axiom tag, witness indices, positive slack)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    violations: tuple
+AxiomReport = namedtuple("AxiomReport", "ok violations")
 
 
 def check_axioms(p):
@@ -175,12 +171,8 @@ def is_strong_independent(p, i):
     return p.values[i] == p.lattice.dims[i]
 
 
-@dataclass(frozen=True)
-class IndependenceReport:
-    mu: int
-    independent: frozenset
-    circuits: frozenset
-    loops: frozenset
+IndependenceReport = namedtuple("IndependenceReport",
+                                "mu independent circuits loops")
 
 
 def independence_report(p, mu):
@@ -215,10 +207,8 @@ def mu_bases(p, mu, v):
         and not any(u in rep.independent for u in lat.covers_up[i] if u in inside))
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    atoms: frozenset  # 1-dimensional members of Cl_rho(A)
-    closure: int      # their join
+# atoms are the 1-dimensional members of Cl_rho(A), closure their join
+ClosureResult = namedtuple("ClosureResult", "atoms closure")
 
 
 def closure(p, a):
@@ -272,13 +262,9 @@ def cyclic_flats(p):
     return flats(p) & cyclic_spaces(p)
 
 
-@dataclass(frozen=True)
-class Classification:
-    is_qmatroid: bool
-    loop_space: int
-    is_full: bool
-    is_paving: object   # bool for q-matroids, None otherwise
-    is_mu_paving: bool
+# is_paving is a bool for q-matroids, None otherwise
+Classification = namedtuple("Classification", "is_qmatroid loop_space "
+                            "is_full is_paving is_mu_paving")
 
 
 def classify(p, mu):

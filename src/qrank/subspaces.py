@@ -35,7 +35,6 @@ submodularity rows, which is all that certification reads.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cached_property
 from itertools import combinations, product
@@ -268,6 +267,7 @@ class SubspaceLattice:
 
     def order_digest(self):
         if self._digest is None:
+            import hashlib  # only the commands that use a digest load it
             h = hashlib.sha256(self.dump_json().encode("ascii"))
             self._digest = h.hexdigest()[:16]
         return self._digest

@@ -204,13 +204,18 @@ def test_exhaustive_caps_exit_2_with_empty_stdout(capsys, tmp_path):
         assert size in err, argv
 
 
-def _qrank_subprocess(*argv, timeout, python_flags=()):
-    """python -m qrank argv in a child that imports qrank from src/."""
+def _python_subprocess(*args, timeout):
+    """python args in a child that imports qrank from src/."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"),
              os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, *python_flags, "-m", "qrank", *argv],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def _qrank_subprocess(*argv, timeout, python_flags=()):
+    """python -m qrank argv in a child that imports qrank from src/."""
+    return _python_subprocess(*python_flags, "-m", "qrank", *argv, timeout=timeout)
 
 
 def test_large_n_is_refused_at_once(tmp_path):
@@ -457,3 +462,68 @@ def test_public_names_resolve_to_their_submodules():
     assert set(qrank.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         qrank.no_such_name
+
+
+# runs qrank.cli.main on its arguments, then prints the exit code and
+# every loaded module on the last line of stdout
+_FOOTPRINT = """
+import sys
+from qrank.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+
+def _footprint(*argv):
+    # -S: no site hook can load a module the command did not ask for
+    res = _python_subprocess("-S", "-c", _FOOTPRINT, *argv, timeout=60)
+    code, *modules = res.stdout.splitlines()[-1].split()
+    return int(code), set(modules)
+
+
+def test_commands_load_no_dataclasses_and_hashlib_only_for_a_digest(tmp_path):
+    heavy = {"dataclasses", "inspect", "hashlib"}
+    code, modules = _footprint("lattice", "build", "--q", "2", "--n", "6")
+    assert code == 2 and not heavy & modules
+    code, modules = _footprint("polytope", "points", "--q", "2", "--n", "2")
+    assert code == 0 and "qrank.polytope" in modules and not heavy & modules
+    point = tmp_path / "u.json"
+    assert main(["make", "uniform", "--q", "2", "--n", "3", "--k", "2",
+                 "-o", str(point)]) == 0
+    # pm check still checks the point's order digest
+    code, modules = _footprint("pm", "check", "--point", str(point))
+    assert code == 0 and "hashlib" in modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_help_lists_every_group(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for group in ("lattice", "polytope", "pm", "make", "invariant", "code"):
+        assert f"    {group} " in out, group
+
+
+def test_an_unknown_leaf_lists_the_leaves_of_its_group(capsys):
+    code, out, err = run(capsys, "polytope", "bogus")
+    assert code == 1 and out == ""
+    assert "invalid choice: 'bogus'" in err
+    assert "'hrep', 'points', 'vertices', 'fvector', 'dim', 'witness'" in err
+    code, _, err = run(capsys, "bogus")
+    assert code == 1
+    assert "'lattice', 'polytope', 'pm', 'make', 'invariant', 'code'" in err
+
+
+def test_the_group_is_the_first_token_that_names_one(capsys, tmp_path,
+                                                      monkeypatch):
+    # a point file named like another group does not select that group
+    monkeypatch.chdir(tmp_path)
+    assert main(["make", "uniform", "--q", "2", "--n", "3", "--k", "2",
+                 "-o", "polytope"]) == 0
+    code, out, _ = run(capsys, "pm", "check", "--point", "polytope")
+    assert code == 0 and json.loads(out)["ok"] is True
+    # a top-level option before the group
+    code, out, _ = run(capsys, "--max-lattice", "5", "polytope", "points",
+                       "--q", "2", "--n", "2")
+    assert code == 0 and len(out.splitlines()) == 6
