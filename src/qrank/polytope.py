@@ -51,9 +51,14 @@ Every rank is taken by one exact kernel, _rank: Gauss-Jordan
 elimination in Python ints over rows given as (column, value) pairs, so
 an H-row keeps its at most four nonzero entries.  Each pivot row is
 primitive and holds no other pivot's column, and an index maps each
-free column to the rows that hold it, so a dependent row is reduced to
-zero in one pass over its own entries, and a new pivot is cleared from
-only the rows that hold its column.  Vertex certification ranks the
+free column to the rows that hold it, so a row is reduced in one pass
+over its own entries, and a new pivot is cleared from only the rows
+that hold its column.  Most tight facet rows turn out dependent, and
+two tests skip them cheaply: a pivot column is solved once its row
+holds it alone, so a row on solved columns only is skipped before any
+dict is built; and at one rank below the column count the pivot rows
+leave one free column, so after the first dependent row each row costs
+one dot product with their null vector.  Vertex certification ranks the
 tight facet normals, so every certificate is checkable by hand; the
 elimination stops once the rank reaches the number of columns, since
 no further row can raise it.  f_vector reads each vertex's tight rows
@@ -415,8 +420,8 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 # -- exact linear algebra helpers ---------------------------------------
 
 def _rank(rows, full=None):
-    """Rank over Q of an integer matrix given as sparse rows, each an
-    iterable of (column, value) pairs with distinct columns; column
+    """Rank over Q of an integer matrix given as sparse rows, each a
+    sequence of (column, value) pairs with distinct columns; column
     numbering is immaterial.  With full set to the number of columns
     (or any known bound on the rank), the remaining rows are skipped
     once that many pivots are found.
@@ -425,18 +430,50 @@ def _rank(rows, full=None):
     primitive, positive at its pivot column and zero at every other
     pivot column, and an index maps each free column to the pivot
     columns whose rows hold it.  So an incoming row is reduced in one
-    pass over its own pivot entries, each cleared by one multiple of
-    that pivot's row, and what is left lies on free columns.  If it does
-    not vanish, it becomes the pivot of its first column, which is
-    cleared from just the rows that hold it."""
+    pass over its own pivot entries, in any order, each cleared by one
+    multiple of that pivot's row, and what is left lies on free columns
+    and is the same up to a positive factor whatever the order.  If it
+    does not vanish, it becomes the pivot of its first column, which is
+    cleared from just the rows that hold it.
+
+    A pivot column is solved once its row holds it alone, so e_c is in
+    the span; that row never changes again, and reducing by it only
+    drops column c.  A row whose columns are all solved is dependent and
+    is skipped before any dict is built, and the solved columns of any
+    other row are dropped as it is read.  At rank full - 1, the first
+    row reduced to zero builds the null vector of the pivot rows
+    (_null_vector), which needs them to hold one free column f between
+    them, as they do when full is the number of columns.  A later row on
+    the pivot columns and f lies in their span iff its dot product with
+    that vector vanishes; a row with any other column is reduced."""
     pivots = {}   # pivot column -> its row {column: value}
     holders = {}  # free column -> the pivot columns whose rows hold it
+    solved = set()  # pivot columns whose rows hold no other column
+    null = None   # at rank full - 1: {column: y_column}, see _null_vector
     gcd = math.gcd
     for row in rows:
         if len(pivots) == full:
             break
-        r = {c: v for c, v in row if v}
-        for c in [c for c in r if c in pivots]:
+        for c, _ in row:
+            if c not in solved:
+                break
+        else:
+            continue
+        if null is not None:
+            dot = 0
+            for c, v in row:
+                y = null.get(c)
+                if y is None:  # a column the null vector does not cover
+                    break
+                dot += v * y
+            else:
+                if not dot:
+                    continue
+        r = {}  # a loop: a comprehension naming solved is a closure per row
+        for c, v in row:
+            if v and c not in solved:
+                r[c] = v
+        for c in r.keys() & pivots.keys():
             p = pivots[c]
             a, b = p[c], r.pop(c)
             if a != 1:
@@ -452,6 +489,8 @@ def _rank(rows, full=None):
                     else:
                         del r[k]
         if not r:
+            if null is None and len(pivots) + 1 == full:
+                null = _null_vector(pivots, holders)
             continue
         col = next(iter(r))
         g = gcd(*r.values())
@@ -481,11 +520,37 @@ def _rank(rows, full=None):
             if g != 1:
                 for k in p:
                     p[k] //= g
+            if len(p) == 1:
+                solved.add(pc)
         pivots[col] = r
+        if len(r) == 1:
+            solved.add(col)
         for k in r:
             if k != col:
                 holders.setdefault(k, set()).add(col)
     return len(pivots)
+
+
+def _null_vector(pivots, holders):
+    """The null vector of _rank's pivot rows when they hold one free
+    column f between them, as {column: int} on the pivot columns and f:
+    y_f = L, the lcm of the leads of the rows that hold f, and
+    y_c = -L p_c[f] / p_c[c] on each pivot column c, so 0 on a solved one.
+    Each such row is p_c[c] e_c + p_c[f] e_f, so y is orthogonal to every
+    pivot row, and the vectors on these columns orthogonal to y are
+    exactly their span.  Empty when the rows hold no free column or
+    several."""
+    held = [k for k, h in holders.items() if h]
+    if len(held) != 1:
+        return {}
+    f = held[0]
+    lead = math.lcm(*(pivots[pc][pc] for pc in holders[f]))
+    y = dict.fromkeys(pivots, 0)
+    y[f] = lead
+    for pc in holders[f]:
+        p = pivots[pc]
+        y[pc] = -p[f] * (lead // p[pc])
+    return y
 
 
 def _affine_rank(points):

@@ -24,6 +24,11 @@ def lat25():
 
 
 @pytest.fixture(scope="session")
+def lat34():
+    return build_lattice(3, 4)
+
+
+@pytest.fixture(scope="session")
 def lat32():
     return build_lattice(3, 2)
 

@@ -120,6 +120,70 @@ def span_containment_order(lat):
     return tuple(below), tuple(above), covers_down, covers_up, atoms_of
 
 
+def reference_sparse_rank(rows):
+    """Rank over Q of sparse integer rows by Gauss-Jordan elimination
+    that reduces every row in full: each pivot row is primitive,
+    positive at its pivot column and zero at every other pivot column,
+    and a new pivot is cleared from the rows that hold its column.  The
+    reference for polytope._rank's solved-column skip, null-vector test
+    and full-rank stop."""
+    pivots = {}   # pivot column -> its row {column: value}
+    holders = {}  # free column -> the pivot columns whose rows hold it
+    gcd = math.gcd
+    for row in rows:
+        r = {c: v for c, v in row if v}
+        for c in [c for c in r if c in pivots]:
+            p = pivots[c]
+            a, b = p[c], r.pop(c)
+            if a != 1:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                if a != 1:
+                    r = {k: a * v for k, v in r.items()}
+            for k, v in p.items():
+                if k != c:
+                    x = r.get(k, 0) - b * v
+                    if x:
+                        r[k] = x
+                    else:
+                        del r[k]
+        if not r:
+            continue
+        col = next(iter(r))
+        g = gcd(*r.values())
+        if r[col] < 0:
+            g = -g
+        if g != 1:
+            r = {k: v // g for k, v in r.items()}
+        a = r[col]
+        for pc in holders.pop(col, ()):
+            p = pivots[pc]
+            g = gcd(a, p[col])
+            s, t = a // g, p.pop(col) // g
+            if s != 1:
+                for k in p:
+                    p[k] *= s
+            for k, v in r.items():
+                if k != col:
+                    x = p.get(k, 0) - t * v
+                    if not x:
+                        del p[k]
+                        holders[k].discard(pc)
+                    else:
+                        if k not in p:
+                            holders.setdefault(k, set()).add(pc)
+                        p[k] = x
+            g = gcd(*p.values())
+            if g != 1:
+                for k in p:
+                    p[k] //= g
+        pivots[col] = r
+        for k in r:
+            if k != col:
+                holders.setdefault(k, set()).add(col)
+    return len(pivots)
+
+
 def matrix_to_json(M):
     return {"q": M.field.q, "rows": [list(r) for r in M.entries], "cols": M.cols}
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (_int_rank, literal_axiom_violations, plain_dfs_lattice_points,
                      random_disjoint_paving_pair, random_lambda,
-                     rank_test_vertices)
+                     random_paving_collection, rank_test_vertices,
+                     reference_sparse_rank)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
@@ -334,6 +335,79 @@ def test_full_rank_stop_keeps_the_rank_exact(case):
     assert _rank(sparse, full=len(labels)) == _int_rank(m)
 
 
+@st.composite
+def _solved_column_rows(draw):
+    """(column labels, sparse rows) over 6 to 14 labelled columns: rows
+    of at most four (column, value) entries in [-3, 3], a listed column
+    with value 0 among them, one-entry rows whose lead is any of +-1,
+    +-2, +-3 (such as {c: 2}), which solve columns as they come, and
+    star rows {c: a, f: b} that all share the first column f, which
+    leave f the last free column once they cover every other column.
+    Sums of two star rows (in their span) and star rows with the sign
+    at f flipped (outside it) follow the star in half the cases, and
+    rows over the one-entry rows' columns come last."""
+    ncols = draw(st.integers(6, 14))
+    labels = [5 * c + 2 for c in draw(st.permutations(range(ncols)))]
+    lead = st.sampled_from([1, -1, 2, -2, 3, -3])
+    entry = st.tuples(st.sampled_from(labels), st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(entry, max_size=4, unique_by=lambda e: e[0]),
+                         max_size=16))
+    units = draw(st.lists(st.tuples(st.sampled_from(labels), lead),
+                          max_size=ncols))
+    rows += [[u] for u in units]
+    f = labels[0]
+    star_cols = (labels[1:] if draw(st.booleans()) else
+                 draw(st.lists(st.sampled_from(labels[1:]), unique=True)))
+    star = [[(c, draw(lead)), (f, draw(lead))] for c in star_cols]
+    extra = []
+    if star:
+        for r1, r2, a, b in draw(st.lists(st.tuples(
+                st.sampled_from(star), st.sampled_from(star), lead, lead),
+                max_size=6)):
+            row = Counter()
+            for r, k in ((r1, a), (r2, b)):
+                for c, v in r:
+                    row[c] += k * v
+            extra.append(list(row.items()))
+        extra += [[e, (f, -v)] for e, (_, v) in
+                  draw(st.lists(st.sampled_from(star), max_size=3))]
+    if draw(st.booleans()):
+        rows = star + draw(st.permutations(extra)) + draw(st.permutations(rows))
+    else:
+        rows = draw(st.permutations(rows + star + extra))
+    if units:
+        entry = st.tuples(st.sampled_from([c for c, _ in units]),
+                          st.integers(-3, 3))
+        rows += draw(st.lists(st.lists(entry, min_size=1, max_size=4,
+                                       unique_by=lambda e: e[0]), max_size=6))
+    return labels, rows
+
+
+@_PROPERTY_SETTINGS
+@given(_solved_column_rows())
+# clearing column 12 leaves row 2 as {2: 1, 7: 1}, two entries, so
+# column 2 is not solved and {2: 1} raises the rank to 3
+@example(([2, 7, 12, 17, 22, 27], [[(2, 1), (7, 1), (12, 1)], [(12, 1)],
+                                   [(2, 1)]]))
+def test_solved_column_skip_keeps_the_rank_exact(case):
+    # a row is skipped only when every one of its columns is solved, and
+    # at rank full - 1 only when it lies on the pivot columns and the
+    # last free column with a zero dot product with their null vector;
+    # a full below the number of columns stops at min(full, rank)
+    labels, rows = case
+    dense = []
+    for row in rows:
+        d = [0] * len(labels)
+        for c, v in row:
+            d[labels.index(c)] = v
+        dense.append(d)
+    rank = _int_rank(dense)
+    assert _rank(rows) == rank
+    assert _rank(rows, full=len(labels)) == rank
+    assert [_rank(rows, full=k) for k in range(rank + 2)] == [
+        min(k, rank) for k in range(rank + 2)]
+
+
 def _dense_normal_rank(H, ks):
     rows = _reference_hrep_rows(H.lattice, H.reduced)
     return _int_rank([_dense_normal(H, rows[k][0]) for k in ks])
@@ -407,6 +481,58 @@ def test_vertex_normal_rank_matches_dense_reference(fixture, request):
 @pytest.mark.parametrize("fixture", ["lat24", "lat33"])
 def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     _check_certificates(request.getfixturevalue(fixture), reduced=False)
+
+
+def _facet_normals(H):
+    """{row number: sparse normal} of the facet rows, read from the
+    blocks: the atom bounds, the top covers, the diamonds (v_0 dropped
+    from a zero meet in the reduced system) and the zero rows."""
+    lat = H.lattice
+    normals = {a - 1: ((a, 1),) for a in H.atoms}
+    normals.update((k, ((h, 1), (lat.top, -1)))
+                   for k, h in zip(H.top_cover_rows, H.hyperplanes))
+    for k, (x, y, m, j) in zip(H.pair_rows(lat.diamonds), lat.diamonds):
+        normals[k] = (((m, 1), (x, -1), (y, -1), (j, 1)) if m or not H.reduced
+                      else ((x, -1), (y, -1), (j, 1)))
+    normals.update((k, ((0, sign),)) for k, sign in
+                   zip(range(len(H.rows) - len(H.zero), len(H.rows)), H.zero))
+    return normals
+
+
+def _integral_points(lat, rng):
+    """(kind, point) for the uniform q-matroids, a paving q-matroid for
+    each k in 2 .. n-1, and a code-induced point."""
+    pts = [("uniform", uniform(lat, k)) for k in range(lat.n + 1)]
+    pts += [("paving", paving(paving_spec(
+        lat, k, random_paving_collection(rng, lat, k)))) for k in range(2, lat.n)]
+    pts.append(("code-induced", _random_code_point(rng, lat)))
+    return pts
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+@pytest.mark.parametrize("fixture", ["lat34", "lat25"])
+def test_vertex_normal_rank_matches_the_reference_kernel(fixture, reduced,
+                                                         request):
+    # the certificate's rank equals that of the reference kernel, which
+    # reduces every row in full, on the same tight facet normals in the
+    # same order: every point kind of (3,4), the integral and
+    # code-induced points of (2,5)
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat, reduced=reduced)
+    normals = _facet_normals(H)
+    rng = random.Random(43)
+    pts = (_point_kinds(lat, rng) if fixture == "lat34"
+           else _integral_points(lat, rng))
+    certified = set()
+    for kind, p in pts:
+        try:
+            cert = is_vertex(H, p)
+        except NotFeasible:
+            continue
+        rows = [normals[k] for k in cert.tight_rows]
+        assert cert.normal_rank == reference_sparse_rank(rows), kind
+        certified.add(kind)
+    assert certified == {k for k, _ in pts if not k.startswith("raised")}
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
