@@ -235,10 +235,11 @@ def _add_polytope(leaves):
         pc = leaves.add_parser(name, help=hlp)
         pc.add_argument("--q", type=int, required=True)
         pc.add_argument("--n", type=int, required=True)
-        pc.add_argument("--full", action="store_true",
-                        help="use the unreduced polytope (keep the zero coordinate)")
+        if name == "hrep":  # the one output the unreduced system changes
+            pc.add_argument("--full", action="store_true",
+                            help="use the unreduced polytope (keep the zero coordinate)")
         pc.add_argument("--out", "-o")
-        pc.set_defaults(func=_cmd_polytope)
+        pc.set_defaults(func=_cmd_polytope, full=False)
 
 
 def _add_pm(leaves):

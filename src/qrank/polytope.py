@@ -11,8 +11,8 @@ build_hrep returns an HRepresentation that holds the rows as blocks of
 plain index tuples, in row order: the type-1 bounds, the atoms, the
 cover pairs (x, y), the lattice's incomparable-pair table
 (x, y, meet, join) as it is, and the zero rows.  No row object exists:
-H.rows is the range of row numbers, and every reader in this module
-walks the blocks (the text, membership, f-vectors and tag counts).
+H.rows is the range of row numbers, and the readers that report every
+row walk the blocks (the text, membership and tag counts).
 The text is produced one line at a time by one loop per block
 (HRepresentation.text_lines), so the CLI streams it.
 
@@ -20,9 +20,10 @@ The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
 hyperplanes h (the last rows of the cover block), the submodularity
 rows on the diamonds, two spaces x, y that both cover their meet
-(SubspaceLattice.diamonds), and the zero rows.  Every other row is a
-nonnegative sum of these with the same right-hand side, by these
-identities on a modular lattice:
+(SubspaceLattice.diamonds), and the zero rows.  All but the zero rows
+are defined once, as the lattice's facet table (SubspaceLattice.facets).
+Every other row is a nonnegative sum of these with the same right-hand
+side, by these identities on a modular lattice:
   - a pair (x, y) with meet m, and x' with m < x' covered by x: with
     y' = x' v y, modularity gives x ^ y' = x', so
     row(x, y) = row(x', y) + row(x, y'); by induction on the height
@@ -37,10 +38,11 @@ identities on a modular lattice:
 So the facets hold iff every row holds, and at a feasible point a
 tight row forces its summands tight, so the tight rows and the tight
 facets span the same normals.  is_vertex, check_axioms' fast path
-(rankfun) and double description read the facets alone; each facet
-keeps its row number (the atom bound on a is row a - 1, and
-HRepresentation.pair_rows numbers diamonds from the masks), so a
-certificate names rows of the whole system.
+(rankfun), double description and f_vector read the facet table alone;
+H.facet_rows gives each entry its row number, counted once when H is
+built (the atom bound on a is row a - 1, and HRepresentation.pair_rows
+numbers diamonds from the masks), so a certificate names rows of the
+whole system.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators, and
@@ -61,9 +63,9 @@ leave one free column, so after the first dependent row each row costs
 one dot product with their null vector.  Vertex certification ranks the
 tight facet normals, so every certificate is checkable by hand; the
 elimination stops once the rank reaches the number of columns, since
-no further row can raise it.  f_vector reads each vertex's tight rows
-from membership, and its face dimensions are the rank of scaled
-difference rows.
+no further row can raise it.  f_vector reads each vertex's tight
+facets, and its face dimensions are the rank of scaled difference
+rows.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass over sparse homogenized
@@ -73,7 +75,7 @@ bitset form: two rays are adjacent iff no third ray is tight on every
 constraint tight at both (Fukuda & Prodon 1996), read off an AND of
 per-constraint bitsets over the rays.  The integer points (the
 q-matroids) come from a depth-first search that forward-checks bounds
-on the spaces not yet assigned.
+on the spaces not yet assigned, propagating the diamonds.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class HRepresentation:
     pairs (the lattice's incomparable-pair table (x, y, meet, join),
     v_meet - v_x - v_y + v_join <= 0) and zero (the signs of the
     unreduced rows +-v_0 <= 0).  rows is range(N), the row numbers
-    that membership reports."""
+    that membership reports, and facet_rows the row number of each
+    entry of the lattice's facet table."""
 
     def __init__(self, lattice, reduced):
         self.lattice = lattice
@@ -111,23 +114,23 @@ class HRepresentation:
         self.zero = () if reduced else (1, -1)
         self.rows = range(len(self.bounds) + len(self.atoms)
                           + len(self.covers) + len(self.pairs) + len(self.zero))
-        # the facet subset: the bounds on the atoms, the top covers (the
-        # hyperplanes h, whose rows v_h - v_top <= 0 end the cover
-        # block), the diamonds and the zero rows, at their row numbers
-        self.hyperplanes = lattice.covers_down[lattice.top]
-        self.diamonds = lattice.diamonds
-        pair_offset = len(self.bounds) + len(self.atoms) + len(self.covers)
-        self.top_cover_rows = range(pair_offset - len(self.hyperplanes),
-                                    pair_offset)
+        end = len(self.bounds) + len(self.atoms) + len(self.covers)
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
-        base = []
+        base, pair_offset = [], end
         for x, ax in enumerate(lattice.above_mask):
             base.append(pair_offset - x)
             pair_offset += lattice.size - x - ax.bit_count()
         self._pair_base = tuple(base)
         self._low = tuple((1 << y) - 1 for y in range(lattice.size))
+        # the row number of each entry of lattice.facets, counted here so
+        # that no query counts them: the bound on atom a is row a - 1,
+        # and the top covers end the cover block
+        top_covers = len(lattice.covers_down[lattice.top])
+        self.facet_rows = (tuple(a - 1 for a in self.atoms)
+                           + tuple(range(end - top_covers, end))
+                           + tuple(self.pair_rows(lattice.diamonds)))
 
     @property
     def ambient_dim(self):
@@ -186,8 +189,9 @@ class HRepresentation:
 def build_hrep(lattice, reduced=True):
     """H-representation of the q-rank polytope on the given lattice.
 
-    Reads the lattice's incomparable-pair table here, so its one-time
-    cost falls in the set-up and not in the first query."""
+    Reads the lattice's incomparable-pair table and facet table here,
+    so their one-time cost falls in the set-up and not in the first
+    query."""
     return HRepresentation(lattice, reduced)
 
 
@@ -250,20 +254,35 @@ VertexCertificate = namedtuple("VertexCertificate",
 
 
 def is_vertex(H, p):
-    """Certify the point on the facet rows alone: evaluate the bounds on
-    the atoms, the top covers, the diamonds and the zero rows on the
-    mu-scaled ints, as membership does; a violated facet raises
-    NotFeasible.  The certificate lists the row numbers of the tight
-    facets and the rank of their normals, taken by exact elimination;
-    the point is a vertex iff that rank equals the ambient dimension.
-    The normals have ambient_dim columns, so elimination may stop at
-    that rank and stay exact.
+    """Certify the point on the facet rows alone: a violated facet
+    raises NotFeasible (_tight_facets).  The certificate lists the row
+    numbers of the tight facets and the rank of their normals, taken by
+    exact elimination; the point is a vertex iff that rank equals the
+    ambient dimension.  The normals have ambient_dim columns, so
+    elimination may stop at that rank and stay exact.
 
     This reads no other row, and the result is that of the whole
     system: every row is a nonnegative sum of facet rows with the same
     right-hand side, so the facets hold iff every row holds, and a
     tight row at a feasible point forces its summands tight, so the
-    tight rows and the tight facets have normals of equal span."""
+    tight rows and the tight facets have normals of equal span.  The
+    normals are those of the reduced system (_normals); the unreduced
+    one adds e_0 from its zero rows, which spans the same as keeping
+    v_0 in the zero-meet diamonds."""
+    rows, tight = _tight_facets(H, p)
+    normals = _normals(tight, H.lattice.top)
+    normals += [((0, sign),) for sign in H.zero]
+    rank = _rank(normals, full=H.ambient_dim)
+    return VertexCertificate(p, tuple(rows), rank, rank == H.ambient_dim)
+
+
+def _tight_facets(H, p):
+    """(row numbers, facet table entries) of the facet rows tight at the
+    point, in row order, read off the lattice's facet table
+    (SubspaceLattice.facets) on the mu-scaled ints as in membership; the
+    row numbers end with the tight zero rows of the unreduced system,
+    which have no entry.  A violated facet raises NotFeasible naming
+    the violated facet rows."""
     lat = H.lattice
     if p.lattice is not lat:
         raise DimensionMismatch(
@@ -271,48 +290,40 @@ def is_vertex(H, p):
     mu, vals = scaled_values(p.values)
     if H.reduced:
         vals = (0,) + vals[1:]  # as in membership: v_0 drops out
-    rows, normals, violated = [], [], []  # tight rows in row order
-    for a in H.atoms:  # the bound on atom a is row a - 1
-        s = vals[a] - mu
-        if s >= 0:
-            if s:
-                violated.append(a - 1)
-            else:
-                rows.append(a - 1)
-                normals.append(((a, 1),))
-    top = lat.top
-    vtop = vals[top]
-    for k, h in zip(H.top_cover_rows, H.hyperplanes):
-        s = vals[h] - vtop
-        if s >= 0:
-            if s:
-                violated.append(k)
-            else:
+    w = vals + (mu, 0)
+    rows, tight, violated = [], [], []
+    for k, f in zip(H.facet_rows, lat.facets):
+        x, y, m, j = f
+        if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
+            if w[m] + w[j] == w[x] + w[y]:
                 rows.append(k)
-                normals.append(((h, 1), (top, -1)))
-    tight, bad = [], []
-    for d in H.diamonds:
-        x, y, m, j = d
-        s = vals[m] + vals[j] - vals[x] - vals[y]
-        if s >= 0:
-            (bad if s else tight).append(d)
-    rows += H.pair_rows(tight)
-    violated += H.pair_rows(bad)
-    keep_zero = not H.reduced  # else v_0 drops out of a zero-meet row
-    normals += [((m, 1), (x, -1), (y, -1), (j, 1)) if m or keep_zero
-                else ((x, -1), (y, -1), (j, 1)) for x, y, m, j in tight]
+                tight.append(f)
+            else:
+                violated.append(k)
     for k, sign in enumerate(H.zero, len(H.rows) - len(H.zero)):
         s = sign * vals[0]
         if s >= 0:
-            if s:
-                violated.append(k)
-            else:
-                rows.append(k)
-                normals.append(((0, sign),))
+            (violated if s else rows).append(k)
     if violated:
         raise NotFeasible(f"point violates facet rows {tuple(violated)}")
-    rank = _rank(normals, full=H.ambient_dim)
-    return VertexCertificate(p, tuple(rows), rank, rank == H.ambient_dim)
+    return rows, tight
+
+
+def _normals(facets, top):
+    """The sparse normals, over the columns of the lattice indices, of
+    entries of the facet table on a lattice with top index top: e_a for
+    an atom bound, e_h - e_top for a top cover, and e_m - e_x - e_y + e_j
+    for a diamond, with v_0 left out of a zero meet, as in the reduced
+    system."""
+    out = []
+    for x, y, m, j in facets:
+        if y > top:  # an atom bound (x > top reads mu) or a top cover
+            out.append(((m, 1),) if x > top else ((m, 1), (x, -1)))
+        elif m:
+            out.append(((m, 1), (x, -1), (y, -1), (j, 1)))
+        else:
+            out.append(((x, -1), (y, -1), (j, 1)))
+    return out
 
 
 def interior_witness(lattice):
@@ -341,17 +352,20 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     (at first 0 and its dimension).  Setting v_Z = v raises lo to v on
     every space above Z (monotonicity), lowers hi to v + 1 on every
     upper cover of Z (on a cover X < Y, v_Y <= v_X + 1 is submodularity
-    against an atom), and, for each incomparable pair X < Z with meet M
-    and join J, lowers hi on J to v_X + v - v_M (submodularity), so a
-    row is applied as soon as the later space of its pair is set.  A
-    branch is cut once some bounds cross; the changes are undone on
-    backtrack.  Values are tried in increasing order, so the points come
-    out sorted by their values, and forward checking removes only values
-    no point takes, so the points are the same as without it.
+    against an atom), and, for each diamond X < Z with meet M and join J,
+    lowers hi on J to v_X + v - v_M (submodularity), so a diamond row is
+    applied as soon as the later space of its pair is set.  Every facet
+    (SubspaceLattice.facets) is then enforced by the time its last space
+    is set, so every leaf is a point; the other pair rows are sums of
+    diamond rows and would only cut earlier.  A branch is cut once some
+    bounds cross; the changes are undone on backtrack.  Values are tried
+    in increasing order, so the points come out sorted by their values,
+    and forward checking removes only values no point takes, so the
+    points are the same as without it.
 
     Raises TooLarge once the search has visited more than max_nodes
-    partial assignments (the default admits L(F_2^4), 41,756, and
-    L(F_7^3), 16,059, and refuses L(F_2^5) within seconds)."""
+    partial assignments (the default admits L(F_2^4), 45,920, and
+    L(F_7^3), 16,731, and refuses L(F_2^5) within seconds)."""
     lat = lattice
     size = lat.size
     above = [[] for _ in range(size)]  # above[z]: the spaces j > z over z
@@ -361,7 +375,7 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
                 above[i].append(j)
     covers_up = lat.covers_up
     later = [[] for _ in range(size)]  # later[y]: (x, meet, join), x < y
-    for x, y, m, j in lat.incomparable:
+    for x, y, m, j in lat.diamonds:
         later[y].append((x, m, j))
     lo = [0] * size
     hi = list(lat.dims)
@@ -574,30 +588,30 @@ def _dd_constraints(H):
     v_1 .. v_d and t (column d): first the type-1 rows
     v_x - dim(x) t <= 0 and the row -t <= 0, which cut out the initial
     simplicial cone, then the facet rows not among them: the top covers
-    and the diamonds.  Every other row is a sum of these (see is_vertex),
-    so it cuts nothing more off.
+    and the diamonds of the facet table, whose rows are their normals
+    (_normals) on the columns one below their lattice indices.  Every
+    other row is a sum of these (see is_vertex), so it cuts nothing more
+    off.
 
-    These come coordinate-major along the lattice order, top cover then
-    diamond rows inside each coordinate's stage.  A diamond row belongs
-    to the stage of its join, the last of its spaces in the linear
-    order, which keeps every intermediate cone equal to a small prefix
-    polytope crossed with down-rays on the untouched coordinates.
-    v_0 is 0 in both systems, so a zero meet drops out and the zero rows
-    are left out."""
-    d = H.lattice.size - 1
-    dims = H.lattice.dims
-    top = H.lattice.top
-    cons = [((x - 1, 1), (d, -dims[x])) for x in H.bounds]
+    These come coordinate-major along the lattice order: a row belongs
+    to the stage of the last of its spaces in the linear order (the top
+    for a top cover, the join for a diamond), which keeps every
+    intermediate cone equal to a small prefix polytope crossed with
+    down-rays on the untouched coordinates.  The top covers open the
+    top's stage, in order of their hyperplanes; the diamonds of a stage
+    go by their second space, then their meet, then their first, an
+    order that ran P(2,3), P(7,2) and P(9,2) faster than going by their
+    first space.  v_0 is 0 in both systems, so the zero rows are left
+    out."""
+    lat = H.lattice
+    d = top = lat.top  # the columns v_1 .. v_d, then t
+    cons = [((x - 1, 1), (d, -lat.dims[x])) for x in H.bounds]
     cons.append(((d, -1),))
-    # (stage, row); every stage key is distinct, so no row is compared
-    staged = [((top, 1, h, 0), ((h - 1, 1), (top - 1, -1)))
-              for h in H.hyperplanes]
-    staged += [((j, 2, x, y),
-                ((m - 1, 1), (x - 1, -1), (y - 1, -1), (j - 1, 1)) if m
-                else ((x - 1, -1), (y - 1, -1), (j - 1, 1)))
-               for x, y, m, j in H.diamonds]
-    staged.sort()
-    cons.extend(row for _, row in staged)
+    staged = sorted((f for f in lat.facets if f[0] <= top),  # no atom bound
+                    key=lambda f: ((top, 0, f[2], 0) if f[1] > top
+                                   else (f[3], f[1], f[2], f[0])))
+    cons += [tuple((c - 1, a) for c, a in row)
+             for row in _normals(staged, top)]
     return cons
 
 
@@ -695,16 +709,19 @@ def enumerate_vertices(H):
 
 
 def f_vector(H):
-    """Face counts by dimension 0 .. dim(P)-1, from the vertex-row
-    incidence that membership reports at each vertex.  Raises TooLarge
-    past MAX_FVECTOR_DIM coordinates."""
+    """Face counts by dimension 0 .. dim(P)-1, from the incidence of
+    the vertices and the facet rows tight at each (_tight_facets).
+    Every tight row's incidence set is an intersection of these, since
+    its summands are tight wherever it is, so closing them under
+    intersection gives every face.  Raises TooLarge past MAX_FVECTOR_DIM
+    coordinates."""
     d = H.lattice.size - 1
     if d > MAX_FVECTOR_DIM:
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_FVECTOR_DIM}")
     verts = enumerate_vertices(H)
     rowsets = {}  # row index -> the vertices tight on it
     for i, p in enumerate(verts):
-        for k in membership(H, p).tight_rows:
+        for k in _tight_facets(H, p)[0]:
             rowsets.setdefault(k, set()).add(i)
     return _face_counts([p.values for p in verts], rowsets.values())
 

@@ -93,17 +93,17 @@ def check_axioms(p):
     read with their meets and joins from the lattice's pair table.
 
     A fast path comes first: when v_0 = 0 and the point satisfies every
-    facet row of the polytope (the bounds v_a <= 1 on the atoms, the
-    covers v_h <= v_top of the top and the submodularity rows on the
-    lattice's diamonds), the report is AxiomReport(True, ()) with no
-    other row read.  That is exact: every other axiom row is a
-    nonnegative sum of these rows (and of v_0 >= 0 and v_0 <= 0) with
-    the same right-hand side, so none can fail when all of these hold.
-    A pair row is a sum of diamond rows (the local-to-global argument
-    for submodularity on a modular lattice), a cover below the top is a
-    diamond row plus a higher cover, a bound on a space of dimension 2
-    or more is a pair row plus two bounds, and the lower bounds follow
-    from v_0 = 0 and monotonicity (see polytope).
+    facet row of the polytope (the lattice's facet table: the bounds
+    v_a <= 1 on the atoms, the covers v_h <= v_top of the top and the
+    submodularity rows on the diamonds), the report is
+    AxiomReport(True, ()) with no other row read.  That is exact: every
+    other axiom row is a nonnegative sum of these rows (and of v_0 >= 0
+    and v_0 <= 0) with the same right-hand side, so none can fail when
+    all of these hold.  A pair row is a sum of diamond rows (the
+    local-to-global argument for submodularity on a modular lattice), a
+    cover below the top is a diamond row plus a higher cover, a bound on
+    a space of dimension 2 or more is a pair row plus two bounds, and the
+    lower bounds follow from v_0 = 0 and monotonicity (see polytope).
 
     Otherwise this is the literal axiom check: monotonicity on covers
     implies monotonicity everywhere, and submodularity holds with
@@ -115,8 +115,13 @@ def check_axioms(p):
     """
     lat = p.lattice
     mu, vals = scaled_values(p.values)
-    if vals[0] == 0 and _facets_hold(lat, mu, vals):
-        return AxiomReport(True, ())
+    if vals[0] == 0:
+        w = vals + (mu, 0)  # see SubspaceLattice.facets
+        for x, y, m, j in lat.facets:
+            if w[m] + w[j] > w[x] + w[y]:
+                break
+        else:
+            return AxiomReport(True, ())
     bad = []
     for i, v in enumerate(vals):
         top = lat.dims[i] * mu
@@ -134,23 +139,6 @@ def check_axioms(p):
         if slack > 0:
             bad.append(("R3", (x, y), Fraction(slack, mu)))
     return AxiomReport(not bad, tuple(bad))
-
-
-def _facets_hold(lat, mu, vals):
-    """Whether the mu-scaled values satisfy the facet rows: the atom
-    bounds, the top covers and the diamonds; stops at the first that
-    fails."""
-    for a in lat.atom_range:
-        if vals[a] > mu:
-            return False
-    vtop = vals[lat.top]
-    for h in lat.covers_down[lat.top]:
-        if vals[h] > vtop:
-            return False
-    for x, y, m, j in lat.diamonds:
-        if vals[m] + vals[j] > vals[x] + vals[y]:
-            return False
-    return True
 
 
 def principal_denominator(p):

@@ -26,11 +26,14 @@ index set in both above-masks.
 
 The incomparable pairs, with their meets and joins, are tabulated once
 per lattice on first use (SubspaceLattice.incomparable).  That table
-is the one source of the submodularity rows, the R3 axiom check and
-the integer-point search.  The diamonds, the pairs x, y that both cover
-their meet, are tabulated apart from it (SubspaceLattice.diamonds),
-from the cover relation alone: they carry the facets among the
-submodularity rows, which is all that certification reads.
+is read only where every row is reported: the submodularity rows of the
+paper's system and the literal R3 axiom check.  The diamonds, the pairs
+x, y that both cover their meet, are tabulated apart from it
+(SubspaceLattice.diamonds), from the cover relation alone: they carry
+the facets among the submodularity rows.  With the atom bounds and the
+top covers they make the facet table (SubspaceLattice.facets), which is
+all that certification, double description and the f-vector read; the
+integer-point search propagates the diamonds.
 """
 
 from __future__ import annotations
@@ -236,6 +239,25 @@ class SubspaceLattice:
                             ids[(common & -common).bit_length() - 1]))
         out.sort()
         return tuple(out)
+
+    @cached_property
+    def facets(self):
+        """The facet rows of the q-rank polytope, in the paper's row
+        order, each as (x, y, m, j) with slack w[m] + w[j] - w[x] - w[y]
+        <= 0, where w is a point's values scaled by mu and followed by
+        (mu, 0), so index size reads mu and size + 1 reads 0: the bound
+        v_a <= 1 on each atom a is (size, size + 1, a, size + 1), the
+        cover v_h <= v_top of the top by each hyperplane h is
+        (top, size + 1, h, size + 1), and the diamonds are the entries of
+        self.diamonds themselves.  The markers follow the spaces rather
+        than being negative, since CPython indexes a tuple fastest at a
+        nonnegative int.  Built on first use; the one definition of the
+        facets that every certifier reads (see polytope for why these
+        rows are the facets)."""
+        top, mu, zero = self.top, self.size, self.size + 1
+        return (tuple((mu, zero, a, zero) for a in self.atom_range)
+                + tuple((top, zero, h, zero) for h in self.covers_down[top])
+                + self.diamonds)
 
     def join_many(self, indices):
         acc = 0

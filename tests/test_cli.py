@@ -279,6 +279,13 @@ def test_hrep_full_variant(capsys):
     assert int(head[2]) == 5  # unreduced keeps the zero coordinate
 
 
+def test_full_is_refused_where_it_changes_no_output(capsys):
+    code, out, err = run(capsys, "polytope", "vertices", "--q", "2", "--n",
+                         "2", "--full")
+    assert code == 1 and out == ""
+    assert "--full" in err
+
+
 def test_point_without_values_names_the_key(capsys, tmp_path):
     point = tmp_path / "u.json"
     assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",

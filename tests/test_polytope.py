@@ -23,7 +23,7 @@ from qrank.polytope import (_rank, affine_dimension,
                             interior_witness, is_vertex, lattice_points,
                             membership)
 from qrank.rankfun import check_axioms, rank_point
-from qrank.subspaces import build_lattice
+from qrank.subspaces import SubspaceLattice, build_lattice
 
 PAPER_POINTS_22 = {
     (0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (0, 1, 1, 1, 2),
@@ -483,17 +483,26 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     _check_certificates(request.getfixturevalue(fixture), reduced=False)
 
 
+def _table_row(lat, facet, reduced):
+    """(coeffs, rhs) of the row of a facet-table entry (x, y, m, j), read
+    from its slack w[m] + w[j] - w[x] - w[y] <= 0 with w[size] = mu and
+    w[size + 1] = 0, as _reference_hrep_rows writes it (v_0 dropped from a
+    zero meet in the reduced system)."""
+    coeffs, rhs = Counter(), 0
+    for c, v in zip(facet, (-1, -1, 1, 1)):
+        if c == lat.size:
+            rhs -= v
+        elif c < lat.size and (c or not reduced):
+            coeffs[c] += v
+    return tuple(sorted((c, v) for c, v in coeffs.items() if v)), rhs
+
+
 def _facet_normals(H):
-    """{row number: sparse normal} of the facet rows, read from the
-    blocks: the atom bounds, the top covers, the diamonds (v_0 dropped
-    from a zero meet in the reduced system) and the zero rows."""
+    """{row number: sparse normal} of the facet rows: the entries of the
+    lattice's facet table at H.facet_rows, and the zero rows."""
     lat = H.lattice
-    normals = {a - 1: ((a, 1),) for a in H.atoms}
-    normals.update((k, ((h, 1), (lat.top, -1)))
-                   for k, h in zip(H.top_cover_rows, H.hyperplanes))
-    for k, (x, y, m, j) in zip(H.pair_rows(lat.diamonds), lat.diamonds):
-        normals[k] = (((m, 1), (x, -1), (y, -1), (j, 1)) if m or not H.reduced
-                      else ((x, -1), (y, -1), (j, 1)))
+    normals = {k: _table_row(lat, f, H.reduced)[0]
+               for k, f in zip(H.facet_rows, lat.facets)}
     normals.update((k, ((0, sign),)) for k, sign in
                    zip(range(len(H.rows) - len(H.zero), len(H.rows)), H.zero))
     return normals
@@ -539,13 +548,21 @@ def test_vertex_normal_rank_matches_the_reference_kernel(fixture, reduced,
 @pytest.mark.parametrize("reduced", [True, False])
 def test_facet_row_numbers_match_the_reference(fixture, reduced, request):
     # the atom bounds, the top covers and every pair row (the diamonds
-    # among them) sit at the row numbers the certificates report
+    # among them) sit at the row numbers the certificates report, and
+    # each facet-table entry is the row at its number
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat, reduced=reduced)
     ref = _reference_hrep_rows(lat, reduced)
-    assert all(ref[a - 1][2] == ("type1", a) for a in H.atoms)
-    assert [ref[k][2] for k in H.top_cover_rows] == [
-        ("type2", h, lat.top) for h in H.hyperplanes]
+    hyperplanes = lat.covers_down[lat.top]
+    atoms, tops = len(lat.atom_range), len(hyperplanes)
+    tags = [ref[k][2] for k in H.facet_rows]
+    assert tags[:atoms] == [("type1", a) for a in lat.atom_range]
+    assert tags[atoms:atoms + tops] == [("type2", h, lat.top)
+                                       for h in hyperplanes]
+    assert tags[atoms + tops:] == [("type3", x, y)
+                                   for x, y, _, _ in lat.diamonds]
+    assert all(_table_row(lat, f, reduced) == ref[k][:2]
+               for k, f in zip(H.facet_rows, lat.facets))
     assert [ref[k][2] for k in H.pair_rows(lat.incomparable)] == [
         ("type3", x, y) for x, y, _, _ in lat.incomparable]
 
@@ -591,7 +608,9 @@ def test_paper_rows_are_sums_of_facet_rows(fixture, request):
     H = build_hrep(lat, reduced=True)
     ref = _reference_hrep_rows(lat, True)
     row = {tag: (coeffs, rhs) for coeffs, rhs, tag in ref}
-    diamonds = {(x, y) for x, y, _, _ in H.diamonds}
+    facets = [ref[k][2] for k in H.facet_rows]
+    diamonds = {tag[1:] for tag in facets if tag[0] == "type3"}
+    hyperplanes = [tag[1] for tag in facets if tag[0] == "type2"]
     top = lat.top
 
     def pair(x, y):
@@ -617,7 +636,7 @@ def test_paper_rows_are_sums_of_facet_rows(fixture, request):
             assert (_row_sum([pair(h, a), row["type1", h], row["type1", a]])
                     == _row_sum([row["type1", x]]))
     for a in lat.atom_range:
-        h = next(h for h in H.hyperplanes if not lat.leq(a, h))
+        h = next(h for h in hyperplanes if not lat.leq(a, h))
         assert (_row_sum([pair(a, h), row["type2", h, top]])
                 == _row_sum([row["nonneg", a]]))
 
@@ -656,13 +675,33 @@ def test_lattice_points_node_cap(lat24, lat25, lat33):
     with pytest.raises(TooLarge):
         lattice_points(lat25)
     assert time.perf_counter() - start < 30
-    # forward checking visits 41,756 nodes on L(F_2^4) and exactly 903
-    # on L(F_3^3); a weaker propagation would pass the latter cap
+    # forward checking on the diamonds visits 45,920 nodes on L(F_2^4)
+    # and exactly 935 on L(F_3^3); a propagation weaker than the
+    # diamonds would pass the latter cap
     with pytest.raises(TooLarge):
         lattice_points(lat24, max_nodes=10_000)
-    assert len(lattice_points(lat33, max_nodes=903)) == 56
+    assert len(lattice_points(lat33, max_nodes=935)) == 56
     with pytest.raises(TooLarge):
-        lattice_points(lat33, max_nodes=902)
+        lattice_points(lat33, max_nodes=934)
+
+
+def test_certifiers_and_searches_read_only_facets(monkeypatch, lat22, lat23,
+                                                 lat32):
+    # once H is built, is_vertex, double description, f_vector and the
+    # integer-point search read the facet table and the diamonds: neither
+    # the incomparable-pair table nor membership's report of every row
+    hreps = [build_hrep(lat) for lat in (lat22, lat23, lat32)]
+
+    def fail(*_):
+        raise AssertionError("the pair table or membership was read")
+
+    monkeypatch.setattr(SubspaceLattice, "incomparable", property(fail))
+    monkeypatch.setattr(polytope, "membership", fail)
+    for H in hreps[1:]:
+        assert all(is_vertex(H, v).is_vertex for v in enumerate_vertices(H))
+    assert f_vector(hreps[0]) == (6, 15, 18, 9)
+    assert f_vector(hreps[2]) == (11, 41, 70, 52, 14)
+    assert len(lattice_points(build_lattice(3, 3))) == 56
 
 
 def test_every_lattice_point_is_vertex_and_not_interior(lat22, lat32):
