@@ -15,7 +15,7 @@ print(f"L(F_2^2) has {lat.size} subspaces, listed dimension by dimension:")
 for i, sub in enumerate(lat.subspaces):
     print(f"  v_{i + 1}: dim {sub.dim}, basis rows {sub.basis.entries}")
 
-H = build_hrep(lat, reduced=True)
+H = build_hrep(lat)
 print("\nReduced H-representation (a.v <= b):")
 print(H.to_text())
 
@@ -43,7 +43,7 @@ print(f"f-vector: {fv} "
 
 print("\n--- F_3^2: rational vertices appear ---")
 lat32 = build_lattice(3, 2)
-H32 = build_hrep(lat32, reduced=True)
+H32 = build_hrep(lat32)
 verts32 = enumerate_vertices(H32)
 integer = [p for p in verts32 if p.is_integral()]
 fractional = [p for p in verts32 if not p.is_integral()]

@@ -17,7 +17,7 @@ from qrank.codes import (expanded_matrix_code, gabidulin_line_code,
                          mrd_combo_independence, vertex_example_code)
 
 lat = build_lattice(2, 3)
-H = build_hrep(lat, reduced=True)
+H = build_hrep(lat)
 
 C = vertex_example_code()
 met = code_metrics(C)

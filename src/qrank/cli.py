@@ -98,9 +98,9 @@ def _cmd_polytope(args):
     if args.which == "points":
         _write(args, _points_text(polytope.lattice_points(lat)))
         return 0
-    H = polytope.build_hrep(lat, reduced=not args.full)
+    H = polytope.build_hrep(lat)
     if args.which == "hrep":
-        _write_lines(args, H.text_lines())
+        _write_lines(args, H.text_lines(args.full))
     elif args.which == "vertices":
         _write(args, _points_text(polytope.enumerate_vertices(H)))
     elif args.which == "fvector":
@@ -235,11 +235,12 @@ def _add_polytope(leaves):
         pc = leaves.add_parser(name, help=hlp)
         pc.add_argument("--q", type=int, required=True)
         pc.add_argument("--n", type=int, required=True)
-        if name == "hrep":  # the one output the unreduced system changes
+        if name == "hrep":  # the one output that v_0 changes
             pc.add_argument("--full", action="store_true",
-                            help="use the unreduced polytope (keep the zero coordinate)")
+                            help="print the unreduced system: add the column "
+                                 "v_0 and the rows v_0 <= 0, -v_0 <= 0")
         pc.add_argument("--out", "-o")
-        pc.set_defaults(func=_cmd_polytope, full=False)
+        pc.set_defaults(func=_cmd_polytope)
 
 
 def _add_pm(leaves):

@@ -1,18 +1,21 @@
 """The polytope of all q-rank functions, in H-representation.
 
-Rows use the redundancy-filtered system: type-1 upper bounds v_X <= dim X
-on every nonzero subspace, nonnegativity on atoms, type-2 monotonicity
-only on cover pairs not starting at the zero space, and type-3
-submodularity only on unordered incomparable pairs.  The unreduced
-variant keeps the zero coordinate and pins it with the paired rows
-v_0 <= 0 and -v_0 <= 0 (tag "zero").
+A q-rank function has r(0) = 0, so v_0 is fixed at zero and the
+polytope lives on the nonzero subspaces.  Rows use the
+redundancy-filtered system on those coordinates: type-1 upper bounds
+v_X <= dim X on every nonzero subspace, nonnegativity on atoms, type-2
+monotonicity only on cover pairs not starting at the zero space, and
+type-3 submodularity only on unordered incomparable pairs, where a zero
+meet drops out.  The unreduced system, which keeps the column v_0 and
+pins it with the rows v_0 <= 0 and -v_0 <= 0, is only a rendering of
+these rows (HRepresentation.text_lines with full set).
 
 build_hrep returns an HRepresentation that holds the rows as blocks of
 plain index tuples, in row order: the type-1 bounds, the atoms, the
-cover pairs (x, y), the lattice's incomparable-pair table
-(x, y, meet, join) as it is, and the zero rows.  No row object exists:
-H.rows is the range of row numbers, and the readers that report every
-row walk the blocks (the text, membership and tag counts).
+cover pairs (x, y), and the lattice's incomparable-pair table
+(x, y, meet, join) as it is.  No row object exists: H.rows is the
+range of row numbers, and the readers that report every row walk the
+blocks (the text and membership).
 The text is produced one line at a time by one loop per block
 (HRepresentation.text_lines), so the CLI streams it.
 
@@ -20,8 +23,8 @@ The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
 hyperplanes h (the last rows of the cover block), the submodularity
 rows on the diamonds, two spaces x, y that both cover their meet
-(SubspaceLattice.diamonds), and the zero rows.  All but the zero rows
-are defined once, as the lattice's facet table (SubspaceLattice.facets).
+(SubspaceLattice.diamonds).  They are defined once, as the lattice's
+facet table (SubspaceLattice.facets).
 Every other row is a nonnegative sum of these with the same right-hand
 side, by these identities on a modular lattice:
   - a pair (x, y) with meet m, and x' with m < x' covered by x: with
@@ -34,7 +37,7 @@ side, by these identities on a modular lattice:
   - a bound on X with dim X >= 2, a hyperplane X' of X and an atom a of
     X not in X': bound(X) = pair(X', a) + bound(X') + bound(a);
   - atom nonnegativity, with h a hyperplane not above a:
-    -v_a <= 0 is pair(a, h) + cover(h, top) (plus -v_0 <= 0 unreduced).
+    -v_a <= 0 is pair(a, h) + cover(h, top).
 So the facets hold iff every row holds, and at a feasible point a
 tight row forces its summands tight, so the tight rows and the tight
 facets span the same normals.  is_vertex, check_axioms' fast path
@@ -93,28 +96,25 @@ MAX_DFS_NODES = 100_000
 
 
 class HRepresentation:
-    """The H-representation of the polytope on the lattice, as blocks of
-    plain index tuples in row order: bounds (the nonzero indices x, row
-    v_x <= dim x), atoms (-v_a <= 0), covers ((x, y), v_x - v_y <= 0),
-    pairs (the lattice's incomparable-pair table (x, y, meet, join),
-    v_meet - v_x - v_y + v_join <= 0) and zero (the signs of the
-    unreduced rows +-v_0 <= 0).  rows is range(N), the row numbers
-    that membership reports, and facet_rows the row number of each
-    entry of the lattice's facet table."""
+    """The H-representation of the polytope on the lattice, over the
+    columns v_1 .. v_top, as blocks of plain index tuples in row order:
+    bounds (the nonzero indices x, row v_x <= dim x), atoms
+    (-v_a <= 0), covers ((x, y), v_x - v_y <= 0) and pairs (the
+    lattice's incomparable-pair table (x, y, meet, join),
+    v_meet - v_x - v_y + v_join <= 0, with v_0 read as 0).  rows is
+    range(N), the row numbers that membership reports, and facet_rows
+    the row number of each entry of the lattice's facet table."""
 
-    def __init__(self, lattice, reduced):
+    def __init__(self, lattice):
         self.lattice = lattice
-        self.reduced = reduced
         self.bounds = range(1, lattice.size)
         self.atoms = lattice.atom_range
         self.covers = tuple((x, y) for y in self.bounds
                             for x in lattice.covers_down[y]
                             if x != lattice.zero)
         self.pairs = lattice.incomparable
-        self.zero = () if reduced else (1, -1)
-        self.rows = range(len(self.bounds) + len(self.atoms)
-                          + len(self.covers) + len(self.pairs) + len(self.zero))
         end = len(self.bounds) + len(self.atoms) + len(self.covers)
+        self.rows = range(end + len(self.pairs))
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
@@ -134,14 +134,7 @@ class HRepresentation:
 
     @property
     def ambient_dim(self):
-        return self.lattice.size - (1 if self.reduced else 0)
-
-    def tag_counts(self):
-        """The number of rows of each tag that has any, by block length."""
-        counts = {"type1": len(self.bounds), "nonneg": len(self.atoms),
-                  "type2": len(self.covers), "type3": len(self.pairs),
-                  "zero": len(self.zero)}
-        return {tag: n for tag, n in counts.items() if n}
+        return self.lattice.size - 1
 
     def pair_rows(self, pairs):
         """The row numbers of the pair rows on pairs, (x, y, meet, join)
@@ -152,20 +145,22 @@ class HRepresentation:
         return [base[x] + y - (above[x] & low[y]).bit_count()
                 for x, y, _, _ in pairs]
 
-    def text_lines(self):
+    def text_lines(self, full=False):
         """The text one line at a time, each ending in a newline.
         Line 1: HREP <rows> <dim>; then one inequality a.v <= b per
         line as space-separated reduced rationals a_1 .. a_dim b.
 
-        One loop per block of build_hrep's rows, as in membership; each
-        line is an f-string over the runs of zeros between the row's
-        few nonzero entries."""
+        With full, the unreduced system: the columns start at v_0,
+        which keeps its 1 in the zero-meet pair rows, and the rows
+        v_0 <= 0 and -v_0 <= 0 come last.  One loop per block of
+        build_hrep's rows, as in membership; each line is an f-string
+        over the runs of zeros between the row's few nonzero entries."""
         dims = self.lattice.dims
-        dim = self.ambient_dim
-        o = 1 if self.reduced else 0  # column of lattice index i is i - o
-        top = self.lattice.top        # so z[top - i] zeros follow index i
+        o = 0 if full else 1   # column of lattice index i is i - o
+        dim = self.lattice.size - o
+        top = self.lattice.top  # so z[top - i] zeros follow index i
         z = ["0 " * k for k in range(dim + 1)]
-        yield f"HREP {len(self.rows)} {dim}\n"
+        yield f"HREP {len(self.rows) + (2 if full else 0)} {dim}\n"
         for x in self.bounds:
             yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
         for a in self.atoms:
@@ -173,26 +168,27 @@ class HRepresentation:
         for x, y in self.covers:
             yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
         for x, y, m, j in self.pairs:
-            if m or not self.reduced:
+            if m or full:
                 yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
                        f"{z[j - y - 1]}1 {z[top - j]}0\n")
-            else:  # the reduced system has no v_0: a zero meet drops out
+            else:  # with no column v_0, a zero meet drops out
                 yield (f"{z[x - o]}-1 {z[y - x - 1]}-1 "
                        f"{z[j - y - 1]}1 {z[top - j]}0\n")
-        for sign in self.zero:
-            yield f"{sign} {z[dim - 1]}0\n"
+        if full:
+            yield f"1 {z[top]}0\n"
+            yield f"-1 {z[top]}0\n"
 
-    def to_text(self):
-        return "".join(self.text_lines())
+    def to_text(self, full=False):
+        return "".join(self.text_lines(full))
 
 
-def build_hrep(lattice, reduced=True):
+def build_hrep(lattice):
     """H-representation of the q-rank polytope on the given lattice.
 
     Reads the lattice's incomparable-pair table and facet table here,
     so their one-time cost falls in the set-up and not in the first
     query."""
-    return HRepresentation(lattice, reduced)
+    return HRepresentation(lattice)
 
 
 # status is "interior", "boundary" or "outside"
@@ -203,17 +199,16 @@ def membership(H, p):
     """Exact evaluation of every row at the point, one plain loop per
     block of build_hrep's H-representation: row k with
     s = a.(mu v) - mu b is tight at s == 0 and violated at s > 0.
+    Interior means strict on every row.
 
-    Interior means strict on every inequality (the unreduced zero pair
-    only has to hold, since it is an equality in disguise)."""
+    The system has no v_0, so the point's value there is read as 0:
+    that leaves it out of the zero-meet pair rows, the only ones that
+    name index 0."""
     if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
     mu, vals = scaled_values(p.values)
-    if H.reduced:
-        # the reduced system has no v_0: reading it as 0 leaves it out
-        # of the zero-meet pair rows, the only ones that name index 0
-        vals = (0,) + vals[1:]
+    vals = (0,) + vals[1:]
     dims = H.lattice.dims
     tight = []
     violated = []
@@ -237,16 +232,9 @@ def membership(H, p):
         s = vals[m] + vals[j] - vals[x] - vals[y]
         if s >= 0:
             (violated if s else tight).append(k)
-    start += len(H.pairs)
-    for k, sign in enumerate(H.zero, start):
-        s = sign * vals[0]
-        if s >= 0:
-            (violated if s else tight).append(k)
     if violated:
         return Membership("outside", tuple(tight), tuple(violated))
-    if tight and tight[0] < start:  # the zero rows come last
-        return Membership("boundary", tuple(tight), ())
-    return Membership("interior", tuple(tight), ())
+    return Membership("boundary" if tight else "interior", tuple(tight), ())
 
 
 VertexCertificate = namedtuple("VertexCertificate",
@@ -265,32 +253,25 @@ def is_vertex(H, p):
     system: every row is a nonnegative sum of facet rows with the same
     right-hand side, so the facets hold iff every row holds, and a
     tight row at a feasible point forces its summands tight, so the
-    tight rows and the tight facets have normals of equal span.  The
-    normals are those of the reduced system (_normals); the unreduced
-    one adds e_0 from its zero rows, which spans the same as keeping
-    v_0 in the zero-meet diamonds."""
+    tight rows and the tight facets have normals of equal span
+    (_normals)."""
     rows, tight = _tight_facets(H, p)
-    normals = _normals(tight, H.lattice.top)
-    normals += [((0, sign),) for sign in H.zero]
-    rank = _rank(normals, full=H.ambient_dim)
+    rank = _rank(_normals(tight, H.lattice.top), full=H.ambient_dim)
     return VertexCertificate(p, tuple(rows), rank, rank == H.ambient_dim)
 
 
 def _tight_facets(H, p):
     """(row numbers, facet table entries) of the facet rows tight at the
     point, in row order, read off the lattice's facet table
-    (SubspaceLattice.facets) on the mu-scaled ints as in membership; the
-    row numbers end with the tight zero rows of the unreduced system,
-    which have no entry.  A violated facet raises NotFeasible naming
-    the violated facet rows."""
+    (SubspaceLattice.facets) on the mu-scaled ints, with v_0 read as 0
+    as in membership.  A violated facet raises NotFeasible naming the
+    violated facet rows."""
     lat = H.lattice
     if p.lattice is not lat:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
     mu, vals = scaled_values(p.values)
-    if H.reduced:
-        vals = (0,) + vals[1:]  # as in membership: v_0 drops out
-    w = vals + (mu, 0)
+    w = (0,) + vals[1:] + (mu, 0)
     rows, tight, violated = [], [], []
     for k, f in zip(H.facet_rows, lat.facets):
         x, y, m, j = f
@@ -300,10 +281,6 @@ def _tight_facets(H, p):
                 tight.append(f)
             else:
                 violated.append(k)
-    for k, sign in enumerate(H.zero, len(H.rows) - len(H.zero)):
-        s = sign * vals[0]
-        if s >= 0:
-            (violated if s else rows).append(k)
     if violated:
         raise NotFeasible(f"point violates facet rows {tuple(violated)}")
     return rows, tight
@@ -313,8 +290,8 @@ def _normals(facets, top):
     """The sparse normals, over the columns of the lattice indices, of
     entries of the facet table on a lattice with top index top: e_a for
     an atom bound, e_h - e_top for a top cover, and e_m - e_x - e_y + e_j
-    for a diamond, with v_0 left out of a zero meet, as in the reduced
-    system."""
+    for a diamond, with v_0 left out of a zero meet, as in the
+    system's rows."""
     out = []
     for x, y, m, j in facets:
         if y > top:  # an atom bound (x > top reads mu) or a top cover
@@ -334,8 +311,8 @@ def interior_witness(lattice):
 def affine_dimension(H):
     """The dimension of the polytope, certified by the interior witness
     being strict on every inequality row: one less than the lattice
-    size in both systems, since v_0 = 0 is the one implied equality of
-    the unreduced system and the reduced one has no v_0 coordinate."""
+    size, the number of columns, since v_0 is fixed at 0 and has no
+    column."""
     wit = interior_witness(H.lattice)
     mem = membership(H, wit)
     if mem.status != "interior":
@@ -601,8 +578,7 @@ def _dd_constraints(H):
     top's stage, in order of their hyperplanes; the diamonds of a stage
     go by their second space, then their meet, then their first, an
     order that ran P(2,3), P(7,2) and P(9,2) faster than going by their
-    first space.  v_0 is 0 in both systems, so the zero rows are left
-    out."""
+    first space."""
     lat = H.lattice
     d = top = lat.top  # the columns v_1 .. v_d, then t
     cons = [((x - 1, 1), (d, -lat.dims[x])) for x in H.bounds]

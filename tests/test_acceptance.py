@@ -58,7 +58,7 @@ def test_criterion_1_lattice_points_2_2(lat22):
 
 def test_criterion_2_polytope_3_2(lat32):
     with _Timer(2, 60.0):
-        H = build_hrep(lat32, reduced=True)
+        H = build_hrep(lat32)
         assert affine_dimension(H) == 5
         pts = lattice_points(lat32)
         assert len(pts) == 7
@@ -68,7 +68,7 @@ def test_criterion_2_polytope_3_2(lat32):
 
 def test_criterion_3_polytope_2_3(lat23):
     with _Timer(3, 300.0):
-        H = build_hrep(lat23, reduced=True)
+        H = build_hrep(lat23)
         assert affine_dimension(H) == 15
         pts = lattice_points(lat23)
         assert len(pts) == 32
@@ -79,7 +79,7 @@ def test_criterion_3_polytope_2_3(lat23):
 
 def test_criterion_3_long_vertex_count_2_3(lat23):
     with _Timer("3 (long)", 3600.0):
-        H = build_hrep(lat23, reduced=True)
+        H = build_hrep(lat23)
         verts = enumerate_vertices(H)
         assert len(verts) == 3483
         vset = {tuple(p.values) for p in verts}
@@ -91,13 +91,13 @@ def test_criterion_4_f_vector_2_2(lat22):
     # The published value (6, 15, 19, 9) is not asserted: its alternating
     # sum is 1, but Euler's relation for a 4-polytope needs 0, so f2 = 18.
     with _Timer(4, 10.0):
-        assert f_vector(build_hrep(lat22, reduced=True)) == (6, 15, 18, 9)
+        assert f_vector(build_hrep(lat22)) == (6, 15, 18, 9)
 
 
 def test_criterion_5_interior_witness(lat22, lat32, lat23):
     with _Timer(5, 1.0):
         for lat in (lat22, lat32, lat23):
-            H = build_hrep(lat, reduced=True)
+            H = build_hrep(lat)
             assert membership(H, interior_witness(lat)).status == "interior"
 
 
@@ -193,7 +193,7 @@ def test_criterion_8_two_uniform_suite(lat24, lat25):
 
 def test_criterion_9_codes_suite(lat23):
     with _Timer(9, 30.0):
-        H = build_hrep(lat23, reduced=True)
+        H = build_hrep(lat23)
         C = vertex_example_code()
         met = code_metrics(C)
         assert (met.k, met.d) == (3, 1)
@@ -236,7 +236,7 @@ def test_criterion_10_global_invariants(lat23):
             assert check_axioms(p).ok
             assert char_puiseux(p).eval_at_one() == 0
         # convexity of midpoints
-        H = build_hrep(lat23, reduced=True)
+        H = build_hrep(lat23)
         for _ in range(30):
             a, b = rng.sample(generated, 2)
             mid = rank_point(lat23,

@@ -74,7 +74,12 @@ class _HashingStdout:
     (3, 4, (), "281baec1e23f9bea3507980723f9ee84f02e941a3e5ecbda61fcaed5b92fc68d"),
     (2, 5, ("--full",),
      "1006ec8ccdc146a2403506a28cae8e985a2b926ec5275d5f20dd30dc2fc21e7f"),
-], ids=["L(F_2^5)", "L(F_3^4)", "L(F_2^5)-full"])
+    (2, 2, ("--full",),
+     "347a843a1a27c785bad5a76ced23b3b036929ddb7458e6504be8a39f0bf14c1e"),
+    (3, 3, ("--full",),
+     "ea260eda091f02d1bc7b899872beb9b5ea850ad70cdb99944b1d633dc3a7a75e"),
+], ids=["L(F_2^5)", "L(F_3^4)", "L(F_2^5)-full", "L(F_2^2)-full",
+        "L(F_3^3)-full"])
 def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, flags, digest):
     out = _HashingStdout()
     monkeypatch.setattr(sys, "stdout", out)

@@ -48,7 +48,7 @@ def test_vertex_example_point(lat23):
     assert grade_multiset(p, 1) == [("1", 5), ("1/2", 2)]
     assert grade_multiset(p, 2) == [("1", 2), ("3/2", 5)]
     assert grade_multiset(p, 3) == [("3/2", 1)]
-    H = build_hrep(lat23, reduced=True)
+    H = build_hrep(lat23)
     assert is_vertex(H, p).is_vertex
 
 
@@ -67,7 +67,7 @@ def test_gabidulin_line_is_mrd(lat23):
     closed = mrd_closed_form(lat23, 2, 2)
     assert induced.values == closed.values
     # not a vertex: the uniform-profile MRD point sits on a low face
-    H = build_hrep(lat23, reduced=True)
+    H = build_hrep(lat23)
     cert = is_vertex(H, induced)
     assert not cert.is_vertex
 

@@ -81,7 +81,7 @@ def test_combo_of_lattice_points_stays_feasible(lat23):
     rng = random.Random(8)
     from qrank.polytope import build_hrep, lattice_points, membership
     pts = lattice_points(lat23)
-    H = build_hrep(lat23, reduced=True)
+    H = build_hrep(lat23)
     for _ in range(25):
         a, b = rng.sample(pts, 2)
         lam = random_lambda(rng)

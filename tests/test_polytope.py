@@ -51,19 +51,19 @@ def _unfiltered_feasible(lat, values):
 
 
 def test_hrep_row_counts_22(lat22):
-    H = build_hrep(lat22, reduced=False)
-    counts = H.tag_counts()
-    # the paper's system: 10 inequality rows of types 1-3 plus v_0 = 0
-    assert counts["type1"] + counts["type2"] + counts["type3"] == 10
-    assert counts == {"type1": 4, "nonneg": 3, "type2": 3, "type3": 3, "zero": 2}
-    Hr = build_hrep(lat22, reduced=True)
-    assert Hr.ambient_dim == 4
-    assert "zero" not in Hr.tag_counts()
+    H = build_hrep(lat22)
+    blocks = (len(H.bounds), len(H.atoms), len(H.covers), len(H.pairs))
+    # the paper's system: 10 inequality rows of types 1-3 plus v_0 = 0,
+    # which the full text writes as the two rows +-v_0 <= 0
+    assert blocks == (4, 3, 3, 3) and len(H.rows) == 13
+    assert blocks[0] + blocks[2] + blocks[3] == 10
+    assert H.ambient_dim == 4
+    assert next(H.text_lines(full=True)) == "HREP 15 5\n"
 
 
 def test_hrep_matches_paper_rows(lat22):
     # paper's explicit inequalities for P_2^2 (with v_0 = 0 substituted)
-    lines = build_hrep(lat22, reduced=True).to_text().splitlines()[1:]
+    lines = build_hrep(lat22).to_text().splitlines()[1:]
     dense = {(tuple(int(a) for a in line.split()[:-1]), int(line.split()[-1]))
              for line in lines}
     paper = {
@@ -79,38 +79,41 @@ def _row_value(coeffs, values):
     return sum(c * values[i] for i, c in coeffs)
 
 
-def _dense_normal(H, coeffs):
-    offset = 1 if H.reduced else 0
-    vec = [0] * H.ambient_dim
+def _dense_normal(lat, coeffs, full=False):
+    """The row's normal over the columns v_1 .. v_top, or v_0 .. v_top
+    with full."""
+    offset = 0 if full else 1
+    vec = [0] * (lat.size - offset)
     for i, c in coeffs:
         vec[i - offset] = c
     return vec
 
 
-def _dense_hrep_text(H):
+def _dense_hrep_text(lat, full):
     """Reference formatter: every reference row written out as a dense
     list."""
-    rows = _reference_hrep_rows(H.lattice, H.reduced)
-    lines = [f"HREP {len(rows)} {H.ambient_dim}"]
+    rows = _reference_hrep_rows(lat, full)
+    lines = [f"HREP {len(rows)} {lat.size - (0 if full else 1)}"]
     for coeffs, rhs, _ in rows:
-        lines.append(" ".join(str(x) for x in _dense_normal(H, coeffs))
+        lines.append(" ".join(str(x) for x in _dense_normal(lat, coeffs, full))
                      + f" {rhs}")
     return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24"])
-@pytest.mark.parametrize("reduced", [True, False])
-def test_hrep_text_matches_dense_formatter(fixture, reduced, request):
-    H = build_hrep(request.getfixturevalue(fixture), reduced=reduced)
-    assert ("zero" in H.tag_counts()) == (not reduced)
-    assert H.to_text() == _dense_hrep_text(H)
+@pytest.mark.parametrize("full", [True, False])
+def test_hrep_text_matches_dense_formatter(fixture, full, request):
+    lat = request.getfixturevalue(fixture)
+    assert build_hrep(lat).to_text(full) == _dense_hrep_text(lat, full)
 
 
 @cache
-def _reference_hrep_rows(lat, reduced):
+def _reference_hrep_rows(lat, full=False):
     """(coeffs, rhs, tag) of every row in build_hrep's row order, built
     by a double loop over all index pairs with lat.meet and lat.join for
-    each incomparable one; the row source of every oracle in this file."""
+    each incomparable one; the row source of every oracle in this file.
+    With full, the rows of the unreduced system that the full text
+    renders: v_0 stays in the zero-meet pair rows, and +-v_0 <= 0 follow."""
     rows = [(((x, 1),), lat.dims[x], ("type1", x)) for x in range(1, lat.size)]
     rows += [(((a, -1),), 0, ("nonneg", a)) for a in lat.atom_range]
     for y in range(1, lat.size):
@@ -123,33 +126,38 @@ def _reference_hrep_rows(lat, reduced):
                 continue
             m, j = lat.meet(x, y), lat.join(x, y)
             coeffs = [(j, 1), (x, -1), (y, -1)]
-            if m != lat.zero or not reduced:
+            if m != lat.zero or full:
                 coeffs.append((m, 1))
             rows.append((tuple(sorted(coeffs)), 0, ("type3", x, y)))
-    if not reduced:
+    if full:
         rows += [(((0, 1),), 0, ("zero", 1)), (((0, -1),), 0, ("zero", -1))]
     return tuple(rows)
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24"])
-@pytest.mark.parametrize("reduced", [True, False])
-def test_hrep_rows_match_pairwise_reference(fixture, reduced, request):
+@pytest.mark.parametrize("full", [True, False])
+def test_hrep_rows_match_pairwise_reference(fixture, full, request):
     # the row order fixes to_text, membership's row indices and the
     # double-description insertion order
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=reduced)
-    ref = _reference_hrep_rows(lat, reduced)
-    assert H.rows == range(len(ref))
-    assert _text_rows(H) == [(coeffs, rhs) for coeffs, rhs, _ in ref]
-    assert H.tag_counts() == Counter(tag[0] for _, _, tag in ref)
+    H = build_hrep(lat)
+    ref = _reference_hrep_rows(lat, full)
+    tags = Counter(tag[0] for _, _, tag in ref)
+    assert H.rows == range(len(ref) - tags["zero"])
+    assert _text_rows(H, full) == [(coeffs, rhs) for coeffs, rhs, _ in ref]
+    assert (len(H.bounds), len(H.atoms), len(H.covers), len(H.pairs)) == (
+        tags["type1"], tags["nonneg"], tags["type2"], tags["type3"])
+    assert tags["zero"] == (2 if full else 0)
 
 
-def _text_rows(H):
+def _text_rows(H, full=False):
     """The rows of H's text read back as (sparse coeffs, rhs): the
     nonzero (lattice index, coefficient) pairs in increasing index."""
-    offset = 1 if H.reduced else 0
-    lines = H.text_lines()
-    assert next(lines) == f"HREP {len(H.rows)} {H.ambient_dim}\n"
+    offset = 0 if full else 1
+    lines = H.text_lines(full)
+    extra = 2 if full else 0
+    assert next(lines) == (f"HREP {len(H.rows) + extra} "
+                           f"{H.lattice.size - offset}\n")
     rows = []
     for line in lines:
         *coeffs, rhs = (int(x) for x in line.split())
@@ -159,46 +167,66 @@ def _text_rows(H):
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat32"])
-@pytest.mark.parametrize("reduced", [True, False])
-def test_row_blocks_index_like_a_tuple(fixture, reduced, request):
-    # rows are the row numbers
+@pytest.mark.parametrize("full", [True, False])
+def test_row_blocks_index_like_a_tuple(fixture, full, request):
+    # rows are the row numbers, which the full text keeps, adding the
+    # rows +-v_0 <= 0 after them
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=reduced)
-    ref = _reference_hrep_rows(lat, reduced)
+    H = build_hrep(lat)
+    ref = _reference_hrep_rows(lat, full)
+    extra = 2 if full else 0
     rows = tuple(H.rows)
-    assert rows == tuple(range(len(ref)))
+    assert rows == tuple(range(len(ref) - extra))
     assert tuple(H.rows[k] for k in range(-len(rows), len(rows))) == rows * 2
     for k in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             H.rows[k]
-    assert sum(1 for _ in H.text_lines()) == len(rows) + 1
+    assert sum(1 for _ in H.text_lines(full)) == len(rows) + extra + 1
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24"])
+def test_full_text_is_the_rows_with_a_v0_column(fixture, request):
+    # full row k is row k with a v_0 entry in front, 1 on the zero-meet
+    # pair rows and 0 elsewhere, and the last two rows are +-v_0 <= 0
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat)
+    rows = H.to_text().splitlines()
+    full = H.to_text(full=True).splitlines()
+    assert full[0] == f"HREP {len(H.rows) + 2} {lat.size}"
+    start = len(H.bounds) + len(H.atoms) + len(H.covers)
+    zero_meet = {k for k, (_, _, m, _) in enumerate(H.pairs, start)
+                 if m == lat.zero}
+    assert zero_meet
+    assert full[1:-2] == [("1 " if k in zero_meet else "0 ") + rows[k + 1]
+                          for k in H.rows]
+    zeros = " 0" * lat.size
+    assert full[-2:] == ["1" + zeros, "-1" + zeros]
 
 
 def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24):
-    for reduced in (True, False):
-        H = build_hrep(lat24, reduced=reduced)
-        u = uniform(lat24, 2)
-        assert membership(H, interior_witness(lat24)).status == "interior"
-        assert membership(H, rank_point(lat24, [v + 1 for v in u.values])
-                          ).status == "outside"
-        cert = is_vertex(H, u)
-        assert cert.is_vertex and cert.normal_rank == H.ambient_dim
-        assert H.to_text().count("\n") == len(H.rows) + 1
-        assert sum(H.tag_counts().values()) == len(H.rows)
+    H = build_hrep(lat24)
+    u = uniform(lat24, 2)
+    assert membership(H, interior_witness(lat24)).status == "interior"
+    assert membership(H, rank_point(lat24, [v + 1 for v in u.values])
+                      ).status == "outside"
+    cert = is_vertex(H, u)
+    assert cert.is_vertex and cert.normal_rank == H.ambient_dim
+    assert H.to_text().count("\n") == len(H.rows) + 1
+    assert (len(H.bounds) + len(H.atoms) + len(H.covers) + len(H.pairs)
+            == len(H.rows))
     # double description and the f-vector read the blocks too
     for lat, n_verts, fv in ((lat22, 6, (6, 15, 18, 9)),
                              (lat32, 11, (11, 41, 70, 52, 14))):
-        for reduced in (True, False):
-            H = build_hrep(lat, reduced=reduced)
-            assert len(enumerate_vertices(H)) == n_verts
-            assert f_vector(H) == fv
+        H = build_hrep(lat)
+        assert len(enumerate_vertices(H)) == n_verts
+        assert f_vector(H) == fv
 
 
 @pytest.mark.parametrize("qn", [(2, 2), (3, 2), (2, 3)])
 def test_redundancy_filter_soundness(qn, request):
     lat = {(2, 2): "lat22", (3, 2): "lat32", (2, 3): "lat23"}[qn]
     lat = request.getfixturevalue(lat)
-    H = build_hrep(lat, reduced=False)
+    H = build_hrep(lat)
     rng = random.Random(99)
     wit = interior_witness(lat)
     agree = 0
@@ -214,7 +242,7 @@ def test_redundancy_filter_soundness(qn, request):
         else:
             vals = list(wit.values)  # feasible for sure
         p = rank_point(lat, vals)
-        ours = membership(H, p).status != "outside"
+        ours = p.values[0] == 0 and membership(H, p).status != "outside"
         oracle = _unfiltered_feasible(lat, p.values)
         assert ours == oracle
         agree += 1
@@ -222,44 +250,43 @@ def test_redundancy_filter_soundness(qn, request):
 
 
 def test_membership_states(lat22):
-    H = build_hrep(lat22, reduced=True)
+    H = build_hrep(lat22)
     assert membership(H, interior_witness(lat22)).status == "interior"
     boundary = rank_point(lat22, [0, 1, 1, 1, 2])
     assert membership(H, boundary).status == "boundary"
     outside = rank_point(lat22, [0, 1, 1, 1, 3])
     mem = membership(H, outside)
     assert mem.status == "outside"
-    ref = _reference_hrep_rows(lat22, True)
+    ref = _reference_hrep_rows(lat22)
     assert any(ref[k][2] == ("type1", 4) for k in mem.violated_rows)
 
 
 def test_membership_feasibility_equals_axioms(lat23):
     rng = random.Random(13)
-    H = build_hrep(lat23, reduced=False)
+    H = build_hrep(lat23)
     for _ in range(60):
         vals = [Fraction(rng.randrange(0, 2 * lat23.dims[i] + 1), 2)
                 for i in range(lat23.size)]
         vals[0] = Fraction(0)
         p = rank_point(lat23, vals)
-        assert (membership(H, p).status != "outside") == check_axioms(p).ok
+        assert check_axioms(p).ok == (
+            p.values[0] == 0 and membership(H, p).status != "outside")
 
 
 @cache
-def _property_setup(q, n, reduced):
+def _property_setup(q, n):
     lat = build_lattice(q, n)
-    return (lat, build_hrep(lat, reduced=reduced), lattice_points(lat),
-            interior_witness(lat))
+    return lat, build_hrep(lat), lattice_points(lat), interior_witness(lat)
 
 
 @st.composite
-def _rational_points(draw, reduced=(False,)):
+def _rational_points(draw):
     """(H, point): a convex combination of a q-matroid with another one
     or with the interior witness, then a few coordinates moved by small
     rationals, which may leave the polytope; the zero coordinate is
-    sometimes moved too, which the reduced H-rep (drawn when reduced
-    allows True) must ignore."""
+    sometimes moved too, which the system, having no v_0, must ignore."""
     qn = draw(st.sampled_from([(2, 3), (3, 2)]))
-    lat, H, pts, wit = _property_setup(*qn, draw(st.sampled_from(reduced)))
+    lat, H, pts, wit = _property_setup(*qn)
     a = draw(st.sampled_from(pts))
     b = draw(st.one_of(st.just(wit), st.sampled_from(pts)))
     lam = draw(st.fractions(min_value=0, max_value=1, max_denominator=7))
@@ -278,11 +305,11 @@ _PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
 
 
 @_PROPERTY_SETTINGS
-@given(_rational_points(reduced=(False, True)))
+@given(_rational_points())
 def test_scaled_membership_matches_fraction_rows(hp):
     H, p = hp
     mem = membership(H, p)
-    rows = _reference_hrep_rows(H.lattice, H.reduced)
+    rows = _reference_hrep_rows(H.lattice)
     tight = tuple(k for k, (coeffs, rhs, _) in enumerate(rows)
                   if _row_value(coeffs, p.values) == rhs)
     violated = tuple(k for k, (coeffs, rhs, _) in enumerate(rows)
@@ -297,7 +324,8 @@ def test_scaled_membership_matches_fraction_rows(hp):
 def test_axioms_agree_with_membership_and_fraction_slacks(hp):
     H, p = hp
     rep = check_axioms(p)
-    assert rep.ok == (membership(H, p).status != "outside")
+    assert rep.ok == (p.values[0] == 0
+                      and membership(H, p).status != "outside")
     assert rep.violations == literal_axiom_violations(p)
     assert all(type(slack) is Fraction for _, _, slack in rep.violations)
 
@@ -408,9 +436,9 @@ def test_solved_column_skip_keeps_the_rank_exact(case):
         min(k, rank) for k in range(rank + 2)]
 
 
-def _dense_normal_rank(H, ks):
-    rows = _reference_hrep_rows(H.lattice, H.reduced)
-    return _int_rank([_dense_normal(H, rows[k][0]) for k in ks])
+def _dense_normal_rank(lat, ks):
+    rows = _reference_hrep_rows(lat)
+    return _int_rank([_dense_normal(lat, rows[k][0]) for k in ks])
 
 
 def _random_code_point(rng, lat, m=2, k=3):
@@ -451,8 +479,8 @@ def _point_kinds(lat, rng):
     return pts + raised
 
 
-def _check_certificates(lat, reduced):
-    H = build_hrep(lat, reduced=reduced)
+def _check_certificates(lat):
+    H = build_hrep(lat)
     kinds, certified = set(), set()
     for kind, p in _point_kinds(lat, random.Random(41)):
         kinds.add(kind)
@@ -462,11 +490,11 @@ def _check_certificates(lat, reduced):
                 is_vertex(H, p)
             continue
         cert = is_vertex(H, p)
-        assert cert.normal_rank == _dense_normal_rank(H, cert.tight_rows), kind
+        assert cert.normal_rank == _dense_normal_rank(lat, cert.tight_rows), kind
         # the certificate lists tight facets by their row numbers, and
         # they span what all the tight rows span
         assert set(cert.tight_rows) <= set(mem.tight_rows), kind
-        assert cert.normal_rank == _dense_normal_rank(H, mem.tight_rows), kind
+        assert cert.normal_rank == _dense_normal_rank(lat, mem.tight_rows), kind
         assert cert.is_vertex == (cert.normal_rank == H.ambient_dim)
         certified.add(kind)
     assert certified == {k for k in kinds if not k.startswith("raised")}
@@ -475,37 +503,61 @@ def _check_certificates(lat, reduced):
 
 @pytest.mark.parametrize("fixture", ["lat24", "lat33"])
 def test_vertex_normal_rank_matches_dense_reference(fixture, request):
-    _check_certificates(request.getfixturevalue(fixture), reduced=True)
+    _check_certificates(request.getfixturevalue(fixture))
+
+
+def _full_tight_rank(lat, full_rows, p):
+    """The rank of the normals of the rows of the full text, read back
+    by _text_rows, that are tight at the point, after checking that the
+    point satisfies every one of them."""
+    assert all(_row_value(c, p.values) <= rhs for c, rhs in full_rows)
+    return _int_rank([_dense_normal(lat, c, full=True) for c, rhs in full_rows
+                      if _row_value(c, p.values) == rhs])
 
 
 @pytest.mark.parametrize("fixture", ["lat24", "lat33"])
 def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
-    _check_certificates(request.getfixturevalue(fixture), reduced=False)
+    # the full text's system, with the column v_0 and the rows
+    # +-v_0 <= 0, certifies the same points: at a feasible point its
+    # tight rows are membership's plus those two, and their normals have
+    # rank one more than the certificate's, over one more column
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat)
+    full_rows = _text_rows(H, full=True)
+    zero_rows = (len(H.rows), len(H.rows) + 1)
+    certified = 0
+    for kind, p in _point_kinds(lat, random.Random(41)):
+        mem = membership(H, p)
+        if mem.status == "outside":
+            continue
+        tight = tuple(k for k, (c, rhs) in enumerate(full_rows)
+                      if _row_value(c, p.values) == rhs)
+        assert tight == mem.tight_rows + zero_rows, kind
+        assert (_full_tight_rank(lat, full_rows, p)
+                == is_vertex(H, p).normal_rank + 1), kind
+        certified += 1
+    assert certified
 
 
-def _table_row(lat, facet, reduced):
+def _table_row(lat, facet):
     """(coeffs, rhs) of the row of a facet-table entry (x, y, m, j), read
     from its slack w[m] + w[j] - w[x] - w[y] <= 0 with w[size] = mu and
     w[size + 1] = 0, as _reference_hrep_rows writes it (v_0 dropped from a
-    zero meet in the reduced system)."""
+    zero meet)."""
     coeffs, rhs = Counter(), 0
     for c, v in zip(facet, (-1, -1, 1, 1)):
         if c == lat.size:
             rhs -= v
-        elif c < lat.size and (c or not reduced):
+        elif 0 < c < lat.size:
             coeffs[c] += v
     return tuple(sorted((c, v) for c, v in coeffs.items() if v)), rhs
 
 
 def _facet_normals(H):
     """{row number: sparse normal} of the facet rows: the entries of the
-    lattice's facet table at H.facet_rows, and the zero rows."""
+    lattice's facet table at H.facet_rows."""
     lat = H.lattice
-    normals = {k: _table_row(lat, f, H.reduced)[0]
-               for k, f in zip(H.facet_rows, lat.facets)}
-    normals.update((k, ((0, sign),)) for k, sign in
-                   zip(range(len(H.rows) - len(H.zero), len(H.rows)), H.zero))
-    return normals
+    return {k: _table_row(lat, f)[0] for k, f in zip(H.facet_rows, lat.facets)}
 
 
 def _integral_points(lat, rng):
@@ -518,16 +570,14 @@ def _integral_points(lat, rng):
     return pts
 
 
-@pytest.mark.parametrize("reduced", [True, False])
 @pytest.mark.parametrize("fixture", ["lat34", "lat25"])
-def test_vertex_normal_rank_matches_the_reference_kernel(fixture, reduced,
-                                                         request):
+def test_vertex_normal_rank_matches_the_reference_kernel(fixture, request):
     # the certificate's rank equals that of the reference kernel, which
     # reduces every row in full, on the same tight facet normals in the
     # same order: every point kind of (3,4), the integral and
     # code-induced points of (2,5)
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=reduced)
+    H = build_hrep(lat)
     normals = _facet_normals(H)
     rng = random.Random(43)
     pts = (_point_kinds(lat, rng) if fixture == "lat34"
@@ -545,14 +595,15 @@ def test_vertex_normal_rank_matches_the_reference_kernel(fixture, reduced,
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
-@pytest.mark.parametrize("reduced", [True, False])
-def test_facet_row_numbers_match_the_reference(fixture, reduced, request):
+@pytest.mark.parametrize("full", [True, False])
+def test_facet_row_numbers_match_the_reference(fixture, full, request):
     # the atom bounds, the top covers and every pair row (the diamonds
-    # among them) sit at the row numbers the certificates report, and
-    # each facet-table entry is the row at its number
+    # among them) sit at the row numbers the certificates report, in
+    # both texts, and each facet-table entry is the row at its number
+    # (less v_0, which the full text keeps in a zero meet)
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=reduced)
-    ref = _reference_hrep_rows(lat, reduced)
+    H = build_hrep(lat)
+    ref = _reference_hrep_rows(lat, full)
     hyperplanes = lat.covers_down[lat.top]
     atoms, tops = len(lat.atom_range), len(hyperplanes)
     tags = [ref[k][2] for k in H.facet_rows]
@@ -561,7 +612,7 @@ def test_facet_row_numbers_match_the_reference(fixture, reduced, request):
                                        for h in hyperplanes]
     assert tags[atoms + tops:] == [("type3", x, y)
                                    for x, y, _, _ in lat.diamonds]
-    assert all(_table_row(lat, f, reduced) == ref[k][:2]
+    assert all(_table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
                for k, f in zip(H.facet_rows, lat.facets))
     assert [ref[k][2] for k in H.pair_rows(lat.incomparable)] == [
         ("type3", x, y) for x, y, _, _ in lat.incomparable]
@@ -602,11 +653,11 @@ def _diamond_summands(lat, x, y):
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
 def test_paper_rows_are_sums_of_facet_rows(fixture, request):
-    # every row of the reduced system is a nonnegative sum of facet rows
+    # every row of the system is a nonnegative sum of facet rows
     # and other rows with the same right-hand side, so the facets imply it
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=True)
-    ref = _reference_hrep_rows(lat, True)
+    H = build_hrep(lat)
+    ref = _reference_hrep_rows(lat)
     row = {tag: (coeffs, rhs) for coeffs, rhs, tag in ref}
     facets = [ref[k][2] for k in H.facet_rows]
     diamonds = {tag[1:] for tag in facets if tag[0] == "type3"}
@@ -706,14 +757,14 @@ def test_certifiers_and_searches_read_only_facets(monkeypatch, lat22, lat23,
 
 def test_every_lattice_point_is_vertex_and_not_interior(lat22, lat32):
     for lat in (lat22, lat32):
-        H = build_hrep(lat, reduced=True)
+        H = build_hrep(lat)
         for p in lattice_points(lat):
             assert membership(H, p).status == "boundary"
             assert is_vertex(H, p).is_vertex
 
 
 def test_is_vertex_rejects_infeasible(lat22):
-    H = build_hrep(lat22, reduced=True)
+    H = build_hrep(lat22)
     with pytest.raises(NotFeasible):
         is_vertex(H, rank_point(lat22, [0, 1, 1, 1, 3]))
 
@@ -737,18 +788,17 @@ def test_interior_witness_values(lat22, lat23):
 @pytest.mark.parametrize("fixture,dim", [("lat22", 4), ("lat32", 5), ("lat23", 15)])
 def test_affine_dimension(fixture, dim, request):
     lat = request.getfixturevalue(fixture)
-    assert affine_dimension(build_hrep(lat, reduced=True)) == dim
-    assert affine_dimension(build_hrep(lat, reduced=False)) == dim
+    assert affine_dimension(build_hrep(lat)) == dim
 
 
 def test_vertices_22(lat22):
-    H = build_hrep(lat22, reduced=True)
+    H = build_hrep(lat22)
     verts = enumerate_vertices(H)
     assert {tuple(int(v) for v in p.values) for p in verts} == PAPER_POINTS_22
 
 
 def test_vertices_32(lat32):
-    H = build_hrep(lat32, reduced=True)
+    H = build_hrep(lat32)
     verts = enumerate_vertices(H)
     assert len(verts) == 11
     pts = {tuple(p.values) for p in lattice_points(lat32)}
@@ -763,27 +813,27 @@ def test_vertices_32(lat32):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_vertices_match_rank_test_adjacency(q):
-    H = build_hrep(build_lattice(q, 2), reduced=True)
+    H = build_hrep(build_lattice(q, 2))
     assert ([p.values for p in enumerate_vertices(H)]
             == [p.values for p in rank_test_vertices(H)])
 
 
 def test_vertices_deterministic(lat32):
-    H = build_hrep(lat32, reduced=True)
+    H = build_hrep(lat32)
     a = [tuple(p.values) for p in enumerate_vertices(H)]
     b = [tuple(p.values) for p in enumerate_vertices(H)]
     assert a == b == sorted(a)
 
 
 def test_vertex_enum_cap(lat24):
-    H = build_hrep(lat24, reduced=True)
+    H = build_hrep(lat24)
     with pytest.raises(TooLarge):
         enumerate_vertices(H)  # ambient dim 66 > 15
 
 
 def test_midpoint_convexity(lat23):
     rng = random.Random(21)
-    H = build_hrep(lat23, reduced=True)
+    H = build_hrep(lat23)
     pts = lattice_points(lat23)
     for _ in range(40):
         a, b = rng.sample(pts, 2)
@@ -793,7 +843,7 @@ def test_midpoint_convexity(lat23):
 
 def _edge_count_by_rank_certificates(H, verts):
     dim = H.ambient_dim
-    rows = _reference_hrep_rows(H.lattice, H.reduced)
+    rows = _reference_hrep_rows(H.lattice)
     tight = []
     for p in verts:
         tight.append([k for k, (coeffs, rhs, _) in enumerate(rows)
@@ -802,7 +852,7 @@ def _edge_count_by_rank_certificates(H, verts):
     for i in range(len(verts)):
         ti = set(tight[i])
         for j in range(i + 1, len(verts)):
-            if _dense_normal_rank(H, ti.intersection(tight[j])) == dim - 1:
+            if _dense_normal_rank(H.lattice, ti.intersection(tight[j])) == dim - 1:
                 edges += 1
     return edges
 
@@ -813,7 +863,7 @@ def test_f_vector_22_computed(lat22):
     f0 = 6, f3 = 9 are the paper's own vertex and facet counts while
     f1 = 15 is recomputed below from exact rank certificates.  The
     incidence-closure computation gives 18 two-faces, Euler-consistent."""
-    H = build_hrep(lat22, reduced=True)
+    H = build_hrep(lat22)
     fv = f_vector(H)
     assert fv == (6, 15, 18, 9)
     assert sum((-1) ** i * c for i, c in enumerate(fv)) == 0
@@ -823,7 +873,7 @@ def test_f_vector_22_computed(lat22):
 
 def test_f_vector_32_regression(lat32):
     # frozen from the incidence-closure oracle; alternating sum 2 (dim 5)
-    fv = f_vector(build_hrep(lat32, reduced=True))
+    fv = f_vector(build_hrep(lat32))
     assert fv == (11, 41, 70, 52, 14)
     assert sum((-1) ** i * c for i, c in enumerate(fv)) == 2
 
@@ -856,29 +906,35 @@ def test_f_vectors_satisfy_euler(case, d, lat22, lat32):
 
 
 def test_unreduced_vertex_certificates(lat22):
-    H = build_hrep(lat22, reduced=False)
+    # U_{2,2} is a vertex of the full text's system too: its tight rows
+    # there have rank 5, the number of columns v_0 .. v_4
+    H = build_hrep(lat22)
     u = uniform(lat22, 2)
+    assert _full_tight_rank(lat22, _text_rows(H, full=True), u) == 5
     cert = is_vertex(H, u)
-    assert cert.is_vertex and cert.normal_rank == 5
+    assert cert.is_vertex and cert.normal_rank == 4
 
 
 def test_unreduced_vertex_enumeration_agrees(lat22, lat32):
+    # every vertex that double description finds is a vertex of the
+    # full text's system
     for lat in (lat22, lat32):
-        vr = [tuple(p.values) for p in enumerate_vertices(build_hrep(lat, True))]
-        vu = [tuple(p.values) for p in enumerate_vertices(build_hrep(lat, False))]
-        assert vr == vu
+        H = build_hrep(lat)
+        full_rows = _text_rows(H, full=True)
+        for p in enumerate_vertices(H):
+            assert _full_tight_rank(lat, full_rows, p) == lat.size
 
 
 def test_membership_lattice_guard(lat22, lat32):
     from qrank.errors import DimensionMismatch
-    H = build_hrep(lat22, reduced=True)
+    H = build_hrep(lat22)
     with pytest.raises(DimensionMismatch):
         membership(H, uniform(lat32, 1))
 
 
 def test_fractional_vertex_32(lat32):
     # P(3,2) has rational non-integer vertices; pick one from the run
-    H = build_hrep(lat32, reduced=True)
+    H = build_hrep(lat32)
     verts = enumerate_vertices(H)
     frac = [p for p in verts if not p.is_integral()]
     assert len(frac) == 4
@@ -888,22 +944,21 @@ def test_fractional_vertex_32(lat32):
 
 
 def test_hrep_structural_invariants(lat23):
-    for reduced in (True, False):
-        H = build_hrep(lat23, reduced=reduced)
-        for x, y in H.covers:
-            assert x != lat23.zero
-            assert x in lat23.covers_down[y]
-        for x, y, m, j in H.pairs:
-            assert not lat23.leq(x, y) and not lat23.leq(y, x)
-            assert (m, j) == (lat23.meet(x, y), lat23.join(x, y))
-        assert all(lat23.dims[a] == 1 for a in H.atoms)
+    H = build_hrep(lat23)
+    for x, y in H.covers:
+        assert x != lat23.zero
+        assert x in lat23.covers_down[y]
+    for x, y, m, j in H.pairs:
+        assert not lat23.leq(x, y) and not lat23.leq(y, x)
+        assert (m, j) == (lat23.meet(x, y), lat23.join(x, y))
+    assert all(lat23.dims[a] == 1 for a in H.atoms)
 
 
 def test_polytope_4_2_extension_field():
     # frozen from the double-description run over GF(4)
     from qrank.subspaces import build_lattice
     lat = build_lattice(4, 2)
-    H = build_hrep(lat, reduced=True)
+    H = build_hrep(lat)
     assert affine_dimension(H) == 6
     pts = lattice_points(lat)
     assert len(pts) == 8  # three uniforms plus one rank-1 per loop line
@@ -922,10 +977,9 @@ def _brute_force_vertices(H):
     from fractions import Fraction
     from itertools import combinations
     lat = H.lattice
-    assert H.reduced
     d = H.ambient_dim
     rows = []
-    for coeffs, rhs, _ in _reference_hrep_rows(lat, H.reduced):
+    for coeffs, rhs, _ in _reference_hrep_rows(lat):
         vec = [Fraction(0)] * d
         for i, c in coeffs:
             vec[i - 1] = Fraction(c)
@@ -958,7 +1012,7 @@ def _brute_force_vertices(H):
 @pytest.mark.parametrize("fixture", ["lat22", "lat32"])
 def test_vertices_match_brute_force_oracle(fixture, request):
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat, reduced=True)
+    H = build_hrep(lat)
     oracle = _brute_force_vertices(H)
     dd = {tuple(p.values[1:]) for p in enumerate_vertices(H)}
     assert dd == oracle
@@ -968,7 +1022,7 @@ def test_polytope_5_2_regression():
     # frozen from the double-description run over GF(5)
     from qrank.subspaces import build_lattice
     lat = build_lattice(5, 2)
-    H = build_hrep(lat, reduced=True)
+    H = build_hrep(lat)
     assert affine_dimension(H) == 7
     pts = lattice_points(lat)
     assert len(pts) == 9
