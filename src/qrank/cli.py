@@ -30,6 +30,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _positive_int(text):
+    """The value of --max-lattice: a cap below 1 would refuse every
+    lattice, so it is refused as a bad value instead."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {text!r}")
+    return value
+
+
 def _write(args, text):
     _write_lines(args, (text,))
 
@@ -323,7 +335,8 @@ def build_parser(argv=None):
     top = _Parser(prog="qrank", description=__doc__)
     top.add_argument("--json-errors", action="store_true",
                      help="report failures as JSON on stderr")
-    top.add_argument("--max-lattice", type=int, default=subspaces.MAX_LATTICE_SIZE,
+    top.add_argument("--max-lattice", type=_positive_int,
+                     default=subspaces.MAX_LATTICE_SIZE,
                      help="cap on the number of subspaces")
     sub = top.add_subparsers(dest="command", required=True)
     named = next((a for a in argv or () if a in _GROUPS), None)

@@ -7,6 +7,19 @@ rho(U) = (k - dim C(U)) / m with C(U) the codewords whose column space
 lies inside the orthogonal complement of U.  Minimum distances are
 found by exhaustive codeword scans, capped at 2^20 words; the worked
 examples all have k <= 3.
+
+C(U) is the kernel of a linear system on the coordinates c_1 .. c_k of
+a codeword: each basis row b of U gives the m rows
+((b G_1)_l, ..., (b G_k)_l), l = 1 .. m, and k - dim C(U) is the rank
+of their span S(U) in F_q^k (shortening_dim solves that system for one
+U).  The whole lattice is ranked by prefix recursion instead: dropping
+the last row of U's canonical RREF basis leaves the canonical basis of
+an earlier element, its prefix, so S(U) is S(prefix) plus the m rows
+of that last basis row.  Each subspace then costs one elimination step
+of m rows against the prefix's echelon basis, and none once the prefix
+already spans F_q^k.  A vector code over F_{q^m} is ranked the same
+way, with one row (g_1 . b, ..., g_k . b) over the extension field per
+basis row b.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from .errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                      ZeroCode, parse_int, parse_key, require_keys)
 from .fields import (EXHAUSTIVE_SPAN_CAP, FqMatrix, make_field, matrix_vectors,
                      nullspace, rref)
-from .rankfun import rank_point
+from .rankfun import RankPoint, rank_point
 
 CODEWORD_SCAN_CAP = EXHAUSTIVE_SPAN_CAP  # the row-space cap of matrix_vectors
 
@@ -132,11 +145,64 @@ def shortening_dim(C, lattice, u):
     return C.k - rref(mat).rank
 
 
+def _prefix_ranks(lattice, field, k, rows_of):
+    """The rank of S(U) for every subspace U, in lattice order, where
+    S(U) is the span in field^k of rows_of(b) over the basis rows b of
+    U, by prefix recursion (see the module docstring).
+
+    The last row of a canonical RREF basis is itself the canonical
+    basis of an atom, which comes earlier in the order, so rows_of runs
+    once per atom and every larger U adds its last atom's rows to the
+    span of its prefix.  Each span is held as echelon rows: each has
+    entry 1 at its pivot column and 0 at the pivot of every row before
+    it, so a vector reduced by the rows in turn ends with 0 at every
+    pivot, and what is left of it, if anything, is the next row."""
+    add, mul, neg, inv = field._add, field._mul, field._neg, field._inv
+    index = lattice.index
+    spans = [()]
+    for s in lattice.subspaces[1:]:
+        entries = s.basis.entries
+        span = spans[index[entries[:-1]]]
+        if len(span) < k:
+            if len(entries) == 1:
+                new = rows_of(entries[0])
+            else:
+                new = [row for _, row in spans[index[entries[-1:]]]]
+            span = list(span)
+            for v in new:
+                for c, row in span:
+                    f = v[c]
+                    if f:
+                        times = mul[neg[f]]
+                        v = [add[x][times[y]] for x, y in zip(v, row)]
+                c = next((c for c, x in enumerate(v) if x), None)
+                if c is not None:
+                    times = mul[inv[v[c]]]
+                    span.append((c, [times[x] for x in v]))
+                    if len(span) == k:
+                        break
+            span = tuple(span)
+        spans.append(span)
+    return [len(span) for span in spans]
+
+
 def induced_polymatroid(C, lattice):
-    """RankPoint with v_U = (k - dim C(U)) / m."""
-    vals = [Fraction(C.k - shortening_dim(C, lattice, u), C.m)
-            for u in range(lattice.size)]
-    return rank_point(lattice, vals)
+    """RankPoint with v_U = (k - dim C(U)) / m, where k - dim C(U) is
+    the rank of S(U), found for every U by prefix recursion: the last
+    basis row b of U adds the rows ((b G_1)_l, ..., (b G_k)_l) to
+    S(prefix of U).  shortening_dim is the per-subspace definition."""
+    if lattice.q != C.field.q or lattice.n != C.n:
+        raise LatticeMismatch("lattice does not match the code's row space")
+    F, k, m = C.field, C.k, C.m
+
+    def rows_of(b):
+        # row l holds (b G_i)_l, the dot of b with column l of G_i
+        prods = [[F.dot(b, col) for col in zip(*G.entries)] for G in C.generators]
+        return [list(row) for row in zip(*prods)]
+
+    ranks = _prefix_ranks(lattice, F, k, rows_of)
+    vals = [Fraction(r, m) for r in range(k + 1)]
+    return RankPoint(lattice, tuple(vals[r] for r in ranks))
 
 
 def mrd_closed_form(lattice, m, d):
@@ -243,21 +309,21 @@ def vector_code(q, m, n, generators):
 
 def vector_code_qmatroid(V, lattice):
     """Integer RankPoint with rho(W) = k - dim_{F_{q^m}} C(W), where
-    C(W) kills the codewords orthogonal to W over the extension field."""
+    C(W) kills the codewords orthogonal to W over the extension field.
+    rho(W) is the rank over F_{q^m} of the rows (g_1 . b, ..., g_k . b)
+    over the basis rows b of W, found for every W by prefix recursion:
+    the last basis row of W adds one row to the span of its prefix's."""
     if lattice.q != V.base_field.q or lattice.n != V.n:
         raise LatticeMismatch("lattice does not match the code length")
     ext = V.ext_field
-    vals = []
-    for w in range(lattice.size):
-        B = lattice.subspaces[w].basis
-        if B.rows == 0:
-            vals.append(0)
-            continue
-        rows = [tuple(ext.dot(g, brow) for g in V.generators)
-                for brow in B.entries]
-        mat = FqMatrix.from_rows(ext, rows, V.k)
-        vals.append(rref(mat).rank)
-    return rank_point(lattice, vals)
+
+    def rows_of(b):
+        # a prime base field's encodings are the same ints in F_{q^m}
+        return [[ext.dot(g, b) for g in V.generators]]
+
+    ranks = _prefix_ranks(lattice, ext, V.k, rows_of)
+    vals = [Fraction(r) for r in range(V.k + 1)]
+    return RankPoint(lattice, tuple(vals[r] for r in ranks))
 
 
 def expanded_matrix_code(V):

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
                      Overlap, OutOfRange, RankMismatch, parse_int,
                      parse_key, require_keys)
-from .rankfun import RankPoint, rank_point
+from .rankfun import RankPoint, rank_point, scaled_values
 from .subspaces import build_lattice
 
 
@@ -95,12 +95,15 @@ def convex_combination(terms):
     lat = terms[0][1].lattice
     if any(p.lattice is not lat for _, p in terms):
         raise LatticeMismatch("all points must live on one lattice")
-    size = lat.size
-    vals = [Fraction(0)] * size
-    for c, p in terms:
-        for i in range(size):
-            vals[i] += c * p.values[i]
-    return RankPoint(lat, tuple(vals))
+    # in integers over one common denominator: c p = (c mu) ints / mu
+    scaled = [(c, *scaled_values(p.values)) for c, p in terms]
+    den = math.lcm(*(c.denominator * mu for c, mu, _ in scaled))
+    nums = [0] * lat.size
+    for c, mu, ints in scaled:
+        f = c.numerator * (den // (c.denominator * mu))
+        nums = [a + f * v for a, v in zip(nums, ints)]
+    fractions = {a: Fraction(a, den) for a in set(nums)}
+    return RankPoint(lat, tuple(fractions[a] for a in nums))
 
 
 # -- profiles: rank functions constant on each grade --------------------

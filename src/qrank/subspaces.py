@@ -17,22 +17,27 @@ The above-mask of X is the AND, over the atoms of X, of the masks of
 the subspaces containing that atom (all subspaces for the zero space),
 and the below-masks are its transpose.
 
-Meet and join are read off the bitmasks, with no linear algebra.  The
-order is graded: index order never decreases dimension.  The common
-lower bounds of X and Y are the subspaces below their meet, and the
-meet is the only one of them with its dimension, so the meet is the
-highest index set in both below-masks.  Dually, the join is the lowest
-index set in both above-masks.
+Meet and join are read off two small masks per space, with no linear
+algebra: its atom set A_X (bit a for the a-th atom) and its hyperplane
+set H_X (bit h for the h-th hyperplane, read off its above-mask), each
+with a dict back to the index.  A space is the span of its atoms and
+the intersection of the hyperplanes that hold it, so both sets
+determine it; the atoms of X meet Y are those in both, A_X & A_Y, and
+the hyperplanes that hold X join Y are those that hold both,
+H_X & H_Y.  The masks have one bit per atom or hyperplane, not one per
+space, so the AND is cheap even on the largest lattices.
 
 The incomparable pairs, with their meets and joins, are tabulated once
-per lattice on first use (SubspaceLattice.incomparable).  That table
+per lattice on first use (SubspaceLattice.incomparable), one
+comprehension per space over the atom and hyperplane sets.  That table
 is read only where every row is reported: the submodularity rows of the
 paper's system and the literal R3 axiom check.  The diamonds, the pairs
 x, y that both cover their meet, are tabulated apart from it
-(SubspaceLattice.diamonds), from the cover relation alone: they carry
-the facets among the submodularity rows.  With the atom bounds and the
-top covers they make the facet table (SubspaceLattice.facets), which is
-all that certification, double description and the f-vector read; the
+(SubspaceLattice.diamonds), from the cover relation and the hyperplane
+sets, with no pass over the pair table: they carry the facets among
+the submodularity rows.  With the atom bounds and the top covers they
+make the facet table (SubspaceLattice.facets), which is all that
+certification, double description and the f-vector read; the
 integer-point search propagates the diamonds.
 """
 
@@ -112,20 +117,24 @@ class SubspaceLattice:
         self.grade_offsets = tuple(offsets)
         self.atom_range = range(offsets[1], offsets[2])
         # containment masks from atom sets (see the module docstring);
-        # containing[a] has bit j set when atom a lies in subspace j
+        # containing[a] has bit j set when atom a lies in subspace j, and
+        # so has the atom set of j bit a - first
         atom_of = {}
         for a in self.atom_range:
             for v in matrix_vectors(self.subspaces[a].basis):
                 if any(v):
                     atom_of[v] = a
         containing = dict.fromkeys(self.atom_range, 0)
-        atoms_of = []
+        first = self.atom_range.start
+        atoms_of, atom_sets = [], []
         for j, s in enumerate(self.subspaces):
             atoms = sorted({atom_of[v] for v in matrix_vectors(s.basis) if any(v)})
             for a in atoms:
                 containing[a] |= 1 << j
             atoms_of.append(tuple(atoms))
+            atom_sets.append(sum(1 << (a - first) for a in atoms))
         self.atoms_of = tuple(atoms_of)
+        self.atom_sets = tuple(atom_sets)
         full = (1 << self.size) - 1
         above = []
         for atoms in self.atoms_of:
@@ -139,6 +148,16 @@ class SubspaceLattice:
             for j in self._bits(mask):
                 below[j] |= 1 << i
         self.below_mask = tuple(below)
+        # the hyperplane set of i has bit h - first set when hyperplane h
+        # holds i; the dicts map both sets back to the index objects of
+        # the one tuple _ids, which every pair table shares
+        hyperplanes = self.grade(n - 1)
+        first, window = hyperplanes.start, (1 << len(hyperplanes)) - 1
+        self.hyperplane_sets = tuple((mask >> first) & window
+                                     for mask in self.above_mask)
+        self._ids = ids = tuple(range(self.size))
+        self.space_of_atom_set = dict(zip(self.atom_sets, ids))
+        self.space_of_hyperplane_set = dict(zip(self.hyperplane_sets, ids))
         self._below_list = tuple(tuple(self._bits(m)) for m in self.below_mask)
         self.covers_down = tuple(
             tuple(i for i in self._below_list[j] if self.dims[i] == self.dims[j] - 1)
@@ -190,32 +209,32 @@ class SubspaceLattice:
     # -- meet / join ---------------------------------------------------
 
     def meet(self, i, j):
-        return (self.below_mask[i] & self.below_mask[j]).bit_length() - 1
+        return self.space_of_atom_set[self.atom_sets[i] & self.atom_sets[j]]
 
     def join(self, i, j):
-        common = self.above_mask[i] & self.above_mask[j]
-        return (common & -common).bit_length() - 1
+        sets = self.hyperplane_sets
+        return self.space_of_hyperplane_set[sets[i] & sets[j]]
 
     @cached_property
     def incomparable(self):
         """Every incomparable pair x < y as (x, y, meet, join), in order
-        of x, then y; built on first use.
+        of x, then y; built on first use, one comprehension per x over
+        the atom and hyperplane sets.
 
         Because the order is graded, y > x can only fail to be
-        incomparable with x by lying above it.  The meet is below x and
-        the join above y, so meet < x < y < join.  Each index is one
-        shared int object, which keeps the table small."""
-        below, above = self.below_mask, self.above_mask
-        ids = tuple(range(self.size))
+        incomparable with x by lying above it, that is by holding every
+        atom of x.  The meet is the space with the atoms both hold and
+        the join the space in the hyperplanes that hold both, so
+        meet < x < y < join.  Each index is one of the shared int
+        objects of _ids, which keeps the table small."""
+        ids, A, H = self._ids, self.atom_sets, self.hyperplane_sets
+        meet, join = self.space_of_atom_set, self.space_of_hyperplane_set
         out = []
         for x in ids:
-            bx, ax = below[x], above[x]
-            for y in ids[x + 1:]:
-                if (ax >> y) & 1:
-                    continue
-                common = ax & above[y]
-                out.append((x, y, ids[(bx & below[y]).bit_length() - 1],
-                            ids[(common & -common).bit_length() - 1]))
+            ax, hx = A[x], H[x]
+            out += [(x, y, meet[ax & ay], join[hx & hy])
+                    for y, ay, hy in zip(ids[x + 1:], A[x + 1:], H[x + 1:])
+                    if ax & ay != ax]
         return tuple(out)
 
     @cached_property
@@ -224,19 +243,17 @@ class SubspaceLattice:
         their meet, so the join covers both; in order of x, then y, the
         order of the incomparable-pair table, which holds them all.
         Built on first use from each space's upper covers, taken in
-        pairs, with no pass over the pair table; each index is one
-        shared int object, as in that table.
+        pairs, with no pass over the pair table; the join is the space
+        with the hyperplanes that hold both, and each index is one of
+        the shared int objects of _ids, as in that table.
 
         The diamonds carry the facets among the submodularity rows:
         every other pair row is a sum of diamond rows."""
-        above = self.above_mask
-        ids = tuple(range(self.size))
+        ids, H, join = self._ids, self.hyperplane_sets, self.space_of_hyperplane_set
         out = []
-        for m, ups in enumerate(self.covers_up):
-            for x, y in combinations(ups, 2):
-                common = above[x] & above[y]
-                out.append((ids[x], ids[y], ids[m],
-                            ids[(common & -common).bit_length() - 1]))
+        for m, ups in zip(ids, self.covers_up):
+            out += [(ids[x], ids[y], m, join[H[x] & H[y]])
+                    for x, y in combinations(ups, 2)]
         out.sort()
         return tuple(out)
 

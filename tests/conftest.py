@@ -36,3 +36,8 @@ def lat32():
 @pytest.fixture(scope="session")
 def lat33():
     return build_lattice(3, 3)
+
+
+@pytest.fixture(scope="session")
+def lat43():
+    return build_lattice(4, 3)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from qrank.charpoly import TruncatedPuiseux
-from qrank.fields import FqMatrix, make_field, matrix_vectors
+from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import _dd_constraints, _rank
 from qrank.rankfun import rank_point
 
@@ -118,6 +118,24 @@ def span_containment_order(lat):
     atoms_of = tuple(tuple(i for i in lows[j] if dims[i] == 1)
                      for j in range(lat.size))
     return tuple(below), tuple(above), covers_down, covers_up, atoms_of
+
+
+def reference_vector_code_ranks(V, lattice):
+    """rho(W) = k - dim C(W) for every W of the lattice, one rref per
+    subspace of the rows (g_1 . b, ..., g_k . b) over the basis rows b
+    of W, with no prefix recursion: the reference for
+    vector_code_qmatroid."""
+    ext = V.ext_field
+    ranks = []
+    for s in lattice.subspaces:
+        B = s.basis
+        if B.rows == 0:
+            ranks.append(0)
+            continue
+        rows = [tuple(ext.dot(g, brow) for g in V.generators)
+                for brow in B.entries]
+        ranks.append(rref(FqMatrix.from_rows(ext, rows, V.k)).rank)
+    return tuple(ranks)
 
 
 def reference_sparse_rank(rows):

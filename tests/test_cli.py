@@ -241,6 +241,14 @@ def test_large_n_is_refused_at_once(tmp_path):
         assert "subspaces, the cap" in res.stderr, argv
 
 
+@pytest.mark.parametrize("cap", ["-5", "0", "x"])
+def test_max_lattice_below_one_is_a_bad_value(capsys, cap):
+    code, out, err = run(capsys, "--max-lattice", cap,
+                         "lattice", "build", "--q", "2", "--n", "2")
+    assert code == 1 and out == ""
+    assert "--max-lattice" in err and "positive integer" in err
+
+
 def test_digest_guard(capsys, tmp_path):
     point = tmp_path / "u.json"
     assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",

@@ -12,11 +12,14 @@ from qrank.codes import (code_from_json,
                          mrd_combo_independence, shortening_dim, vector_code,
                          vector_code_qmatroid, vertex_example_code)
 from qrank.constructions import uniform
-from qrank.errors import (HypothesisFail, OutOfRange, UnsupportedShape,
-                          ValidationError, ZeroCode)
-from qrank.fields import FqMatrix, make_field
+from qrank.errors import (HypothesisFail, LatticeMismatch, OutOfRange,
+                          UnsupportedShape, ValidationError, ZeroCode)
+from qrank.fields import FqMatrix, make_field, rref
 from qrank.polytope import build_hrep, is_vertex
 from qrank.rankfun import check_axioms, independence_report, principal_denominator
+from qrank.subspaces import build_lattice
+
+from helpers import reference_vector_code_ranks
 
 
 def grade_multiset(point, d):
@@ -219,3 +222,55 @@ def test_code_json_roundtrip(tmp_path):
     import json
     path.write_text(json.dumps(obj))
     assert load_code(path).generators == C.generators
+
+
+def _random_code(rng, field, n, m, k):
+    """A seeded code of k independent n x m generators over the field."""
+    nm = n * m
+    while True:
+        rows = [tuple(rng.randrange(field.q) for _ in range(nm)) for _ in range(k)]
+        if rref(FqMatrix.from_rows(field, rows, nm)).rank == k:
+            break
+    return matrix_code(field, n, m, [
+        FqMatrix.from_rows(field, [r[i * m:(i + 1) * m] for i in range(n)], m)
+        for r in rows])
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 3, 2), (2, 4, 2), (3, 3, 2),
+                                   (4, 3, 2), (4, 2, 3)])
+def test_induced_polymatroid_is_its_definition(q, n, m):
+    # the prefix recursion against shortening_dim, one subspace at a
+    # time, from the zero code to the whole space F_q^{n x m}
+    lat = build_lattice(q, n)
+    F = make_field(q)
+    rng = random.Random(100 * q + 10 * n + m)
+    for k in (0, 1, 2, 3, n * m - 1, n * m):
+        for _ in range(2):
+            C = _random_code(rng, F, n, m, k)
+            assert induced_polymatroid(C, lat).values == tuple(
+                Fraction(k - shortening_dim(C, lat, u), m)
+                for u in range(lat.size))
+    # the whole space induces v_U = dim U
+    assert induced_polymatroid(C, lat).values == uniform(lat, n).values
+    with pytest.raises(LatticeMismatch):
+        induced_polymatroid(C, build_lattice(q, n + 1))
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 2, 3), (2, 3, 3), (3, 2, 3), (2, 2, 4)])
+def test_vector_code_qmatroid_matches_per_subspace_rref(q, m, n):
+    lat = build_lattice(q, n)
+    rng = random.Random(100 * q + 10 * m + n)
+    for k in range(n + 1):
+        for _ in range(3):
+            while True:
+                gens = [tuple(rng.randrange(q ** m) for _ in range(n))
+                        for _ in range(k)]
+                try:
+                    V = vector_code(q, m, n, gens)
+                    break
+                except ValidationError:  # dependent generators: draw again
+                    continue
+            assert vector_code_qmatroid(V, lat).values == tuple(
+                Fraction(r) for r in reference_vector_code_ranks(V, lat))
+    with pytest.raises(LatticeMismatch):
+        vector_code_qmatroid(V, build_lattice(q, n + 1))

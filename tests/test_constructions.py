@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_disjoint_paving_pair, random_lambda
 from qrank.constructions import (combo_denominator, compile_spec,
@@ -14,6 +16,7 @@ from qrank.errors import (CoefficientSum, InvalidCollection, Overlap,
 from qrank.rankfun import (check_axioms, classify, closure, cyclic_flats,
                            cyclic_spaces, flats, independence_report,
                            principal_denominator, rank_point)
+from qrank.subspaces import build_lattice
 
 
 def dims_set(lat, pred):
@@ -75,6 +78,33 @@ def test_convex_combination_identity_and_errors(lat22):
         convex_combination([(Fraction(1, 2), u)])
     with pytest.raises(CoefficientSum):
         convex_combination([(Fraction(3, 2), u), (Fraction(-1, 2), u)])
+
+
+_LAT22 = build_lattice(2, 2)
+
+
+@st.composite
+def _combination_terms(draw):
+    """Two or three (coefficient, point) terms on L(F_2^2): positive
+    weights with mixed denominators scaled to sum 1, and values that
+    are any rationals, ints among them."""
+    count = draw(st.integers(2, 3))
+    weights = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+               for _ in range(count)]
+    total = sum(weights)
+    return [(w / total, rank_point(_LAT22, [
+        Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 6)))
+        for _ in range(_LAT22.size)])) for w in weights]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_combination_terms())
+def test_convex_combination_is_the_fraction_sum(terms):
+    combo = convex_combination(terms)
+    assert combo.lattice is _LAT22
+    assert combo.values == tuple(sum(c * p.values[i] for c, p in terms)
+                                 for i in range(_LAT22.size))
+    assert all(type(v) is Fraction for v in combo.values)
 
 
 def test_combo_of_lattice_points_stays_feasible(lat23):

@@ -116,25 +116,38 @@ def _meet_join_by_rref(lat, i, j):
     return meet, join
 
 
-def test_meet_join_agree_with_vector_sets(lat24, lat33, lat25):
-    # every pair of the two smaller lattices, a seeded sample of the largest
+def test_meet_join_agree_with_vector_sets(lat24, lat33, lat43, lat25):
+    # every pair of the smaller lattices, L(F_4^3) over a field that is
+    # not prime among them, and a seeded sample of the largest
     rng = random.Random(11)
     sample = [(rng.randrange(lat25.size), rng.randrange(lat25.size))
               for _ in range(2000)]
     for lat, pairs in ((lat24, product(range(lat24.size), repeat=2)),
                        (lat33, product(range(lat33.size), repeat=2)),
+                       (lat43, product(range(lat43.size), repeat=2)),
                        (lat25, sample)):
         for i, j in pairs:
             assert (lat.meet(i, j), lat.join(i, j)) == _meet_join_by_rref(lat, i, j)
 
 
-def test_incomparable_table_agrees_with_vector_sets(lat24, lat33):
-    for lat in (lat24, lat33):
+def test_incomparable_table_agrees_with_vector_sets(lat24, lat33, lat43):
+    # both pair tables, L(F_4^3) over a field that is not prime among them
+    for lat in (lat24, lat33, lat43):
         expected = tuple((x, y) + _meet_join_by_rref(lat, x, y)
                          for x in range(lat.size)
                          for y in range(x + 1, lat.size)
                          if not lat.leq(x, y) and not lat.leq(y, x))
         assert lat.incomparable == expected
+        dims = lat.dims
+        assert lat.diamonds == tuple(
+            row for row in expected
+            if dims[row[0]] == dims[row[1]] == dims[row[2]] + 1)
+
+
+def test_pair_tables_share_one_int_per_index(lat25):
+    # 374 spaces, past the small ints that CPython shares anyway
+    for table in (lat25.incomparable, lat25.diamonds):
+        assert len({id(i) for row in table for i in row}) <= lat25.size
 
 
 def test_incomparable_table_size_25(lat25):
