@@ -10,14 +10,17 @@ meet drops out.  The unreduced system, which keeps the column v_0 and
 pins it with the rows v_0 <= 0 and -v_0 <= 0, is only a rendering of
 these rows (HRepresentation.text_lines with full set).
 
-build_hrep returns an HRepresentation that holds the rows as blocks of
-plain index tuples, in row order: the type-1 bounds, the atoms, the
-cover pairs (x, y), and the lattice's incomparable-pair table
-(x, y, meet, join) as it is.  No row object exists: H.rows is the
-range of row numbers, and the readers that report every row walk the
-blocks (the text and membership).
-The text is produced one line at a time by one loop per block
-(HRepresentation.text_lines), so the CLI streams it.
+Every row has one format, that of SubspaceLattice.facets: a row
+(x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y], where
+w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is the point's
+padded vector (SubspaceLattice.padded): v_0 reads 0, and index
+size + d reads d mu.  build_hrep returns an HRepresentation whose rows
+are these entries, in row order: the type-1 bound on x,
+(size + dim x, size, x, size); the atom a, (a, size, size, size); the
+cover x < y, (y, size, x, size); and the lattice's incomparable-pair
+table (x, y, meet, join) as it is.  The text is produced one line at a
+time by one loop per block of rows (HRepresentation.text_lines), so
+the CLI streams it.
 
 The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
@@ -42,37 +45,38 @@ So the facets hold iff every row holds, and at a feasible point a
 tight row forces its summands tight, so the tight rows and the tight
 facets span the same normals.  is_vertex, check_axioms' fast path
 (rankfun), double description and f_vector read the facet table alone;
-H.facet_rows gives each entry its row number, counted once when H is
-built (the atom bound on a is row a - 1, and HRepresentation.pair_rows
-numbers diamonds from the masks), so a certificate names rows of the
-whole system.
+each entry is a row of H, and H.facet_rows gives its row number,
+counted once when H is built (the atom bound on a is row a - 1, and
+HRepresentation.pair_rows numbers diamonds from the masks), so a
+certificate names rows of the whole system.
 
 Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
-point is multiplied once by the lcm mu of its denominators, and
-membership runs one plain loop per block, filing row k as tight or
-violated by the sign of s = a.(mu v) - mu b, in Python ints.
+point is multiplied once by the lcm mu of its denominators and padded,
+and membership runs one plain loop over the rows, filing row k as tight
+or violated by comparing w[m] + w[j] with w[x] + w[y], in Python ints.
 
-Every rank is taken by one exact kernel, _rank: Gauss-Jordan
-elimination in Python ints over rows given as (column, value) pairs, so
-an H-row keeps its at most four nonzero entries.  Each pivot row is
-primitive and holds no other pivot's column, and an index maps each
-free column to the rows that hold it, so a row is reduced in one pass
-over its own entries, and a new pivot is cleared from only the rows
-that hold its column.  Most tight facet rows turn out dependent, and
-two tests skip them cheaply: a pivot column is solved once its row
-holds it alone, so a row on solved columns only is skipped before any
-dict is built; and at one rank below the column count the pivot rows
-leave one free column, so after the first dependent row each row costs
-one dot product with their null vector.  Vertex certification ranks the
-tight facet normals, so every certificate is checkable by hand; the
-elimination stops once the rank reaches the number of columns, since
-no further row can raise it.  f_vector reads each vertex's tight
-facets, and its face dimensions are the rank of scaled difference
-rows.
+Every rank is taken by one exact kernel, _rank: Gauss-Jordan elimination
+in Python ints over rows given as (column, value) pairs, the only rows
+not in the (x, y, m, j) format: _normals writes a tight facet as its at
+most four nonzero entries, and _affine_rank a difference of points.
+Each pivot row is primitive and holds no other pivot's column, and an
+index maps each free column to the rows that hold it, so a row is
+reduced in one pass over its own entries, and a new pivot is cleared
+from only the rows that hold its column.  Most tight facet rows turn out
+dependent, and two tests skip them cheaply: a pivot column is solved
+once its row holds it alone, so a row on solved columns only is skipped
+before any dict is built; and at one rank below the column count the
+pivot rows leave one free column, so after the first dependent row each
+row costs one dot product with their null vector.  Vertex certification
+ranks the tight facet normals, so every certificate is checkable by
+hand; the elimination stops once the rank reaches the number of columns,
+since no further row can raise it.  f_vector reads each vertex's tight
+facets, and its face dimensions are the rank of scaled difference rows.
 
 Two search kernels materialize points.  Vertex enumeration runs an
-exact integer double description pass over sparse homogenized
-constraints (the type-1 bounds for the initial cone, then the top
+exact integer double description pass whose rays are padded vectors
+with t in place of mu, so each constraint is a row read by the same four
+lookups (the type-1 bounds and t >= 0 for the initial cone, then the top
 covers and the diamonds), with the combinatorial adjacency test in
 bitset form: two rays are adjacent iff no third ray is tight on every
 constraint tight at both (Fukuda & Prodon 1996), read off an AND of
@@ -97,38 +101,42 @@ MAX_DFS_NODES = 100_000
 
 class HRepresentation:
     """The H-representation of the polytope on the lattice, over the
-    columns v_1 .. v_top, as blocks of plain index tuples in row order:
-    bounds (the nonzero indices x, row v_x <= dim x), atoms
-    (-v_a <= 0), covers ((x, y), v_x - v_y <= 0) and pairs (the
-    lattice's incomparable-pair table (x, y, meet, join),
-    v_meet - v_x - v_y + v_join <= 0, with v_0 read as 0).  rows is
-    range(N), the row numbers that membership reports, and facet_rows
-    the row number of each entry of the lattice's facet table."""
+    columns v_1 .. v_top.  rows is the tuple of its rows in row order,
+    each an entry (x, y, m, j) that holds iff w[m] + w[j] <= w[x] + w[y]
+    on the point's padded vector w (SubspaceLattice.padded, where index
+    size reads 0 and size + d reads d mu): the bounds
+    (size + dim x, size, x, size), v_x <= dim x; the atoms
+    (a, size, size, size), -v_a <= 0; the covers (y, size, x, size),
+    v_x - v_y <= 0; and the lattice's incomparable-pair table
+    (x, y, meet, join), v_meet - v_x - v_y + v_join <= 0 with v_0 read as
+    0.  facet_rows is the row number of each entry of the lattice's
+    facet table, which is that row: rows[facet_rows[i]] == facets[i]."""
 
     def __init__(self, lattice):
         self.lattice = lattice
-        self.bounds = range(1, lattice.size)
-        self.atoms = lattice.atom_range
-        self.covers = tuple((x, y) for y in self.bounds
-                            for x in lattice.covers_down[y]
-                            if x != lattice.zero)
-        self.pairs = lattice.incomparable
-        end = len(self.bounds) + len(self.atoms) + len(self.covers)
-        self.rows = range(end + len(self.pairs))
+        size, dims = lattice.size, lattice.dims
+        pad = tuple(range(size, size + lattice.n + 1))  # size + d reads d mu
+        zero = pad[0]
+        bounds = tuple((pad[dims[x]], zero, x, zero) for x in range(1, size))
+        atoms = tuple((a, zero, zero, zero) for a in lattice.atom_range)
+        covers = tuple((y, zero, x, zero) for y in range(1, size)
+                       for x in lattice.covers_down[y] if x != lattice.zero)
+        end = len(bounds) + len(atoms) + len(covers)
+        self.rows = bounds + atoms + covers + lattice.incomparable
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
         base, pair_offset = [], end
         for x, ax in enumerate(lattice.above_mask):
             base.append(pair_offset - x)
-            pair_offset += lattice.size - x - ax.bit_count()
+            pair_offset += size - x - ax.bit_count()
         self._pair_base = tuple(base)
-        self._low = tuple((1 << y) - 1 for y in range(lattice.size))
+        self._low = tuple((1 << y) - 1 for y in range(size))
         # the row number of each entry of lattice.facets, counted here so
         # that no query counts them: the bound on atom a is row a - 1,
         # and the top covers end the cover block
         top_covers = len(lattice.covers_down[lattice.top])
-        self.facet_rows = (tuple(a - 1 for a in self.atoms)
+        self.facet_rows = (tuple(a - 1 for a in lattice.atom_range)
                            + tuple(range(end - top_covers, end))
                            + tuple(self.pair_rows(lattice.diamonds)))
 
@@ -152,22 +160,28 @@ class HRepresentation:
 
         With full, the unreduced system: the columns start at v_0,
         which keeps its 1 in the zero-meet pair rows, and the rows
-        v_0 <= 0 and -v_0 <= 0 come last.  One loop per block of
-        build_hrep's rows, as in membership; each line is an f-string
-        over the runs of zeros between the row's few nonzero entries."""
-        dims = self.lattice.dims
+        v_0 <= 0 and -v_0 <= 0 come last.  One loop per block of rows
+        (the bounds, the atoms, the covers, the pairs); each line is an
+        f-string over the runs of zeros between the row's few nonzero
+        entries."""
+        lat, rows = self.lattice, self.rows
+        dims = lat.dims
         o = 0 if full else 1   # column of lattice index i is i - o
-        dim = self.lattice.size - o
-        top = self.lattice.top  # so z[top - i] zeros follow index i
+        dim = lat.size - o
+        top = lat.top  # so z[top - i] zeros follow index i
+        # the blocks: rows[:top] are the bounds, then come the atoms, the
+        # covers, and the pair table, which ends the rows
+        atoms = top + len(lat.atom_range)
+        pairs = len(rows) - len(lat.incomparable)
         z = ["0 " * k for k in range(dim + 1)]
-        yield f"HREP {len(self.rows) + (2 if full else 0)} {dim}\n"
-        for x in self.bounds:
+        yield f"HREP {len(rows) + (2 if full else 0)} {dim}\n"
+        for _, _, x, _ in rows[:top]:
             yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
-        for a in self.atoms:
+        for a, _, _, _ in rows[top:atoms]:
             yield f"{z[a - o]}-1 {z[top - a]}0\n"
-        for x, y in self.covers:
+        for y, _, x, _ in rows[atoms:pairs]:
             yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
-        for x, y, m, j in self.pairs:
+        for x, y, m, j in rows[pairs:]:
             if m or full:
                 yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
                        f"{z[j - y - 1]}1 {z[top - j]}0\n")
@@ -196,9 +210,9 @@ Membership = namedtuple("Membership", "status tight_rows violated_rows")
 
 
 def membership(H, p):
-    """Exact evaluation of every row at the point, one plain loop per
-    block of build_hrep's H-representation: row k with
-    s = a.(mu v) - mu b is tight at s == 0 and violated at s > 0.
+    """Exact evaluation of every row at the point, one plain loop over
+    H.rows on the point's padded vector w: row k, (x, y, m, j), is tight
+    when w[m] + w[j] == w[x] + w[y] and violated when it is greater.
     Interior means strict on every row.
 
     The system has no v_0, so the point's value there is read as 0:
@@ -207,31 +221,12 @@ def membership(H, p):
     if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
-    mu, vals = scaled_values(p.values)
-    vals = (0,) + vals[1:]
-    dims = H.lattice.dims
+    w = H.lattice.padded(*scaled_values(p.values))
     tight = []
     violated = []
-    start = 0
-    for k, x in enumerate(H.bounds, start):
-        s = vals[x] - mu * dims[x]
-        if s >= 0:
-            (violated if s else tight).append(k)
-    start += len(H.bounds)
-    for k, a in enumerate(H.atoms, start):
-        s = -vals[a]
-        if s >= 0:
-            (violated if s else tight).append(k)
-    start += len(H.atoms)
-    for k, (x, y) in enumerate(H.covers, start):
-        s = vals[x] - vals[y]
-        if s >= 0:
-            (violated if s else tight).append(k)
-    start += len(H.covers)
-    for k, (x, y, m, j) in enumerate(H.pairs, start):
-        s = vals[m] + vals[j] - vals[x] - vals[y]
-        if s >= 0:
-            (violated if s else tight).append(k)
+    for k, (x, y, m, j) in enumerate(H.rows):
+        if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
+            (violated if w[m] + w[j] > w[x] + w[y] else tight).append(k)
     if violated:
         return Membership("outside", tuple(tight), tuple(violated))
     return Membership("boundary" if tight else "interior", tuple(tight), ())
@@ -263,15 +258,13 @@ def is_vertex(H, p):
 def _tight_facets(H, p):
     """(row numbers, facet table entries) of the facet rows tight at the
     point, in row order, read off the lattice's facet table
-    (SubspaceLattice.facets) on the mu-scaled ints, with v_0 read as 0
-    as in membership.  A violated facet raises NotFeasible naming the
-    violated facet rows."""
+    (SubspaceLattice.facets) on the padded vector, as in membership.  A
+    violated facet raises NotFeasible naming the violated facet rows."""
     lat = H.lattice
     if p.lattice is not lat:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
-    mu, vals = scaled_values(p.values)
-    w = (0,) + vals[1:] + (mu, 0)
+    w = lat.padded(*scaled_values(p.values))
     rows, tight, violated = [], [], []
     for k, f in zip(H.facet_rows, lat.facets):
         x, y, m, j = f
@@ -561,12 +554,11 @@ def _affine_rank(points):
 
 def _dd_constraints(H):
     """The homogenized constraints of double description in insertion
-    order, as sparse (column, coefficient) rows over the columns
-    v_1 .. v_d and t (column d): first the type-1 rows
-    v_x - dim(x) t <= 0 and the row -t <= 0, which cut out the initial
-    simplicial cone, then the facet rows not among them: the top covers
-    and the diamonds of the facet table, whose rows are their normals
-    (_normals) on the columns one below their lattice indices.  Every
+    order, as rows (x, y, m, j) read on a ray's padded vector, where t
+    stands in for mu: first the type-1 rows of H, v_x <= dim(x) t, and
+    the row t >= 0, (size + 1, size, size, size), which cut out the
+    initial simplicial cone, then the facet rows not among them: the top
+    covers and the diamonds of the facet table, as they are.  Every
     other row is a sum of these (see is_vertex), so it cuts nothing more
     off.
 
@@ -580,15 +572,11 @@ def _dd_constraints(H):
     order that ran P(2,3), P(7,2) and P(9,2) faster than going by their
     first space."""
     lat = H.lattice
-    d = top = lat.top  # the columns v_1 .. v_d, then t
-    cons = [((x - 1, 1), (d, -lat.dims[x])) for x in H.bounds]
-    cons.append(((d, -1),))
+    top, zero = lat.top, lat.size
     staged = sorted((f for f in lat.facets if f[0] <= top),  # no atom bound
                     key=lambda f: ((top, 0, f[2], 0) if f[1] > top
                                    else (f[3], f[1], f[2], f[0])))
-    cons += [tuple((c - 1, a) for c, a in row)
-             for row in _normals(staged, top)]
-    return cons
+    return [*H.rows[:top], (zero + 1, zero, zero, zero), *staged]
 
 
 def enumerate_vertices(H):
@@ -597,8 +585,11 @@ def enumerate_vertices(H):
     Works over the homogenization cone {(v, t) : Av <= bt, t >= 0}: the
     initial simplicial cone comes from the type-1 rows plus the t-row,
     and the remaining rows are inserted one at a time (_dd_constraints).
-    Rays are dense primitive integer vectors, each with the bitmask of
-    the constraints it is tight on.
+    Rays are primitive integer vectors in padded form
+    (SubspaceLattice.padded with t in place of mu), each with the
+    bitmask of the constraints it is tight on; a linear combination of
+    padded vectors is padded, so a constraint (x, y, m, j) is read off
+    every ray by four lookups, w[m] + w[j] - w[x] - w[y].
     A positive/negative ray pair combines only if it is adjacent: the
     constraints tight at both number at least dim-1 and no third ray is
     tight on all of them.  Each step keeps, per constraint, a bitset
@@ -606,34 +597,34 @@ def enumerate_vertices(H):
     bitsets that must leave exactly the pair.  Output is sorted by
     coordinates.  Raises TooLarge past MAX_VERTEX_ENUM_DIM coordinates."""
     lat = H.lattice
-    d = lat.size - 1
+    size = lat.size
+    d = size - 1
     if d > MAX_VERTEX_ENUM_DIM:
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_VERTEX_ENUM_DIM}")
     cons = _dd_constraints(H)
     D = d + 1  # columns v_1 .. v_d and t; as many initial constraints
     base_mask = (1 << D) - 1
     rays = []
-    for k in range(d):
-        vec = [0] * D
-        vec[k] = -1
-        rays.append((tuple(vec), base_mask ^ (1 << k)))
-    corner = tuple(lat.dims[1:]) + (1,)
-    rays.append((corner, base_mask ^ (1 << d)))
+    for k in range(1, size):  # the down-ray -e_k, at t = 0
+        down = [0] * size
+        down[k] = -1
+        rays.append((lat.padded(0, down), base_mask ^ (1 << (k - 1))))
+    rays.append((lat.padded(1, lat.dims), base_mask ^ (1 << d)))
 
     for ci in range(D, len(cons)):
-        c = cons[ci]
+        x, y, m, j = cons[ci]
         bit = 1 << ci
         plus, zero, minus = [], [], []
-        for r, (vec, z) in enumerate(rays):
-            val = sum(a * vec[i] for i, a in c)
+        for r, (w, z) in enumerate(rays):
+            val = w[m] + w[j] - w[x] - w[y]
             if val > 0:
-                plus.append((vec, z, val, r))
+                plus.append((w, z, val, r))
             elif val < 0:
-                minus.append((vec, z, val, r))
+                minus.append((w, z, val, r))
             else:
-                zero.append((vec, z | bit))
+                zero.append((w, z | bit))
         if not plus:
-            rays = zero + [(vec, z) for vec, z, _, _ in minus]
+            rays = zero + [(w, z) for w, z, _, _ in minus]
             continue
         # tight[k]: bitset over the positions in rays of the rays tight
         # on constraint k
@@ -646,9 +637,9 @@ def enumerate_vertices(H):
                 z ^= low
         new = []
         need = D - 2
-        for pvec, pz, pval, pr in plus:
+        for pw, pz, pval, pr in plus:
             pbit = 1 << pr
-            for mvec, mz, mval, mr in minus:
+            for mw, mz, mval, mr in minus:
                 z = pz & mz
                 if z.bit_count() < need:
                     continue
@@ -656,29 +647,27 @@ def enumerate_vertices(H):
                 # AND of the tight sets can stop once only the pair is left
                 pair = pbit | (1 << mr)
                 common = -1
-                m = z
-                while m:
-                    low = m & -m
+                rest = z
+                while rest:
+                    low = rest & -rest
                     common &= tight[low.bit_length() - 1]
                     if common == pair:
                         break
-                    m ^= low
+                    rest ^= low
                 if common != pair:
                     continue
-                comb = [pval * mm - mval * pp for pp, mm in zip(pvec, mvec)]
-                g = 0
-                for x in comb:
-                    g = math.gcd(g, x)
+                comb = [pval * b - mval * a for a, b in zip(pw, mw)]
+                g = math.gcd(*comb)
                 if g > 1:
-                    comb = [x // g for x in comb]
+                    comb = [c // g for c in comb]
                 new.append((tuple(comb), z | bit))
-        rays = zero + [(vec, z) for vec, z, _, _ in minus] + new
+        rays = zero + [(w, z) for w, z, _, _ in minus] + new
 
     verts = []
-    for vec, _ in rays:
-        t = vec[-1]
+    for w, _ in rays:
+        t = w[size + 1]
         assert t > 0, "unbounded direction survived; polytope must be bounded"
-        values = (Fraction(0),) + tuple(Fraction(x, t) for x in vec[:-1])
+        values = (Fraction(0),) + tuple(Fraction(v, t) for v in w[1:size])
         verts.append(rank_point(lat, values))
     verts.sort(key=lambda p: p.values)
     return verts

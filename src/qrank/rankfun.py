@@ -13,8 +13,13 @@ against which every closed-form construction is tested.
 
 Linear conditions (the axioms here, the H-representation rows in
 polytope) are evaluated on mu-scaled integers: the point is multiplied
-once by mu, the lcm of its denominators, and each row is compared with
-its right-hand side times mu, so no Fraction arithmetic happens per row.
+once by mu, the lcm of its denominators, so no Fraction arithmetic
+happens per row.  The facet rows and the rows of the polytope's system
+share one format: a row (x, y, m, j) holds iff w[m] + w[j] <=
+w[x] + w[y] on the padded vector w = (0, mu v_1, .., mu v_top, 0, mu,
+2 mu, .., n mu) (SubspaceLattice.padded), so check_axioms' fast path
+reads the facets as polytope reads them.  The literal walk compares
+each axiom row with its right-hand side times mu.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ def check_axioms(p):
     lat = p.lattice
     mu, vals = scaled_values(p.values)
     if vals[0] == 0:
-        w = vals + (mu, 0)  # see SubspaceLattice.facets
+        w = lat.padded(mu, vals)  # see SubspaceLattice.facets
         for x, y, m, j in lat.facets:
             if w[m] + w[j] > w[x] + w[y]:
                 break

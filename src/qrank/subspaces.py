@@ -39,6 +39,11 @@ the submodularity rows.  With the atom bounds and the top covers they
 make the facet table (SubspaceLattice.facets), which is all that
 certification, double description and the f-vector read; the
 integer-point search propagates the diamonds.
+
+Every row of the polytope's system, the pair rows and facets included,
+is one (x, y, m, j) entry that holds iff w[m] + w[j] <= w[x] + w[y] on
+one padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
+(SubspaceLattice.padded), so a pair table entry is its own row.
 """
 
 from __future__ import annotations
@@ -260,21 +265,35 @@ class SubspaceLattice:
     @cached_property
     def facets(self):
         """The facet rows of the q-rank polytope, in the paper's row
-        order, each as (x, y, m, j) with slack w[m] + w[j] - w[x] - w[y]
-        <= 0, where w is a point's values scaled by mu and followed by
-        (mu, 0), so index size reads mu and size + 1 reads 0: the bound
-        v_a <= 1 on each atom a is (size, size + 1, a, size + 1), the
-        cover v_h <= v_top of the top by each hyperplane h is
-        (top, size + 1, h, size + 1), and the diamonds are the entries of
-        self.diamonds themselves.  The markers follow the spaces rather
+        order, in the one row format of the polytope's system.
+
+        A row (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y], where
+        w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is a point
+        scaled by mu and padded (padded): index 0 and index size read 0,
+        and index size + d reads d mu.  So the bound v_x <= dim x is
+        (size + dim x, size, x, size), nonnegativity -v_a <= 0 is
+        (a, size, size, size), the cover v_x <= v_y is (y, size, x, size),
+        and an entry (x, y, meet, join) of the pair table is its own
+        submodularity row, a zero meet reading 0.  The facets are the
+        bound v_a <= 1 on each atom a, (size + 1, size, a, size), the
+        cover v_h <= v_top of the top by each hyperplane h,
+        (top, size, h, size), and the diamonds, the entries of
+        self.diamonds themselves.  The padding follows the spaces rather
         than being negative, since CPython indexes a tuple fastest at a
         nonnegative int.  Built on first use; the one definition of the
         facets that every certifier reads (see polytope for why these
         rows are the facets)."""
-        top, mu, zero = self.top, self.size, self.size + 1
-        return (tuple((mu, zero, a, zero) for a in self.atom_range)
+        top, zero, one = self.top, self.size, self.size + 1
+        return (tuple((one, zero, a, zero) for a in self.atom_range)
                 + tuple((top, zero, h, zero) for h in self.covers_down[top])
                 + self.diamonds)
+
+    def padded(self, mu, values):
+        """The vector w that every row (x, y, m, j) is read on (see
+        facets): values, over the lattice indices and scaled by mu, with
+        v_0 read as 0 whatever values[0] is, then 0, mu, 2 mu, .., n mu.
+        Double description pads a ray with its t as mu."""
+        return (0, *values[1:], *[d * mu for d in range(self.n + 1)])
 
     def join_many(self, indices):
         acc = 0

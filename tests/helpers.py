@@ -1,6 +1,7 @@
 """Shared sampling helpers and reference oracles for the test suites."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 from qrank.charpoly import TruncatedPuiseux
@@ -70,6 +71,25 @@ def _int_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def table_row(lat, row):
+    """(coeffs, rhs) of a row (x, y, m, j) of the polytope's system,
+    which holds iff w[m] + w[j] <= w[x] + w[y] on the padded vector
+    w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu): coeffs are the
+    nonzero (lattice index, coefficient) pairs of coeffs.v <= rhs in
+    increasing index, with v_0 dropped from a zero meet, as the test
+    suites' reference rows write them.  Index size + d is read as the
+    constant d, so double description's row t >= 0,
+    (size + 1, size, size, size), decodes to ((), 1): 0 <= 1, that is
+    -t <= 0 in homogenized form."""
+    coeffs, rhs = Counter(), 0
+    for c, v in zip(row, (-1, -1, 1, 1)):
+        if c >= lat.size:
+            rhs -= v * (c - lat.size)
+        elif c:
+            coeffs[c] += v
+    return tuple(sorted((c, v) for c, v in coeffs.items() if v)), rhs
 
 
 def literal_axiom_violations(p):
@@ -256,10 +276,16 @@ def rank_test_vertices(H):
     """The vertices by the same double description as
     enumerate_vertices, deciding adjacency by the algebraic test: a
     plus/minus pair combines iff the constraints tight at both have rank
-    dim - 1.  The reference for the bitset adjacency test."""
+    dim - 1.  The constraints are _dd_constraints' rows decoded by
+    table_row into dense homogenized rows over v_1 .. v_d and t, and the
+    rays are plain vectors over those columns, so this shares nothing
+    with the padded rays.  The reference for the bitset adjacency test."""
     lat = H.lattice
     d = lat.size - 1
-    cons = _dd_constraints(H)
+    cons = []
+    for row in _dd_constraints(H):
+        coeffs, rhs = table_row(lat, row)
+        cons.append([(c - 1, v) for c, v in coeffs] + ([(d, -rhs)] if rhs else []))
     base = d + 1
 
     D = d + 1

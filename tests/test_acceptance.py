@@ -6,6 +6,7 @@ published f0 = 6, f1 = 15, f3 = 9 forces f2 = 18 (see
 tests/test_polytope.py::test_f_vector_22_computed).
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -82,6 +83,10 @@ def test_criterion_3_long_vertex_count_2_3(lat23):
         H = build_hrep(lat23)
         verts = enumerate_vertices(H)
         assert len(verts) == 3483
+        # the text of qrank polytope vertices --q 2 --n 3, byte for byte
+        text = "".join(" ".join(str(v) for v in p.values) + "\n" for p in verts)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c2a0bf7bb434cb4d1ee5f5fe22249df7f428d9ffc89ec5b699eb346d2ddabfe5")
         vset = {tuple(p.values) for p in verts}
         for p in lattice_points(lat23):
             assert tuple(p.values) in vset

@@ -3,11 +3,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from helpers import literal_axiom_violations
 from qrank.cli import main
+from qrank.rankfun import point_from_json
 
 
 def run(capsys, *argv):
@@ -87,6 +90,18 @@ def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, flags, digest):
     assert out.sha.hexdigest() == digest
 
 
+@pytest.mark.parametrize("q,digest", [
+    (3, "0759578d3887abe4c3fd34a2571a13bde1a236b032e6e692c7b638df36b7aae7"),
+    (7, "ddaf30f5ee99a7a3f5c349fec0cea075410a2343fca7b0c9c4d1299395ec1a1d"),
+], ids=["P(3,2)", "P(7,2)"])
+def test_polytope_vertices_text_is_pinned(monkeypatch, q, digest):
+    # double description's vertex list, byte for byte
+    out = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["polytope", "vertices", "--q", str(q), "--n", "2"]) == 0
+    assert out.sha.hexdigest() == digest
+
+
 def test_polytope_dim_witness_fvector(capsys):
     code, out, _ = run(capsys, "polytope", "dim", "--q", "3", "--n", "2")
     assert code == 0 and out.strip() == "5"
@@ -116,6 +131,30 @@ def test_make_and_pm_pipeline(capsys, tmp_path):
     assert json.loads(out)["zflats"] == [0, 15]
     code, out, _ = run(capsys, "pm", "cyclic", "--point", str(point))
     assert json.loads(out)["cyclic"] == [0, 15]
+
+
+def test_pm_check_reports_every_violation(capsys, tmp_path, lat33):
+    # U_{2,3} over F_3 with three values moved fails R1, R2 and R3, so
+    # check_axioms leaves its fast path for the literal walk
+    point = tmp_path / "bad.json"
+    assert main(["make", "uniform", "--q", "3", "--n", "3", "--k", "2",
+                 "-o", str(point)]) == 0
+    obj = json.loads(point.read_text())
+    for i, v in ((5, "2"), (20, "-1/3"), (25, "5/2")):
+        obj["values"][i] = v
+    point.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "pm", "check", "--point", str(point))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b7d79f3c41bac379a42939201b7b19fd959b0348daf3a192b10a28ee8cfe1963")
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert Counter(v["axiom"] for v in rep["violations"]) == {
+        "R1": 3, "R2": 5, "R3": 27}
+    p = point_from_json(obj, lat33)
+    assert rep["violations"] == [
+        {"axiom": a, "spaces": list(w), "slack": str(s)}
+        for a, w, s in literal_axiom_violations(p)]
 
 
 def test_make_combo_and_chi(capsys, tmp_path):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import (_int_rank, literal_axiom_violations, plain_dfs_lattice_points,
                      random_disjoint_paving_pair, random_lambda,
                      random_paving_collection, rank_test_vertices,
-                     reference_sparse_rank)
+                     reference_sparse_rank, table_row)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
@@ -50,13 +50,29 @@ def _unfiltered_feasible(lat, values):
     return True
 
 
+def _row_tag(lat, row):
+    """The reference tag of a row (x, y, m, j) of H, read off where its
+    padding sits: a pair row names two spaces first, a bound reads
+    size + dim x at x, an atom row reads 0 at m, and a cover
+    (y, size, x, size) names its spaces at x and m."""
+    x, y, m, _ = row
+    if y < lat.size:
+        return ("type3", x, y)
+    if x > lat.size:
+        return ("type1", m)
+    if m == lat.size:
+        return ("nonneg", x)
+    return ("type2", m, x)
+
+
 def test_hrep_row_counts_22(lat22):
     H = build_hrep(lat22)
-    blocks = (len(H.bounds), len(H.atoms), len(H.covers), len(H.pairs))
+    blocks = Counter(_row_tag(lat22, row)[0] for row in H.rows)
     # the paper's system: 10 inequality rows of types 1-3 plus v_0 = 0,
     # which the full text writes as the two rows +-v_0 <= 0
-    assert blocks == (4, 3, 3, 3) and len(H.rows) == 13
-    assert blocks[0] + blocks[2] + blocks[3] == 10
+    assert blocks == {"type1": 4, "nonneg": 3, "type2": 3, "type3": 3}
+    assert len(H.rows) == 13
+    assert blocks["type1"] + blocks["type2"] + blocks["type3"] == 10
     assert H.ambient_dim == 4
     assert next(H.text_lines(full=True)) == "HREP 15 5\n"
 
@@ -138,15 +154,18 @@ def _reference_hrep_rows(lat, full=False):
 @pytest.mark.parametrize("full", [True, False])
 def test_hrep_rows_match_pairwise_reference(fixture, full, request):
     # the row order fixes to_text, membership's row indices and the
-    # double-description insertion order
+    # double-description insertion order; each row of H decodes to the
+    # reference row at its number
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
     ref = _reference_hrep_rows(lat, full)
     tags = Counter(tag[0] for _, _, tag in ref)
-    assert H.rows == range(len(ref) - tags["zero"])
+    assert type(H.rows) is tuple and len(H.rows) == len(ref) - tags["zero"]
     assert _text_rows(H, full) == [(coeffs, rhs) for coeffs, rhs, _ in ref]
-    assert (len(H.bounds), len(H.atoms), len(H.covers), len(H.pairs)) == (
-        tags["type1"], tags["nonneg"], tags["type2"], tags["type3"])
+    reduced = _reference_hrep_rows(lat)
+    assert [table_row(lat, row) for row in H.rows] == [
+        (coeffs, rhs) for coeffs, rhs, _ in reduced]
+    assert [_row_tag(lat, row) for row in H.rows] == [tag for _, _, tag in reduced]
     assert tags["zero"] == (2 if full else 0)
 
 
@@ -169,14 +188,15 @@ def _text_rows(H, full=False):
 @pytest.mark.parametrize("fixture", ["lat23", "lat32"])
 @pytest.mark.parametrize("full", [True, False])
 def test_row_blocks_index_like_a_tuple(fixture, full, request):
-    # rows are the row numbers, which the full text keeps, adding the
-    # rows +-v_0 <= 0 after them
+    # rows is a tuple of (x, y, m, j) rows, whose numbers the full text
+    # keeps, adding the rows +-v_0 <= 0 after them
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
     ref = _reference_hrep_rows(lat, full)
     extra = 2 if full else 0
-    rows = tuple(H.rows)
-    assert rows == tuple(range(len(ref) - extra))
+    rows = H.rows
+    assert len(rows) == len(ref) - extra
+    assert all(type(row) is tuple and len(row) == 4 for row in rows)
     assert tuple(H.rows[k] for k in range(-len(rows), len(rows))) == rows * 2
     for k in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
@@ -193,12 +213,11 @@ def test_full_text_is_the_rows_with_a_v0_column(fixture, request):
     rows = H.to_text().splitlines()
     full = H.to_text(full=True).splitlines()
     assert full[0] == f"HREP {len(H.rows) + 2} {lat.size}"
-    start = len(H.bounds) + len(H.atoms) + len(H.covers)
-    zero_meet = {k for k, (_, _, m, _) in enumerate(H.pairs, start)
-                 if m == lat.zero}
+    zero_meet = {k for k, (_, y, m, _) in enumerate(H.rows)
+                 if y < lat.size and m == lat.zero}
     assert zero_meet
     assert full[1:-2] == [("1 " if k in zero_meet else "0 ") + rows[k + 1]
-                          for k in H.rows]
+                          for k in range(len(H.rows))]
     zeros = " 0" * lat.size
     assert full[-2:] == ["1" + zeros, "-1" + zeros]
 
@@ -212,9 +231,10 @@ def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24):
     cert = is_vertex(H, u)
     assert cert.is_vertex and cert.normal_rank == H.ambient_dim
     assert H.to_text().count("\n") == len(H.rows) + 1
-    assert (len(H.bounds) + len(H.atoms) + len(H.covers) + len(H.pairs)
-            == len(H.rows))
-    # double description and the f-vector read the blocks too
+    # the pair rows are the pair table's entries, not copies of them
+    pairs = H.rows[-len(lat24.incomparable):]
+    assert all(a is b for a, b in zip(pairs, lat24.incomparable))
+    # double description and the f-vector read the rows too
     for lat, n_verts, fv in ((lat22, 6, (6, 15, 18, 9)),
                              (lat32, 11, (11, 41, 70, 52, 14))):
         H = build_hrep(lat)
@@ -539,25 +559,11 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     assert certified
 
 
-def _table_row(lat, facet):
-    """(coeffs, rhs) of the row of a facet-table entry (x, y, m, j), read
-    from its slack w[m] + w[j] - w[x] - w[y] <= 0 with w[size] = mu and
-    w[size + 1] = 0, as _reference_hrep_rows writes it (v_0 dropped from a
-    zero meet)."""
-    coeffs, rhs = Counter(), 0
-    for c, v in zip(facet, (-1, -1, 1, 1)):
-        if c == lat.size:
-            rhs -= v
-        elif 0 < c < lat.size:
-            coeffs[c] += v
-    return tuple(sorted((c, v) for c, v in coeffs.items() if v)), rhs
-
-
 def _facet_normals(H):
     """{row number: sparse normal} of the facet rows: the entries of the
     lattice's facet table at H.facet_rows."""
     lat = H.lattice
-    return {k: _table_row(lat, f)[0] for k, f in zip(H.facet_rows, lat.facets)}
+    return {k: table_row(lat, f)[0] for k, f in zip(H.facet_rows, lat.facets)}
 
 
 def _integral_points(lat, rng):
@@ -612,15 +618,28 @@ def test_facet_row_numbers_match_the_reference(fixture, full, request):
                                        for h in hyperplanes]
     assert tags[atoms + tops:] == [("type3", x, y)
                                    for x, y, _, _ in lat.diamonds]
-    assert all(_table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
+    assert all(table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
                for k, f in zip(H.facet_rows, lat.facets))
     assert [ref[k][2] for k in H.pair_rows(lat.incomparable)] == [
         ("type3", x, y) for x, y, _, _ in lat.incomparable]
 
 
+@pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24", "lat25"])
+def test_facets_are_rows_of_h(fixture, request):
+    # the facet table is in the rows' format: entry i is the row of H at
+    # its row number, padding and all
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat)
+    assert len(H.facet_rows) == len(lat.facets)
+    for i, f in enumerate(lat.facets):
+        assert H.rows[H.facet_rows[i]] == f
+
+
 def test_pair_row_numbers_25(lat25):
     H = build_hrep(lat25)
-    start = len(H.bounds) + len(H.atoms) + len(H.covers)
+    start = len(H.rows) - len(lat25.incomparable)
+    assert H.rows[start:] == lat25.incomparable
+    assert all(y == lat25.size for _, y, _, _ in H.rows[:start])
     assert H.pair_rows(lat25.incomparable) == list(
         range(start, start + len(lat25.incomparable)))
     assert H.pair_rows(lat25.diamonds) == [
@@ -945,13 +964,23 @@ def test_fractional_vertex_32(lat32):
 
 def test_hrep_structural_invariants(lat23):
     H = build_hrep(lat23)
-    for x, y in H.covers:
-        assert x != lat23.zero
-        assert x in lat23.covers_down[y]
-    for x, y, m, j in H.pairs:
-        assert not lat23.leq(x, y) and not lat23.leq(y, x)
-        assert (m, j) == (lat23.meet(x, y), lat23.join(x, y))
-    assert all(lat23.dims[a] == 1 for a in H.atoms)
+    size = lat23.size
+    kinds = Counter()
+    for row in H.rows:
+        x, y, m, j = row
+        kind = _row_tag(lat23, row)[0]
+        kinds[kind] += 1
+        if kind == "type3":
+            assert not lat23.leq(x, y) and not lat23.leq(y, x)
+            assert (m, j) == (lat23.meet(x, y), lat23.join(x, y))
+        elif kind == "type1":
+            assert (x, y, j) == (size + lat23.dims[m], size, size)
+        elif kind == "nonneg":
+            assert lat23.dims[x] == 1 and y == m == j == size
+        else:  # the cover m < x
+            assert m != lat23.zero and m in lat23.covers_down[x]
+            assert y == j == size
+    assert kinds["type1"] == lat23.top and kinds["nonneg"] == len(lat23.atom_range)
 
 
 def test_polytope_4_2_extension_field():
