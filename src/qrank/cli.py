@@ -174,7 +174,8 @@ def _cmd_make(args):
         if spec.get("kind") != args.which:
             raise ValidationError(
                 f"spec kind {spec.get('kind')!r} does not match subcommand {args.which}")
-    point = constructions.compile_spec(spec, source=source)
+    point = constructions.compile_spec(spec, source=source,
+                                       max_size=args.max_lattice)
     _emit_json(args, rankfun.point_to_json(point))
     return 0
 

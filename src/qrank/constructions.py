@@ -25,7 +25,7 @@ from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
                      Overlap, OutOfRange, RankMismatch, parse_int,
                      parse_key, require_keys)
 from .rankfun import RankPoint, rank_point, scaled_values
-from .subspaces import build_lattice
+from .subspaces import MAX_LATTICE_SIZE, build_lattice
 
 
 def uniform(lattice, k):
@@ -281,12 +281,15 @@ def _fractions(values):
     return [Fraction(v) for v in values]
 
 
-def compile_spec(obj, lattice_cache=None, source="spec"):
+def compile_spec(obj, lattice_cache=None, source="spec",
+                 max_size=MAX_LATTICE_SIZE):
     """Build a RankPoint from a declarative JSON-style construction spec:
     {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A key the kind
     needs (_SPEC_KEYS) that is absent raises MissingKey, and integer
     keys (q, n, k), spaces, coefficients or lambdas that do not parse
-    raise BadValue, naming source, and for a combo term its position."""
+    raise BadValue, naming source, and for a combo term its position.
+    Every lattice the spec names, a combo term's included, is built
+    under the cap max_size (TooLarge past it)."""
     if lattice_cache is None:
         lattice_cache = {}
 
@@ -296,7 +299,7 @@ def compile_spec(obj, lattice_cache=None, source="spec"):
     def get_lattice():
         key = (int_key("q"), int_key("n"))
         if key not in lattice_cache:
-            lattice_cache[key] = build_lattice(*key)
+            lattice_cache[key] = build_lattice(*key, max_size=max_size)
         return lattice_cache[key]
 
     kind = obj.get("kind")
@@ -311,7 +314,8 @@ def compile_spec(obj, lattice_cache=None, source="spec"):
         return paving(paving_spec(lat, k, spaces))
     if kind == "combo":
         coeffs = parse_key(obj, "coefficients", _fractions, source)
-        points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]")
+        points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]",
+                               max_size)
                   for i, t in enumerate(obj["terms"])]
         if len(coeffs) != len(points):
             raise CoefficientSum("coefficient/term count mismatch")

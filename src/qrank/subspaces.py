@@ -9,13 +9,24 @@ build_lattice enumerates every subspace exactly once, records the cover
 relation and the containment bitmasks in both directions, and exposes
 the helpers the rest of the package leans on.
 
-The containment masks come from atom sets, with no span test per pair.
-Each nonzero vector is mapped to the atom (1-dimensional subspace) it
-spans, which gives every subspace its set of atoms; a subspace is the
-span of its atoms, so X <= Y exactly when every atom of X lies in Y.
-The above-mask of X is the AND, over the atoms of X, of the masks of
-the subspaces containing that atom (all subspaces for the zero space),
-and the below-masks are its transpose.
+The order is built from the canonical bases, with no span listed and
+no pass over the comparable pairs.  The tail of a space X with
+canonical rows (b_1, .., b_r) is T = (b_2, .., b_r), itself canonical
+and earlier in the order.  A space is the span of its atoms; call the
+atoms of X that T lacks its new atoms.  They are the atoms spanned by
+b_1 + v, v in span(T), each with its leading 1 at b_1's pivot.  As
+span(T) is the union over c in F of c b_2 + span(b_3, .., b_r), they
+are, over c, the new atoms of the space (b_1 + c b_2, b_3, .., b_r),
+which is canonical too and one grade down; an atom's one new atom is
+itself.  So the atoms of X are those of T with its new atoms, both
+read off spaces built before it, and X <= Y exactly when every atom of
+X lies in Y.  The above-mask of X is the AND, over the atoms of X, of
+the masks of the spaces containing that atom (all spaces for the zero
+space).  The upper covers of X are its above-mask read on the grade
+above X, the lower covers are their transpose, and the below-mask of Y
+is Y with the below-masks of its lower covers.  The lists of the spaces
+below each space are built on the first call of below: only the
+independence report and the integer-point search read them.
 
 Meet and join are read off two small masks per space, with no linear
 algebra: its atom set A_X (bit a for the a-th atom) and its hyperplane
@@ -53,7 +64,7 @@ from functools import cached_property
 from itertools import combinations, product
 
 from .errors import OutOfRange, TooLarge
-from .fields import FqMatrix, make_field, matrix_vectors, nullspace, rref
+from .fields import FqMatrix, make_field, nullspace, rref
 
 MAX_LATTICE_SIZE = 1000
 
@@ -121,23 +132,32 @@ class SubspaceLattice:
             offsets[d] += offsets[d - 1]
         self.grade_offsets = tuple(offsets)
         self.atom_range = range(offsets[1], offsets[2])
-        # containment masks from atom sets (see the module docstring);
-        # containing[a] has bit j set when atom a lies in subspace j, and
-        # so has the atom set of j bit a - first
-        atom_of = {}
-        for a in self.atom_range:
-            for v in matrix_vectors(self.subspaces[a].basis):
-                if any(v):
-                    atom_of[v] = a
-        containing = dict.fromkeys(self.atom_range, 0)
+        # atoms from tails (see the module docstring): new_atoms[j] holds
+        # the atoms of space j that its tail lacks, as a tuple and as bits
         first = self.atom_range.start
-        atoms_of, atom_sets = [], []
-        for j, s in enumerate(self.subspaces):
-            atoms = sorted({atom_of[v] for v in matrix_vectors(s.basis) if any(v)})
+        add, mul, index = field._add, field._mul, self.index
+        new_atoms = [((), 0)] + [((a,), 1 << (a - first)) for a in self.atom_range]
+        atoms_of, atom_sets = map(list, zip(*new_atoms))
+        for j in range(offsets[2], self.size):
+            rows = self.subspaces[j].basis.entries
+            b, rest = rows[0], rows[2:]
+            plus_b = [add[x] for x in b]
+            new, bits = new_atoms[index[(b,) + rest]]
+            for times in mul[1:]:
+                # the space (b + c b_2, b_3, .., b_r) for c = times[1]
+                row = tuple([s[times[y]] for s, y in zip(plus_b, rows[1])])
+                more, more_bits = new_atoms[index[(row,) + rest]]
+                new += more
+                bits |= more_bits
+            new_atoms.append((new, bits))
+            tail = index[rows[1:]]
+            atoms_of.append(atoms_of[tail] + tuple(sorted(new)))
+            atom_sets.append(atom_sets[tail] | bits)
+        # containing[a] has bit j set when atom a lies in space j
+        containing = [0] * len(self.atom_range)
+        for j, atoms in enumerate(atoms_of):
             for a in atoms:
-                containing[a] |= 1 << j
-            atoms_of.append(tuple(atoms))
-            atom_sets.append(sum(1 << (a - first) for a in atoms))
+                containing[a - first] |= 1 << j
         self.atoms_of = tuple(atoms_of)
         self.atom_sets = tuple(atom_sets)
         full = (1 << self.size) - 1
@@ -145,14 +165,9 @@ class SubspaceLattice:
         for atoms in self.atoms_of:
             mask = full
             for a in atoms:
-                mask &= containing[a]
+                mask &= containing[a - first]
             above.append(mask)
         self.above_mask = tuple(above)
-        below = [0] * self.size
-        for i, mask in enumerate(self.above_mask):
-            for j in self._bits(mask):
-                below[j] |= 1 << i
-        self.below_mask = tuple(below)
         # the hyperplane set of i has bit h - first set when hyperplane h
         # holds i; the dicts map both sets back to the index objects of
         # the one tuple _ids, which every pair table shares
@@ -163,15 +178,29 @@ class SubspaceLattice:
         self._ids = ids = tuple(range(self.size))
         self.space_of_atom_set = dict(zip(self.atom_sets, ids))
         self.space_of_hyperplane_set = dict(zip(self.hyperplane_sets, ids))
-        self._below_list = tuple(tuple(self._bits(m)) for m in self.below_mask)
-        self.covers_down = tuple(
-            tuple(i for i in self._below_list[j] if self.dims[i] == self.dims[j] - 1)
-            for j in range(self.size))
-        ups = [[] for _ in range(self.size)]
-        for j in range(self.size):
-            for i in self.covers_down[j]:
-                ups[i].append(j)
-        self.covers_up = tuple(tuple(u) for u in ups)
+        # the upper covers of i are its above-mask read on the grade above
+        # it, the lower covers their transpose, and the below-mask of j is
+        # j with the below-masks of its lower covers
+        ups, downs = [], [[] for _ in range(self.size)]
+        for d in range(n):
+            start = offsets[d + 1]
+            window = (1 << (offsets[d + 2] - start)) - 1
+            for i in self.grade(d):
+                up = tuple(start + c for c in
+                           self._bits((self.above_mask[i] >> start) & window))
+                ups.append(up)
+                for c in up:
+                    downs[c].append(i)
+        ups.append(())
+        self.covers_up = tuple(ups)
+        self.covers_down = tuple(tuple(d) for d in downs)
+        below = []
+        for j, down in enumerate(self.covers_down):
+            mask = 1 << j
+            for i in down:
+                mask |= below[i]
+            below.append(mask)
+        self.below_mask = tuple(below)
         self._digest = None
 
     @staticmethod
@@ -199,7 +228,13 @@ class SubspaceLattice:
 
     def below(self, j):
         """Indices of all subspaces contained in j (including j)."""
-        return self._below_list[j]
+        return self._below_lists[j]
+
+    @cached_property
+    def _below_lists(self):
+        # built on the first call of below; only the independence
+        # report and the integer-point search read these lists
+        return tuple(tuple(self._bits(m)) for m in self.below_mask)
 
     def index_of_matrix(self, M):
         """Canonical index of the row space of M (any spanning matrix)."""

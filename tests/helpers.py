@@ -119,25 +119,40 @@ def literal_axiom_violations(p):
 
 
 def span_containment_order(lat):
-    """(below_mask, above_mask, covers_down, covers_up, atoms_of) of the
-    lattice, by testing for every pair whether each basis row of i lies
-    in the span of j: the reference for the masks built from atoms."""
-    subs, dims = lat.subspaces, lat.dims
+    """The lattice's order attributes by name, and its below(j) lists
+    under "below", all found by testing for every pair whether each
+    basis row of i lies in the span of j: the reference for the order
+    built from tails and covers."""
+    subs, dims, size = lat.subspaces, lat.dims, lat.size
     below = []
     for sj in subs:
         vs = frozenset(matrix_vectors(sj.basis))
         below.append(sum(1 << i for i, s in enumerate(subs)
                          if s.dim <= sj.dim and all(r in vs for r in s.basis.entries)))
-    above = [sum(1 << j for j in range(lat.size) if (below[j] >> i) & 1)
-             for i in range(lat.size)]
-    lows = [[i for i in range(lat.size) if (m >> i) & 1] for m in below]
+    above = [sum(1 << j for j in range(size) if (below[j] >> i) & 1)
+             for i in range(size)]
+    lows = [tuple(i for i in range(size) if (m >> i) & 1) for m in below]
+    highs = [tuple(j for j in range(size) if (m >> j) & 1) for m in above]
     covers_down = tuple(tuple(i for i in lows[j] if dims[i] == dims[j] - 1)
-                        for j in range(lat.size))
-    covers_up = tuple(tuple(j for j in range(lat.size) if i in covers_down[j])
-                      for i in range(lat.size))
+                        for j in range(size))
+    covers_up = tuple(tuple(j for j in range(size) if i in covers_down[j])
+                      for i in range(size))
     atoms_of = tuple(tuple(i for i in lows[j] if dims[i] == 1)
-                     for j in range(lat.size))
-    return tuple(below), tuple(above), covers_down, covers_up, atoms_of
+                     for j in range(size))
+    atoms = [i for i in range(size) if dims[i] == 1]
+    hyperplanes = [i for i in range(size) if dims[i] == lat.n - 1]
+    atom_sets = tuple(sum(1 << k for k, a in enumerate(atoms) if a in lows[j])
+                      for j in range(size))
+    hyperplane_sets = tuple(sum(1 << k for k, h in enumerate(hyperplanes)
+                                if h in highs[i])
+                            for i in range(size))
+    return {"below_mask": tuple(below), "above_mask": tuple(above),
+            "covers_down": covers_down, "covers_up": covers_up,
+            "atoms_of": atoms_of, "atom_sets": atom_sets,
+            "hyperplane_sets": hyperplane_sets,
+            "space_of_atom_set": {m: j for j, m in enumerate(atom_sets)},
+            "space_of_hyperplane_set": {m: j for j, m in enumerate(hyperplane_sets)},
+            "below": tuple(lows)}
 
 
 def reference_vector_code_ranks(V, lattice):

@@ -288,6 +288,33 @@ def test_max_lattice_below_one_is_a_bad_value(capsys, cap):
     assert "--max-lattice" in err and "positive integer" in err
 
 
+def _combo_spec(tmp_path, n):
+    spec = tmp_path / "combo.json"
+    spec.write_text(json.dumps({
+        "kind": "combo", "coefficients": ["1/3", "2/3"],
+        "terms": [{"kind": "uniform", "q": 2, "n": n, "k": 1},
+                  {"kind": "uniform", "q": 2, "n": n, "k": 2}]}))
+    return str(spec)
+
+
+def test_make_builds_under_the_lattice_cap(capsys, tmp_path):
+    # L(F_2^4) has 67 subspaces: a cap of 10 refuses it for a uniform
+    # point and for each term of a combo
+    for argv in (("make", "uniform", "--q", "2", "--n", "4", "--k", "1"),
+                 ("make", "combo", "--spec", _combo_spec(tmp_path, 4))):
+        code, out, err = run(capsys, "--max-lattice", "10", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "subspaces, the cap" in err
+        # the default cap of 1000 still admits it
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["values"]) == 67
+    # and a raised cap admits L(F_5^4), 1120 subspaces past the default
+    argv = ("make", "uniform", "--q", "5", "--n", "4", "--k", "2")
+    assert run(capsys, *argv)[:2] == (2, "")
+    code, out, _ = run(capsys, "--max-lattice", "2000", *argv)
+    assert code == 0 and len(json.loads(out)["values"]) == 1120
+
+
 def test_digest_guard(capsys, tmp_path):
     point = tmp_path / "u.json"
     assert main(["make", "uniform", "--q", "2", "--n", "2", "--k", "1",

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from qrank import fields, subspaces
 from qrank.errors import OutOfRange, TooLarge
 from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import build_hrep
@@ -236,12 +237,41 @@ def test_order_digest_is_pinned(q, n, digest):
     assert build_lattice(q, n).order_digest() == digest
 
 
+def _order(lat):
+    got = {name: getattr(lat, name) for name in (
+        "below_mask", "above_mask", "covers_down", "covers_up", "atoms_of",
+        "atom_sets", "hyperplane_sets", "space_of_atom_set",
+        "space_of_hyperplane_set")}
+    got["below"] = tuple(lat.below(j) for j in range(lat.size))
+    return got
+
+
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
                                  (4, 2), (4, 3), (5, 2), (7, 2), (9, 2)])
 def test_masks_from_atoms_match_span_containment(q, n):
     lat = build_lattice(q, n)
-    assert (lat.below_mask, lat.above_mask, lat.covers_down, lat.covers_up,
-            lat.atoms_of) == span_containment_order(lat)
+    assert _order(lat) == span_containment_order(lat)
+
+
+@pytest.mark.parametrize("fixture", ["lat25", "lat34"])
+def test_certify_lattices_match_span_containment(fixture, request):
+    lat = request.getfixturevalue(fixture)
+    assert _order(lat) == span_containment_order(lat)
+
+
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
+def test_build_lists_no_span_and_runs_no_rref(q, n, monkeypatch):
+    # the order comes from tails and covers: no vector of any span is
+    # listed and no basis is reduced while the lattice is built
+    def fail(*args):
+        raise AssertionError("span enumeration or rref in the build")
+
+    for module in (fields, subspaces):
+        for name in ("matrix_vectors", "rref"):
+            monkeypatch.setattr(module, name, fail, raising=False)
+    lat = build_lattice(q, n)
+    monkeypatch.undo()
+    assert _order(lat) == span_containment_order(lat)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
