@@ -4,10 +4,10 @@ Every subcommand is a one-shot pipeline over the JSON / text formats
 defined by the library modules: lattice dumps, rank-point files with an
 order digest, H-representation text, vertex lists, code files, and
 polynomial serializations.  Exit codes: 0 success, 1 validation
-failure, 2 size cap exceeded.  A file that lacks a key it needs, or
-holds a value that does not parse (a subspace row of the wrong length
-or outside the field, a rational that is not one), is a validation
-failure naming the key and the file.  With --json-errors
+failure, 2 size cap exceeded.  A file that is not a JSON object, lacks
+a key it needs, or holds a value that does not parse (a subspace row of
+the wrong length or outside the field, a rational that is not one), is
+a validation failure naming the file and the key.  With --json-errors
 failures are also reported as one JSON object on stderr.
 """
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
                      Overlap, OutOfRange, RankMismatch, parse_int,
-                     parse_key, require_keys)
+                     parse_key, parse_list, require_keys)
 from .rankfun import RankPoint, rank_point, scaled_values
 from .subspaces import MAX_LATTICE_SIZE, build_lattice
 
@@ -284,10 +284,11 @@ def _fractions(values):
 def compile_spec(obj, lattice_cache=None, source="spec",
                  max_size=MAX_LATTICE_SIZE):
     """Build a RankPoint from a declarative JSON-style construction spec:
-    {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A key the kind
-    needs (_SPEC_KEYS) that is absent raises MissingKey, and integer
-    keys (q, n, k), spaces, coefficients or lambdas that do not parse
-    raise BadValue, naming source, and for a combo term its position.
+    {"kind": "uniform"|"paving"|"combo"|"flag", ...}.  A spec or combo
+    term that is not an object raises NotAnObject, a key the kind needs
+    (_SPEC_KEYS) that is absent MissingKey, and integer keys (q, n, k),
+    spaces, coefficients, terms or lambdas that do not parse BadValue,
+    naming source, and for a combo term its position.
     Every lattice the spec names, a combo term's included, is built
     under the cap max_size (TooLarge past it)."""
     if lattice_cache is None:
@@ -302,8 +303,10 @@ def compile_spec(obj, lattice_cache=None, source="spec",
             lattice_cache[key] = build_lattice(*key, max_size=max_size)
         return lattice_cache[key]
 
-    kind = obj.get("kind")
-    require_keys(obj, _SPEC_KEYS.get(kind, ()), source)
+    kind = require_keys(obj, (), source).get("kind")
+    if type(kind) is not str or kind not in _SPEC_KEYS:
+        raise OutOfRange(f"{source}: unknown construction kind {kind!r}")
+    require_keys(obj, _SPEC_KEYS[kind], source)
     if kind == "uniform":
         return uniform(get_lattice(), int_key("k"))
     if kind == "paving":
@@ -314,15 +317,12 @@ def compile_spec(obj, lattice_cache=None, source="spec",
         return paving(paving_spec(lat, k, spaces))
     if kind == "combo":
         coeffs = parse_key(obj, "coefficients", _fractions, source)
+        terms = parse_key(obj, "terms", parse_list, source)
         points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]",
-                               max_size)
-                  for i, t in enumerate(obj["terms"])]
+                               max_size) for i, t in enumerate(terms)]
         if len(coeffs) != len(points):
             raise CoefficientSum("coefficient/term count mismatch")
         return convex_combination(list(zip(coeffs, points)))
-    if kind == "flag":
-        lambdas = parse_key(obj, "lambdas", _fractions, source)
-        lat = get_lattice()
-        rep = flag_uniform_combo(lat.q, lat.n, lambdas, lattice=lat)
-        return rep.point
-    raise OutOfRange(f"unknown construction kind {kind!r}")
+    lambdas = parse_key(obj, "lambdas", _fractions, source)  # kind "flag"
+    lat = get_lattice()
+    return flag_uniform_combo(lat.q, lat.n, lambdas, lattice=lat).point

@@ -3,10 +3,10 @@
 Validation problems (bad input data, broken preconditions) raise
 subclasses of ValidationError.  Requests that would exceed a size cap
 raise CapExceeded; the CLI maps the two families to exit codes 1 and 2.
-require_keys turns a key missing from a JSON input into a MissingKey,
-and parse_key a value that does not parse into a BadValue; both name
-the key and where the input came from.  parse_int is the one parser of
-integer keys (q, n, k, m) in point, spec and code files.
+require_keys turns a JSON input that is not an object into NotAnObject
+and a missing key into MissingKey, and parse_key a value that does not
+parse into BadValue; each names where the input came from, and the key.
+parse_int and parse_list parse the integer keys (q, n, k, m) and lists.
 """
 
 
@@ -82,6 +82,10 @@ class HypothesisFail(ValidationError):
     pass
 
 
+class NotAnObject(ValidationError):
+    pass
+
+
 class MissingKey(ValidationError):
     pass
 
@@ -91,8 +95,10 @@ class BadValue(ValidationError):
 
 
 def require_keys(obj, keys, source):
-    """Return obj once it has every key in keys; otherwise raise
-    MissingKey naming the first absent key and source."""
+    """Return obj once it is a JSON object with every key in keys; else
+    raise NotAnObject, or MissingKey naming the first absent key."""
+    if type(obj) is not dict:
+        raise NotAnObject(f"{source}: expected a JSON object, got {obj!r:.60}")
     for key in keys:
         if key not in obj:
             raise MissingKey(f"{source}: missing key {key!r}")
@@ -104,6 +110,13 @@ def parse_int(value):
     raise TypeError, so an integer key never passes by conversion."""
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def parse_list(value):
+    """value itself when it is a list; anything else raises TypeError."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {value!r}")
     return value
 
 

@@ -14,13 +14,11 @@ Every row has one format, that of SubspaceLattice.facets: a row
 (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y], where
 w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is the point's
 padded vector (SubspaceLattice.padded): v_0 reads 0, and index
-size + d reads d mu.  build_hrep returns an HRepresentation whose rows
-are these entries, in row order: the type-1 bound on x,
-(size + dim x, size, x, size); the atom a, (a, size, size, size); the
-cover x < y, (y, size, x, size); and the lattice's incomparable-pair
-table (x, y, meet, join) as it is.  The text is produced one line at a
-time by one loop per block of rows (HRepresentation.text_lines), so
-the CLI streams it.
+size + d reads d mu.  The lattice owns the rows, one tuple in row order
+(SubspaceLattice.rows), and build_hrep returns an HRepresentation whose
+rows are that tuple.  The text is produced one line at a time by one
+loop per block of rows (HRepresentation.text_lines), so the CLI
+streams it.
 
 The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
@@ -101,32 +99,20 @@ MAX_DFS_NODES = 100_000
 
 class HRepresentation:
     """The H-representation of the polytope on the lattice, over the
-    columns v_1 .. v_top.  rows is the tuple of its rows in row order,
-    each an entry (x, y, m, j) that holds iff w[m] + w[j] <= w[x] + w[y]
-    on the point's padded vector w (SubspaceLattice.padded, where index
-    size reads 0 and size + d reads d mu): the bounds
-    (size + dim x, size, x, size), v_x <= dim x; the atoms
-    (a, size, size, size), -v_a <= 0; the covers (y, size, x, size),
-    v_x - v_y <= 0; and the lattice's incomparable-pair table
-    (x, y, meet, join), v_meet - v_x - v_y + v_join <= 0 with v_0 read as
-    0.  facet_rows is the row number of each entry of the lattice's
-    facet table, which is that row: rows[facet_rows[i]] == facets[i]."""
+    columns v_1 .. v_top.  rows is the lattice's tuple of rows
+    (SubspaceLattice.rows), not a copy, and facet_rows is the row number
+    of each entry of the lattice's facet table, which is that row:
+    rows[facet_rows[i]] == facets[i]."""
 
     def __init__(self, lattice):
         self.lattice = lattice
-        size, dims = lattice.size, lattice.dims
-        pad = tuple(range(size, size + lattice.n + 1))  # size + d reads d mu
-        zero = pad[0]
-        bounds = tuple((pad[dims[x]], zero, x, zero) for x in range(1, size))
-        atoms = tuple((a, zero, zero, zero) for a in lattice.atom_range)
-        covers = tuple((y, zero, x, zero) for y in range(1, size)
-                       for x in lattice.covers_down[y] if x != lattice.zero)
-        end = len(bounds) + len(atoms) + len(covers)
-        self.rows = bounds + atoms + covers + lattice.incomparable
+        size = lattice.size
+        lattice.rows  # built here, in the set-up, and not by a query
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
-        base, pair_offset = [], end
+        _, _, pairs = lattice.row_starts
+        base, pair_offset = [], pairs
         for x, ax in enumerate(lattice.above_mask):
             base.append(pair_offset - x)
             pair_offset += size - x - ax.bit_count()
@@ -137,8 +123,12 @@ class HRepresentation:
         # and the top covers end the cover block
         top_covers = len(lattice.covers_down[lattice.top])
         self.facet_rows = (tuple(a - 1 for a in lattice.atom_range)
-                           + tuple(range(end - top_covers, end))
+                           + tuple(range(pairs - top_covers, pairs))
                            + tuple(self.pair_rows(lattice.diamonds)))
+
+    @property
+    def rows(self):
+        return self.lattice.rows
 
     @property
     def ambient_dim(self):
@@ -146,8 +136,8 @@ class HRepresentation:
 
     def pair_rows(self, pairs):
         """The row numbers of the pair rows on pairs, (x, y, meet, join)
-        entries of the pair table such as the diamonds, counted from
-        the masks with no pass over the table: the pairs (x, y') before
+        entries of the pair block such as the diamonds, counted from the
+        masks with no pass over the rows: the pairs (x, y') before
         (x, y) are the y' strictly between x and y not above x."""
         base, above, low = self._pair_base, self.lattice.above_mask, self._low
         return [base[x] + y - (above[x] & low[y]).bit_count()
@@ -169,17 +159,14 @@ class HRepresentation:
         o = 0 if full else 1   # column of lattice index i is i - o
         dim = lat.size - o
         top = lat.top  # so z[top - i] zeros follow index i
-        # the blocks: rows[:top] are the bounds, then come the atoms, the
-        # covers, and the pair table, which ends the rows
-        atoms = top + len(lat.atom_range)
-        pairs = len(rows) - len(lat.incomparable)
+        atoms, covers, pairs = lat.row_starts  # where each block starts
         z = ["0 " * k for k in range(dim + 1)]
         yield f"HREP {len(rows) + (2 if full else 0)} {dim}\n"
-        for _, _, x, _ in rows[:top]:
+        for _, _, x, _ in rows[:atoms]:
             yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
-        for a, _, _, _ in rows[top:atoms]:
+        for a, _, _, _ in rows[atoms:covers]:
             yield f"{z[a - o]}-1 {z[top - a]}0\n"
-        for y, _, x, _ in rows[atoms:pairs]:
+        for y, _, x, _ in rows[covers:pairs]:
             yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
         for x, y, m, j in rows[pairs:]:
             if m or full:
@@ -199,9 +186,9 @@ class HRepresentation:
 def build_hrep(lattice):
     """H-representation of the q-rank polytope on the given lattice.
 
-    Reads the lattice's incomparable-pair table and facet table here,
-    so their one-time cost falls in the set-up and not in the first
-    query."""
+    Builds the lattice's rows and its diamonds, which the facet table
+    holds, here, so their one-time cost falls in the set-up and not in
+    the first query; two calls on one lattice share one rows tuple."""
     return HRepresentation(lattice)
 
 
@@ -338,11 +325,9 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     L(F_7^3), 16,731, and refuses L(F_2^5) within seconds)."""
     lat = lattice
     size = lat.size
-    above = [[] for _ in range(size)]  # above[z]: the spaces j > z over z
-    for j in range(size):
-        for i in lat.below(j):
-            if i < j:
-                above[i].append(j)
+    # above[z]: the spaces j > z over z, the bits of its above-mask
+    above = [[j for j in range(z + 1, size) if mask >> j & 1]
+             for z, mask in enumerate(lat.above_mask)]
     covers_up = lat.covers_up
     later = [[] for _ in range(size)]  # later[y]: (x, meet, join), x < y
     for x, y, m, j in lat.diamonds:
@@ -555,7 +540,8 @@ def _affine_rank(points):
 def _dd_constraints(H):
     """The homogenized constraints of double description in insertion
     order, as rows (x, y, m, j) read on a ray's padded vector, where t
-    stands in for mu: first the type-1 rows of H, v_x <= dim(x) t, and
+    stands in for mu: first the type-1 rows of H, v_x <= dim(x) t, each
+    (size + dim x, size, x, size), and
     the row t >= 0, (size + 1, size, size, size), which cut out the
     initial simplicial cone, then the facet rows not among them: the top
     covers and the diamonds of the facet table, as they are.  Every
@@ -572,11 +558,12 @@ def _dd_constraints(H):
     order that ran P(2,3), P(7,2) and P(9,2) faster than going by their
     first space."""
     lat = H.lattice
-    top, zero = lat.top, lat.size
+    top, zero, dims = lat.top, lat.size, lat.dims
     staged = sorted((f for f in lat.facets if f[0] <= top),  # no atom bound
                     key=lambda f: ((top, 0, f[2], 0) if f[1] > top
                                    else (f[3], f[1], f[2], f[0])))
-    return [*H.rows[:top], (zero + 1, zero, zero, zero), *staged]
+    return [*((zero + dims[x], zero, x, zero) for x in range(1, zero)),
+            (zero + 1, zero, zero, zero), *staged]
 
 
 def enumerate_vertices(H):

@@ -17,9 +17,9 @@ once by mu, the lcm of its denominators, so no Fraction arithmetic
 happens per row.  The facet rows and the rows of the polytope's system
 share one format: a row (x, y, m, j) holds iff w[m] + w[j] <=
 w[x] + w[y] on the padded vector w = (0, mu v_1, .., mu v_top, 0, mu,
-2 mu, .., n mu) (SubspaceLattice.padded), so check_axioms' fast path
-reads the facets as polytope reads them.  The literal walk compares
-each axiom row with its right-hand side times mu.
+2 mu, .., n mu) (SubspaceLattice.padded), so check_axioms reads the
+facets, and in its literal walk the lattice's rows, as polytope reads
+them.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import chain, islice
 
-from .errors import DimensionMismatch, NotADenominator, parse_key
+from .errors import DimensionMismatch, NotADenominator, parse_key, parse_list
 
 __all__ = [
     "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
@@ -94,8 +95,8 @@ AxiomReport = namedtuple("AxiomReport", "ok violations")
 
 
 def check_axioms(p):
-    """Check (R1) bounds, (R2) on covers, (R3) on incomparable pairs,
-    read with their meets and joins from the lattice's pair table.
+    """Check (R1) bounds, then (R2) on covers and (R3) on incomparable
+    pairs, read off the lattice's rows (SubspaceLattice.rows).
 
     A fast path comes first: when v_0 = 0 and the point satisfies every
     facet row of the polytope (the lattice's facet table: the bounds
@@ -114,14 +115,17 @@ def check_axioms(p):
     implies monotonicity everywhere, and submodularity holds with
     equality on comparable pairs, but R1's lower bounds on the spaces
     of dimension 2 or more and R2 on the covers of the zero space are
-    still checked, though the other rows imply them.  Violations are
-    reported with their exact positive slack; they are data, not
-    errors.
+    still checked, though the other rows imply them.  R2 and R3 are one
+    walk: the covers of the zero space, then the cover and pair blocks
+    of the lattice's rows, on the padded vector with v_0 kept, which a
+    zero meet reads.  A violated row (x, y, m, j) is R2 on the cover
+    m < x when y is size, R3 on the pair x, y otherwise.  Violations
+    carry their exact positive slack; they are data, not errors.
     """
     lat = p.lattice
     mu, vals = scaled_values(p.values)
+    w = lat.padded(mu, vals)  # see SubspaceLattice.facets
     if vals[0] == 0:
-        w = lat.padded(mu, vals)  # see SubspaceLattice.facets
         for x, y, m, j in lat.facets:
             if w[m] + w[j] > w[x] + w[y]:
                 break
@@ -134,15 +138,14 @@ def check_axioms(p):
             bad.append(("R1", (i,), Fraction(-v, mu)))
         elif v > top:
             bad.append(("R1", (i,), Fraction(v - top, mu)))
-    for y in range(lat.size):
-        vy = vals[y]
-        for x in lat.covers_down[y]:
-            if vals[x] > vy:
-                bad.append(("R2", (x, y), Fraction(vals[x] - vy, mu)))
-    for x, y, m, j in lat.incomparable:
-        slack = vals[m] + vals[j] - vals[x] - vals[y]
-        if slack > 0:
-            bad.append(("R3", (x, y), Fraction(slack, mu)))
+    size, (_, covers, _) = lat.size, lat.row_starts
+    w = (vals[0],) + w[1:]  # v_0 kept: a zero meet reads it
+    zero_covers = [(a, size, 0, size) for a in lat.atom_range]
+    for x, y, m, j in chain(zero_covers, islice(lat.rows, covers, None)):
+        if w[m] + w[j] > w[x] + w[y]:
+            slack = Fraction(w[m] + w[j] - w[x] - w[y], mu)
+            bad.append(("R2", (m, x), slack) if y == size
+                       else ("R3", (x, y), slack))
     return AxiomReport(not bad, tuple(bad))
 
 
@@ -178,10 +181,10 @@ def independence_report(p, mu):
     """
     _require_denominator(p, mu)
     lat = p.lattice
-    vals = p.values
-    ok_local = [vals[i] >= Fraction(lat.dims[i], mu) for i in range(lat.size)]
-    indep = frozenset(i for i in range(lat.size)
-                      if all(ok_local[j] for j in lat.below(i)))
+    bad = sum(1 << j for j, (v, d) in enumerate(zip(p.values, lat.dims))
+              if v < Fraction(d, mu))  # the spaces J with rho(J) < dim(J)/mu
+    indep = frozenset(i for i, below in enumerate(lat.below_mask)
+                      if not below & bad)
     circuits = frozenset(
         i for i in range(lat.size)
         if i not in indep and all(h in indep for h in lat.covers_down[i]))
@@ -193,11 +196,9 @@ def mu_bases(p, mu, v):
     """Inclusion-maximal mu-independent subspaces of the space at index v."""
     rep = independence_report(p, mu)
     lat = p.lattice
-    inside = set(lat.below(v))
-    return frozenset(
-        i for i in inside
-        if i in rep.independent
-        and not any(u in rep.independent for u in lat.covers_up[i] if u in inside))
+    indep, inside = rep.independent, lat.below_mask[v]
+    return frozenset(i for i in indep if (inside >> i) & 1 and not any(
+        (inside >> u) & 1 and u in indep for u in lat.covers_up[i]))
 
 
 # atoms are the 1-dimensional members of Cl_rho(A), closure their join
@@ -297,9 +298,7 @@ def _values_from_json(values):
     """The Fractions of a point file's values, a list of ints and
     rational strings; a bool, a float or a non-list raises TypeError,
     a string that is not a rational ValueError."""
-    if type(values) is not list:
-        raise TypeError(f"expected a list, got {values!r}")
-    for v in values:
+    for v in parse_list(values):
         if type(v) is not int and type(v) is not str:
             raise TypeError(
                 f"expected an integer or a rational string, got {v!r}")

@@ -24,9 +24,7 @@ X lies in Y.  The above-mask of X is the AND, over the atoms of X, of
 the masks of the spaces containing that atom (all spaces for the zero
 space).  The upper covers of X are its above-mask read on the grade
 above X, the lower covers are their transpose, and the below-mask of Y
-is Y with the below-masks of its lower covers.  The lists of the spaces
-below each space are built on the first call of below: only the
-independence report and the integer-point search read them.
+is Y with the below-masks of its lower covers.
 
 Meet and join are read off two small masks per space, with no linear
 algebra: its atom set A_X (bit a for the a-th atom) and its hyperplane
@@ -38,23 +36,19 @@ the hyperplanes that hold X join Y are those that hold both,
 H_X & H_Y.  The masks have one bit per atom or hyperplane, not one per
 space, so the AND is cheap even on the largest lattices.
 
-The incomparable pairs, with their meets and joins, are tabulated once
-per lattice on first use (SubspaceLattice.incomparable), one
-comprehension per space over the atom and hyperplane sets.  That table
-is read only where every row is reported: the submodularity rows of the
-paper's system and the literal R3 axiom check.  The diamonds, the pairs
-x, y that both cover their meet, are tabulated apart from it
-(SubspaceLattice.diamonds), from the cover relation and the hyperplane
-sets, with no pass over the pair table: they carry the facets among
-the submodularity rows.  With the atom bounds and the top covers they
-make the facet table (SubspaceLattice.facets), which is all that
-certification, double description and the f-vector read; the
-integer-point search propagates the diamonds.
-
-Every row of the polytope's system, the pair rows and facets included,
-is one (x, y, m, j) entry that holds iff w[m] + w[j] <= w[x] + w[y] on
-one padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
-(SubspaceLattice.padded), so a pair table entry is its own row.
+The lattice owns the paper's inequality system as one tuple of rows
+(SubspaceLattice.rows, with the block starts in row_starts), each an
+(x, y, m, j) entry that holds iff w[m] + w[j] <= w[x] + w[y] on one
+padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
+(SubspaceLattice.padded).  It is read only where every row is
+reported: the polytope's text and membership, and the literal axiom
+check.  The diamonds, the pairs x, y that both cover their meet, are
+tabulated apart (SubspaceLattice.diamonds), from the covers and the
+hyperplane sets: they carry the facets among the submodularity rows.
+With the atom bounds and the top covers they make the facet table
+(SubspaceLattice.facets), which is all that certification, double
+description and the f-vector read; the integer-point search
+propagates the diamonds.
 """
 
 from __future__ import annotations
@@ -170,7 +164,7 @@ class SubspaceLattice:
         self.above_mask = tuple(above)
         # the hyperplane set of i has bit h - first set when hyperplane h
         # holds i; the dicts map both sets back to the index objects of
-        # the one tuple _ids, which every pair table shares
+        # the one tuple _ids, which the pair rows and the diamonds share
         hyperplanes = self.grade(n - 1)
         first, window = hyperplanes.start, (1 << len(hyperplanes)) - 1
         self.hyperplane_sets = tuple((mask >> first) & window
@@ -226,16 +220,6 @@ class SubspaceLattice:
     def leq(self, i, j):
         return (self.below_mask[j] >> i) & 1 == 1
 
-    def below(self, j):
-        """Indices of all subspaces contained in j (including j)."""
-        return self._below_lists[j]
-
-    @cached_property
-    def _below_lists(self):
-        # built on the first call of below; only the independence
-        # report and the integer-point search read these lists
-        return tuple(tuple(self._bits(m)) for m in self.below_mask)
-
     def index_of_matrix(self, M):
         """Canonical index of the row space of M (any spanning matrix)."""
         return self.index[rref(M).matrix.entries]
@@ -256,20 +240,23 @@ class SubspaceLattice:
         return self.space_of_hyperplane_set[sets[i] & sets[j]]
 
     @cached_property
-    def incomparable(self):
-        """Every incomparable pair x < y as (x, y, meet, join), in order
-        of x, then y; built on first use, one comprehension per x over
-        the atom and hyperplane sets.
-
-        Because the order is graded, y > x can only fail to be
-        incomparable with x by lying above it, that is by holding every
-        atom of x.  The meet is the space with the atoms both hold and
-        the join the space in the hyperplanes that hold both, so
-        meet < x < y < join.  Each index is one of the shared int
-        objects of _ids, which keeps the table small."""
+    def rows(self):
+        """The paper's reduced system as one tuple of rows in the format
+        of facets, built on first use, in four blocks that start at
+        row_starts: the type-1 bounds, the atoms, the covers above the
+        atoms in order of the upper space, and the incomparable pairs
+        x < y, (x, y, meet, join), in order of x, then y.  Because the
+        order is graded, y > x can only fail to be incomparable with x by
+        holding every atom of x, so each x takes one comprehension over
+        the atom and hyperplane sets.  Each index is one of the shared
+        int objects of _ids, which keeps the tuple small."""
         ids, A, H = self._ids, self.atom_sets, self.hyperplane_sets
         meet, join = self.space_of_atom_set, self.space_of_hyperplane_set
-        out = []
+        zero, dims = self.size, self.dims
+        out = [(zero + dims[x], zero, x, zero) for x in ids[1:]]
+        out += [(a, zero, zero, zero) for a in self.atom_range]
+        out += [(y, zero, x, zero) for y in ids[self.grade_offsets[2]:]
+                for x in self.covers_down[y]]
         for x in ids:
             ax, hx = A[x], H[x]
             out += [(x, y, meet[ax & ay], join[hx & hy])
@@ -278,14 +265,22 @@ class SubspaceLattice:
         return tuple(out)
 
     @cached_property
+    def row_starts(self):
+        """The row numbers at which the atom, cover and pair blocks of
+        rows start, counted without building rows."""
+        covers = self.top + len(self.atom_range)
+        pairs = covers + sum(map(len, self.covers_down[self.grade_offsets[2]:]))
+        return self.top, covers, pairs
+
+    @cached_property
     def diamonds(self):
         """Every diamond (x, y, meet, join): x < y both upper covers of
         their meet, so the join covers both; in order of x, then y, the
-        order of the incomparable-pair table, which holds them all.
-        Built on first use from each space's upper covers, taken in
-        pairs, with no pass over the pair table; the join is the space
-        with the hyperplanes that hold both, and each index is one of
-        the shared int objects of _ids, as in that table.
+        order of the pair block of rows, which holds them all.  Built on
+        first use from each space's upper covers, taken in pairs, with
+        no pass over the pair rows; the join is the space with the
+        hyperplanes that hold both, and each index is one of the shared
+        int objects of _ids, as in the rows.
 
         The diamonds carry the facets among the submodularity rows:
         every other pair row is a sum of diamond rows."""
@@ -308,16 +303,16 @@ class SubspaceLattice:
         and index size + d reads d mu.  So the bound v_x <= dim x is
         (size + dim x, size, x, size), nonnegativity -v_a <= 0 is
         (a, size, size, size), the cover v_x <= v_y is (y, size, x, size),
-        and an entry (x, y, meet, join) of the pair table is its own
-        submodularity row, a zero meet reading 0.  The facets are the
-        bound v_a <= 1 on each atom a, (size + 1, size, a, size), the
-        cover v_h <= v_top of the top by each hyperplane h,
-        (top, size, h, size), and the diamonds, the entries of
-        self.diamonds themselves.  The padding follows the spaces rather
-        than being negative, since CPython indexes a tuple fastest at a
-        nonnegative int.  Built on first use; the one definition of the
-        facets that every certifier reads (see polytope for why these
-        rows are the facets)."""
+        and the submodularity row of an incomparable pair x, y is
+        (x, y, meet, join), a zero meet reading 0 (see rows).  The
+        facets are the bound v_a <= 1 on each atom a,
+        (size + 1, size, a, size), the cover v_h <= v_top of the top by
+        each hyperplane h, (top, size, h, size), and the diamonds, the
+        entries of self.diamonds themselves.  The padding follows the
+        spaces rather than being negative, since CPython indexes a tuple
+        fastest at a nonnegative int.  Built on first use; the one
+        definition of the facets that every certifier reads (see
+        polytope for why these rows are the facets)."""
         top, zero, one = self.top, self.size, self.size + 1
         return (tuple((one, zero, a, zero) for a in self.atom_range)
                 + tuple((top, zero, h, zero) for h in self.covers_down[top])

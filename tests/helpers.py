@@ -73,6 +73,12 @@ def _int_rank(rows):
     return rank
 
 
+def pair_block(lat):
+    """The pair block of the lattice's rows: every incomparable pair
+    x < y as (x, y, meet, join), in order of x, then y."""
+    return lat.rows[lat.row_starts[2]:]
+
+
 def table_row(lat, row):
     """(coeffs, rhs) of a row (x, y, m, j) of the polytope's system,
     which holds iff w[m] + w[j] <= w[x] + w[y] on the padded vector
@@ -119,10 +125,9 @@ def literal_axiom_violations(p):
 
 
 def span_containment_order(lat):
-    """The lattice's order attributes by name, and its below(j) lists
-    under "below", all found by testing for every pair whether each
-    basis row of i lies in the span of j: the reference for the order
-    built from tails and covers."""
+    """The lattice's order attributes by name, all found by testing for
+    every pair whether each basis row of i lies in the span of j: the
+    reference for the order built from tails and covers."""
     subs, dims, size = lat.subspaces, lat.dims, lat.size
     below = []
     for sj in subs:
@@ -151,8 +156,7 @@ def span_containment_order(lat):
             "atoms_of": atoms_of, "atom_sets": atom_sets,
             "hyperplane_sets": hyperplane_sets,
             "space_of_atom_set": {m: j for j, m in enumerate(atom_sets)},
-            "space_of_hyperplane_set": {m: j for j, m in enumerate(hyperplane_sets)},
-            "below": tuple(lows)}
+            "space_of_hyperplane_set": {m: j for j, m in enumerate(hyperplane_sets)}}
 
 
 def reference_vector_code_ranks(V, lattice):
@@ -262,7 +266,7 @@ def plain_dfs_lattice_points(lat):
     reference for the forward-checked search of lattice_points."""
     size = lat.size
     join_pairs = [[] for _ in range(size)]
-    for x, y, m, j in lat.incomparable:
+    for x, y, m, j in pair_block(lat):
         join_pairs[j].append((x, y, m))
     vals = [0] * size
     out = []

@@ -157,6 +157,28 @@ def test_pm_check_reports_every_violation(capsys, tmp_path, lat33):
         for a, w, s in literal_axiom_violations(p)]
 
 
+def test_pm_check_reads_v0_in_the_zero_meet_rows(capsys, tmp_path, lat23):
+    # U_{1,3} over F_2 with v_0 = 2 fails R1 on the zero space, R2 on
+    # its seven covers and R3 on every pair whose meet is zero
+    point = tmp_path / "v0.json"
+    assert main(["make", "uniform", "--q", "2", "--n", "3", "--k", "1",
+                 "-o", str(point)]) == 0
+    obj = json.loads(point.read_text())
+    obj["values"][0] = "2"
+    point.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "pm", "check", "--point", str(point))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest().startswith(
+        "27b464da8a74fefb")
+    rep = json.loads(out)
+    assert rep["ok"] is False
+    assert Counter(v["axiom"] for v in rep["violations"]) == {
+        "R1": 1, "R2": 7, "R3": 49}
+    assert rep["violations"] == [
+        {"axiom": a, "spaces": list(w), "slack": str(s)}
+        for a, w, s in literal_axiom_violations(point_from_json(obj, lat23))]
+
+
 def test_make_combo_and_chi(capsys, tmp_path):
     spec = tmp_path / "combo.json"
     spec.write_text(json.dumps({
@@ -448,6 +470,41 @@ def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
     obj = json.loads(err)
     assert obj["error"] == "BadValue" and str(path) in obj["message"]
     assert all(part in obj["message"] for part in named)
+
+
+_COMBO = {"kind": "combo", "coefficients": ["1"]}
+
+
+@pytest.mark.parametrize("command,content,error", [
+    (("pm", "check", "--point"), 5, "NotAnObject"),
+    (("pm", "check", "--point"), None, "NotAnObject"),
+    (("pm", "check", "--point"), "qnv", "NotAnObject"),
+    (("pm", "check", "--point"), ["q", "n", "values"], "NotAnObject"),
+    (("invariant", "chi", "--point"), 5, "NotAnObject"),
+    (("invariant", "chi-combo", "--spec"), [], "NotAnObject"),
+    (("code", "metrics", "--code"), None, "NotAnObject"),
+    (("make", "paving", "--spec"), "qnv", "NotAnObject"),
+    (("make", "combo", "--spec"), 5, "NotAnObject"),
+    (("make", "combo", "--spec"), {**_COMBO, "terms": 5}, "BadValue"),
+    (("make", "combo", "--spec"), {**_COMBO, "terms": "ab"}, "BadValue"),
+    (("make", "combo", "--spec"), {**_COMBO, "terms": [5]}, "NotAnObject"),
+    (("make", "combo", "--spec"), {**_COMBO, "terms": [{"kind": []}]},
+     "OutOfRange"),
+], ids=["point-int", "point-null", "point-string", "point-list", "chi-int",
+        "chi-combo-list", "code-null", "paving-string", "combo-int",
+        "combo-terms-int", "combo-terms-string", "combo-term-int",
+        "combo-term-kind-list"])
+def test_input_that_is_not_an_object_names_the_file(capsys, tmp_path,
+                                                    command, content, error):
+    # a file, or a combo term, whose JSON is not an object is refused as
+    # a validation failure that names the file, never a traceback; so
+    # are terms that are not a list and a term kind that is not a name
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "--json-errors", *command, str(path))
+    assert code == 1 and out == ""
+    obj = json.loads(err)
+    assert obj["error"] == error and str(path) in obj["message"]
 
 
 def _input_file(tmp_path, command, key, value):

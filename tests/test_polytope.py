@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (_int_rank, literal_axiom_violations, plain_dfs_lattice_points,
-                     random_disjoint_paving_pair, random_lambda,
+from helpers import (_int_rank, literal_axiom_violations, pair_block,
+                     plain_dfs_lattice_points, random_disjoint_paving_pair, random_lambda,
                      random_paving_collection, rank_test_vertices,
                      reference_sparse_rank, table_row)
 from qrank import polytope
@@ -169,6 +169,26 @@ def test_hrep_rows_match_pairwise_reference(fixture, full, request):
     assert tags["zero"] == (2 if full else 0)
 
 
+def test_build_hrep_calls_share_the_lattices_rows():
+    # H holds no copy: every H on a lattice reads the one tuple it owns
+    lat = build_lattice(2, 3)
+    first, second = build_hrep(lat), build_hrep(lat)
+    assert first.rows is second.rows is lat.rows
+
+
+@pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (3, 3)])
+def test_row_starts_bound_the_blocks(q, n):
+    # the block starts are counted without building the rows, and each
+    # block holds the rows of one kind
+    lat = build_lattice(q, n)
+    atoms, covers, pairs = lat.row_starts
+    assert "rows" not in vars(lat)
+    kinds = [_row_tag(lat, row)[0] for row in lat.rows]
+    assert kinds == (["type1"] * atoms + ["nonneg"] * (covers - atoms)
+                     + ["type2"] * (pairs - covers)
+                     + ["type3"] * (len(kinds) - pairs))
+
+
 def _text_rows(H, full=False):
     """The rows of H's text read back as (sparse coeffs, rhs): the
     nonzero (lattice index, coefficient) pairs in increasing index."""
@@ -231,9 +251,8 @@ def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24):
     cert = is_vertex(H, u)
     assert cert.is_vertex and cert.normal_rank == H.ambient_dim
     assert H.to_text().count("\n") == len(H.rows) + 1
-    # the pair rows are the pair table's entries, not copies of them
-    pairs = H.rows[-len(lat24.incomparable):]
-    assert all(a is b for a, b in zip(pairs, lat24.incomparable))
+    # H's rows are the lattice's rows, not a copy of them
+    assert H.rows is lat24.rows
     # double description and the f-vector read the rows too
     for lat, n_verts, fv in ((lat22, 6, (6, 15, 18, 9)),
                              (lat32, 11, (11, 41, 70, 52, 14))):
@@ -620,8 +639,8 @@ def test_facet_row_numbers_match_the_reference(fixture, full, request):
                                    for x, y, _, _ in lat.diamonds]
     assert all(table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
                for k, f in zip(H.facet_rows, lat.facets))
-    assert [ref[k][2] for k in H.pair_rows(lat.incomparable)] == [
-        ("type3", x, y) for x, y, _, _ in lat.incomparable]
+    assert [ref[k][2] for k in H.pair_rows(pair_block(lat))] == [
+        ("type3", x, y) for x, y, _, _ in pair_block(lat)]
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24", "lat25"])
@@ -637,13 +656,14 @@ def test_facets_are_rows_of_h(fixture, request):
 
 def test_pair_row_numbers_25(lat25):
     H = build_hrep(lat25)
-    start = len(H.rows) - len(lat25.incomparable)
-    assert H.rows[start:] == lat25.incomparable
+    pairs = pair_block(lat25)
+    start = len(H.rows) - len(pairs)
+    assert start == lat25.row_starts[2]
+    assert all(y < lat25.size for _, y, _, _ in pairs)
     assert all(y == lat25.size for _, y, _, _ in H.rows[:start])
-    assert H.pair_rows(lat25.incomparable) == list(
-        range(start, start + len(lat25.incomparable)))
+    assert H.pair_rows(pairs) == list(range(start, start + len(pairs)))
     assert H.pair_rows(lat25.diamonds) == [
-        k for k, (x, y, m, _) in enumerate(lat25.incomparable, start)
+        k for k, (x, y, m, _) in enumerate(pairs, start)
         if lat25.dims[x] == lat25.dims[y] == lat25.dims[m] + 1]
 
 
@@ -686,7 +706,7 @@ def test_paper_rows_are_sums_of_facet_rows(fixture, request):
     def pair(x, y):
         return row["type3", min(x, y), max(x, y)]
 
-    for x, y, _, _ in lat.incomparable:
+    for x, y, _, _ in pair_block(lat):
         parts = _diamond_summands(lat, x, y)
         assert set(parts) <= diamonds
         assert _row_sum([pair(*d) for d in parts]) == _row_sum([pair(x, y)])
@@ -759,13 +779,14 @@ def test_certifiers_and_searches_read_only_facets(monkeypatch, lat22, lat23,
                                                  lat32):
     # once H is built, is_vertex, double description, f_vector and the
     # integer-point search read the facet table and the diamonds: neither
-    # the incomparable-pair table nor membership's report of every row
+    # the lattice's rows, which H.rows reads and which hold the pair
+    # block, nor membership's report of every row
     hreps = [build_hrep(lat) for lat in (lat22, lat23, lat32)]
 
     def fail(*_):
-        raise AssertionError("the pair table or membership was read")
+        raise AssertionError("the rows or membership was read")
 
-    monkeypatch.setattr(SubspaceLattice, "incomparable", property(fail))
+    monkeypatch.setattr(SubspaceLattice, "rows", property(fail))
     monkeypatch.setattr(polytope, "membership", fail)
     for H in hreps[1:]:
         assert all(is_vertex(H, v).is_vertex for v in enumerate_vertices(H))
