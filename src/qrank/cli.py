@@ -9,6 +9,10 @@ a key it needs, or holds a value that does not parse (a subspace row of
 the wrong length or outside the field, a rational that is not one), is
 a validation failure naming the file and the key.  With --json-errors
 failures are also reported as one JSON object on stderr.
+
+One table, _GROUPS, declares every leaf: its group, its help and the
+names of the options it takes, each defined once in _OPTIONS.  This last
+paragraph is left out of the parser's description.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from itertools import islice
 # it, so a subcommand loads only what it runs
 from . import subspaces
 from .errors import (CapExceeded, ValidationError, parse_int, parse_key,
-                     require_keys)
+                     parse_rational, require_keys)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,13 +193,11 @@ def _cmd_invariant(args):
                           "at_one": chi.eval_at_one()})
         return 0
     # chi-combo: closed form for a paving combination, cross-checked
-    from fractions import Fraction
-
     from . import constructions
     spec = _read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
     lat = _file_lattice(args, spec, args.spec)
     k = parse_key(spec, "k", parse_int, args.spec)
-    lam = parse_key(spec, "lambda", Fraction, args.spec)
+    lam = parse_key(spec, "lambda", parse_rational, args.spec)
     s1, s2 = (parse_key(spec, key, lambda v: constructions.space_indices(lat, v),
                         args.spec) for key in ("s1", "s2"))
     specs = [constructions.paving_spec(lat, k, s) for s in (s1, s2)]
@@ -230,101 +232,59 @@ def _cmd_code(args):
     return 0
 
 
-def _add_lattice(leaves):
-    lb = leaves.add_parser("build", help="enumerate L(F_q^n) and dump it as JSON")
-    lb.add_argument("--q", type=int, required=True)
-    lb.add_argument("--n", type=int, required=True)
-    lb.add_argument("--out", "-o")
-    lb.set_defaults(func=_cmd_lattice_build)
+# every option a leaf can take, each defined once; a name with "=0"
+# is the option under that flag, optional with default 0
+_INT, _PATH = dict(type=int, required=True), dict(required=True)
+_OPTIONS = {
+    "q": _INT, "n": _INT, "k": _INT, "m": _INT, "d": _INT, "mu": _INT,
+    "point": _PATH, "spec": _PATH, "code": _PATH,
+    "mu=0": dict(type=int, default=0),  # 0: the principal denominator
+    "via": dict(type=int, choices=(1, 2), default=1),
+    "full": dict(action="store_true",
+                 help="print the unreduced system: add the column "
+                      "v_0 and the rows v_0 <= 0, -v_0 <= 0"),
+}
 
-
-def _add_polytope(leaves):
-    for name, hlp in [("hrep", "H-representation as text"),
-                      ("points", "all integer points"),
-                      ("vertices", "all vertices (double description)"),
-                      ("fvector", "face counts by dimension"),
-                      ("dim", "affine dimension"),
-                      ("witness", "interior witness and its membership")]:
-        pc = leaves.add_parser(name, help=hlp)
-        pc.add_argument("--q", type=int, required=True)
-        pc.add_argument("--n", type=int, required=True)
-        if name == "hrep":  # the one output that v_0 changes
-            pc.add_argument("--full", action="store_true",
-                            help="print the unreduced system: add the column "
-                                 "v_0 and the rows v_0 <= 0, -v_0 <= 0")
-        pc.add_argument("--out", "-o")
-        pc.set_defaults(func=_cmd_polytope)
-
-
-def _add_pm(leaves):
-    for name, hlp in [("check", "axiom report"),
-                      ("flats", "set of flats"),
-                      ("cyclic", "set of cyclic spaces"),
-                      ("zflats", "set of cyclic flats"),
-                      ("indep", "mu-independence report"),
-                      ("classify", "classification report")]:
-        mc = leaves.add_parser(name, help=hlp)
-        mc.add_argument("--point", required=True)
-        if name in ("indep", "classify"):
-            mc.add_argument("--mu", type=int, default=0 if name == "classify" else None,
-                            required=(name == "indep"))
-        mc.add_argument("--out", "-o")
-        mc.set_defaults(func=_cmd_pm)
-
-
-def _add_make(leaves):
-    ku = leaves.add_parser("uniform", help="uniform q-matroid")
-    ku.add_argument("--q", type=int, required=True)
-    ku.add_argument("--n", type=int, required=True)
-    ku.add_argument("--k", type=int, required=True)
-    ku.add_argument("--out", "-o")
-    ku.set_defaults(func=_cmd_make)
-    for name in ("paving", "combo", "flag"):
-        kc = leaves.add_parser(name, help=f"{name} construction from a JSON spec")
-        kc.add_argument("--spec", required=True)
-        kc.add_argument("--out", "-o")
-        kc.set_defaults(func=_cmd_make)
-
-
-def _add_invariant(leaves):
-    ic = leaves.add_parser("chi", help="polynomial of a point file")
-    ic.add_argument("--point", required=True)
-    ic.add_argument("--out", "-o")
-    ic.set_defaults(func=_cmd_invariant)
-    icc = leaves.add_parser("chi-combo",
-                            help="closed form for a paving combination spec")
-    icc.add_argument("--spec", required=True)
-    icc.add_argument("--via", type=int, choices=(1, 2), default=1)
-    icc.add_argument("--out", "-o")
-    icc.set_defaults(func=_cmd_invariant)
-
-
-def _add_code(leaves):
-    cm = leaves.add_parser("metrics", help="k, d, dual distance, MRD check")
-    cm.add_argument("--code", required=True)
-    cm.add_argument("--out", "-o")
-    cm.set_defaults(func=_cmd_code)
-    cr = leaves.add_parser("rho", help="induced q-polymatroid point")
-    cr.add_argument("--code", required=True)
-    cr.add_argument("--out", "-o")
-    cr.set_defaults(func=_cmd_code)
-    cd = leaves.add_parser("mrd", help="MRD closed-form rank function")
-    cd.add_argument("--q", type=int, required=True)
-    cd.add_argument("--n", type=int, required=True)
-    cd.add_argument("--m", type=int, required=True)
-    cd.add_argument("--d", type=int, required=True)
-    cd.add_argument("--out", "-o")
-    cd.set_defaults(func=_cmd_code)
-
-
-# group name -> (help, the function that adds its leaf sub-parsers)
+# group -> (help, handler name, {leaf: (help, option names)}); every
+# leaf also takes --out/-o.  The handler is looked up when the parser is
+# built, so a handler replaced on the module is the one that runs.
 _GROUPS = {
-    "lattice": ("subspace lattice pipelines", _add_lattice),
-    "polytope": ("q-rank polytope pipelines", _add_polytope),
-    "pm": ("q-polymatroid reports for a point file", _add_pm),
-    "make": ("compile a construction to a point file", _add_make),
-    "invariant": ("characteristic Puiseux polynomial", _add_invariant),
-    "code": ("rank-metric code pipelines", _add_code),
+    "lattice": ("subspace lattice pipelines", "_cmd_lattice_build", {
+        "build": ("enumerate L(F_q^n) and dump it as JSON", ("q", "n")),
+    }),
+    "polytope": ("q-rank polytope pipelines", "_cmd_polytope", {
+        # --full: the one output that v_0 changes
+        "hrep": ("H-representation as text", ("q", "n", "full")),
+        "points": ("all integer points", ("q", "n")),
+        "vertices": ("all vertices (double description)", ("q", "n")),
+        "fvector": ("face counts by dimension", ("q", "n")),
+        "dim": ("affine dimension", ("q", "n")),
+        "witness": ("interior witness and its membership", ("q", "n")),
+    }),
+    "pm": ("q-polymatroid reports for a point file", "_cmd_pm", {
+        "check": ("axiom report", ("point",)),
+        "flats": ("set of flats", ("point",)),
+        "cyclic": ("set of cyclic spaces", ("point",)),
+        "zflats": ("set of cyclic flats", ("point",)),
+        "indep": ("mu-independence report", ("point", "mu")),
+        "classify": ("classification report", ("point", "mu=0")),
+    }),
+    "make": ("compile a construction to a point file", "_cmd_make", {
+        "uniform": ("uniform q-matroid", ("q", "n", "k")),
+        "paving": ("paving construction from a JSON spec", ("spec",)),
+        "combo": ("combo construction from a JSON spec", ("spec",)),
+        "flag": ("flag construction from a JSON spec", ("spec",)),
+    }),
+    "invariant": ("characteristic Puiseux polynomial", "_cmd_invariant", {
+        "chi": ("polynomial of a point file", ("point",)),
+        "chi-combo": ("closed form for a paving combination spec",
+                      ("spec", "via")),
+    }),
+    "code": ("rank-metric code pipelines", "_cmd_code", {
+        "metrics": ("k, d, dual distance, MRD check", ("code",)),
+        "rho": ("induced q-polymatroid point", ("code",)),
+        "mrd": ("MRD closed-form rank function", ("q", "n", "m", "d")),
+    }),
 }
 
 
@@ -333,7 +293,7 @@ def build_parser(argv=None):
     only of the group named by the first token of argv that names one,
     since a process parses one command; with no group named (argv None,
     --help, a bad group) every group gets its leaves."""
-    top = _Parser(prog="qrank", description=__doc__)
+    top = _Parser(prog="qrank", description=__doc__.rpartition("\n\n")[0])
     top.add_argument("--json-errors", action="store_true",
                      help="report failures as JSON on stderr")
     top.add_argument("--max-lattice", type=_positive_int,
@@ -341,11 +301,18 @@ def build_parser(argv=None):
                      help="cap on the number of subspaces")
     sub = top.add_subparsers(dest="command", required=True)
     named = next((a for a in argv or () if a in _GROUPS), None)
-    for name, (hlp, add_leaves) in _GROUPS.items():
-        leaves = sub.add_parser(name, help=hlp).add_subparsers(
+    for name, (hlp, handler, leaves) in _GROUPS.items():
+        group = sub.add_parser(name, help=hlp).add_subparsers(
             dest="which", required=True)
-        if named in (None, name):
-            add_leaves(leaves)
+        if named not in (None, name):
+            continue
+        for leaf, (leaf_help, options) in leaves.items():
+            parser = group.add_parser(leaf, help=leaf_help)
+            for option in options:
+                parser.add_argument("--" + option.partition("=")[0],
+                                    **_OPTIONS[option])
+            parser.add_argument("--out", "-o")
+            parser.set_defaults(func=globals()[handler])
     return top
 
 

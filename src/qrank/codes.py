@@ -29,13 +29,15 @@ from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 
-from .constructions import profile_independent_dims, point_from_profile, uniform
+from .constructions import (combined_profile, point_from_profile,
+                            profile_independent_dims, report_point,
+                            uniform_profile)
 from .errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
                      ZeroCode, parse_int, parse_key, require_keys)
 from .fields import (EXHAUSTIVE_SPAN_CAP, FqMatrix, make_field, matrix_vectors,
                      nullspace, rref)
-from .rankfun import RankPoint, rank_point
+from .rankfun import RankPoint
 
 CODEWORD_SCAN_CAP = EXHAUSTIVE_SPAN_CAP  # the row-space cap of matrix_vectors
 
@@ -205,39 +207,29 @@ def induced_polymatroid(C, lattice):
     return RankPoint(lattice, tuple(vals[r] for r in ranks))
 
 
-def mrd_closed_form(lattice, m, d):
-    """Rank function of an MRD code in F_q^{n x m} with distance d.
+def mrd_profile(n, m, d):
+    """Values by dimension of the rank function of an MRD code in
+    F_q^{n x m} with distance d.
 
     For m >= n it is the uniform q-matroid of rank n-d+1.  For m = n-1
     the value is dim(U) up to dimension n-d and n(n-d)/(n-1) above.
     Other shapes with m < n are rejected: the cited bound leaves a gap
     of dimensions where the rank value is not determined."""
-    n = lattice.n
     if not 1 <= d <= min(n, m):
         raise OutOfRange(f"need 1 <= d <= min(n, m), got d={d}")
     if m >= n:
-        return uniform(lattice, n - d + 1)
+        return uniform_profile(n, n - d + 1)
     if m == n - 1:
         plateau = Fraction(n * (n - d), n - 1)
-        vals = [Fraction(dd) if dd <= n - d else plateau for dd in lattice.dims]
-        return rank_point(lattice, vals)
+        return tuple(Fraction(dd) if dd <= n - d else plateau
+                     for dd in range(n + 1))
     raise UnsupportedShape(f"m={m} < n-1={n - 1}: no closed form is available")
 
 
-def mrd_combo_values(n, d1, d2, lam):
-    """Dimension profile of (1-lam) M[C1] + lam M[C2] for MRD codes in
-    F_q^{n x (n-1)} with distances d1 > d2 (so k1 < k2)."""
-    k1, k2 = n * (n - d1), n * (n - d2)
-    lam = Fraction(lam)
-    vals = []
-    for dd in range(n + 1):
-        if dd <= n - d1:
-            vals.append(Fraction(dd))
-        elif dd <= n - d2:
-            vals.append(Fraction(k1, n - 1) * (1 - lam) + lam * dd)
-        else:
-            vals.append((1 - lam) * Fraction(k1, n - 1) + lam * Fraction(k2, n - 1))
-    return tuple(vals)
+def mrd_closed_form(lattice, m, d):
+    """Rank function of an MRD code in F_q^{n x m} with distance d, from
+    mrd_profile."""
+    return point_from_profile(lattice, mrd_profile(lattice.n, m, d))
 
 
 MrdComboReport = namedtuple("MrdComboReport", [
@@ -259,14 +251,11 @@ def mrd_combo_independence(n, d1, d2, lam, lattice=None):
     if not 0 < lam < 1:
         raise HypothesisFail(f"need 0 < lam < 1, got {lam}")
     mu = lam.denominator * (n - 1)
-    vals = mrd_combo_values(n, d1, d2, lam)
+    vals = combined_profile([(1 - lam, mrd_profile(n, n - 1, d1)),
+                             (lam, mrd_profile(n, n - 1, d2))])
     all_indep = n in profile_independent_dims(vals, mu)
-    point = None
-    if lattice is not None:
-        if lattice.n != n:
-            raise LatticeMismatch("lattice dimension does not match n")
-        point = point_from_profile(lattice, vals)
-    return MrdComboReport(n, k1, k2, lam, mu, vals, all_indep, point)
+    return MrdComboReport(n, k1, k2, lam, mu, vals, all_indep,
+                          report_point(lattice, vals))
 
 
 # -- vector codes over an extension field --------------------------------
@@ -358,12 +347,19 @@ def code_to_json(C):
     }
 
 
+def _positive_int(value):
+    if parse_int(value) < 1:
+        raise ValueError(f"need a positive integer, got {value}")
+    return value
+
+
 def code_from_json(obj, source="code"):
     """The MatrixCode of a code file's object; q, n and m that are not
-    ints, and generators with a ragged row, an entry that is not an int
-    of the field, a shape other than n x m or a linear dependence, raise
-    BadValue naming the key and source."""
-    q, n, m = (parse_key(obj, key, parse_int, source) for key in ("q", "n", "m"))
+    ints, n or m below 1, and generators with a ragged row, an entry
+    that is not an int of the field, a shape other than n x m or a
+    linear dependence, raise BadValue naming the key and source."""
+    q = parse_key(obj, "q", parse_int, source)
+    n, m = (parse_key(obj, key, _positive_int, source) for key in ("n", "m"))
     field = make_field(q)
     return parse_key(obj, "generators", lambda gens: MatrixCode(
         field, n, m, tuple(

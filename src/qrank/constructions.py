@@ -10,9 +10,10 @@ Conventions for two-term combinations follow the source constructions:
   term by lam, so middle dimensions read k1 + lam*(dim - k1).
 
 Combinations of uniform q-matroids take the same value on every
-subspace of one dimension, so reports carry a values_by_dim profile
-that exists even when the full lattice is over the size cap; the
-mu-independence of such a point is decided exactly from the profile.
+subspace of one dimension, so reports carry a values_by_dim profile,
+sum_i c_i * profile_i over the terms (combined_profile), that exists
+even when the full lattice is over the size cap; the mu-independence
+of such a point is decided exactly from the profile.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from fractions import Fraction
 
 from .errors import (CoefficientSum, InvalidCollection, LatticeMismatch,
                      Overlap, OutOfRange, RankMismatch, parse_int,
-                     parse_key, parse_list, require_keys)
-from .rankfun import RankPoint, rank_point, scaled_values
+                     parse_key, parse_list, parse_rationals, require_keys)
+from .rankfun import RankPoint, scaled_values
 from .subspaces import MAX_LATTICE_SIZE, build_lattice
 
 
 def uniform(lattice, k):
     """Uniform q-matroid of rank k: v_X = min(k, dim X)."""
-    if not 0 <= k <= lattice.n:
-        raise OutOfRange(f"need 0 <= k <= {lattice.n}, got {k}")
-    return rank_point(lattice, (min(k, d) for d in lattice.dims))
+    return point_from_profile(lattice, uniform_profile(lattice.n, k))
 
 
 class PavingSpec(namedtuple("PavingSpec", "lattice k spaces")):
@@ -67,17 +66,18 @@ def paving_spec(lattice, k, spaces):
 def space_indices(lattice, spaces):
     """Lattice indices of the spaces, each given as a list of spanning
     rows over F_q (element encodings)."""
-    return frozenset(lattice.index_of_rows([tuple(r) for r in rows])
-                     for rows in spaces)
+    return frozenset(lattice.index_of_rows(
+        [tuple(parse_int(x) for x in r) for r in rows]) for rows in spaces)
 
 
 def paving(spec):
     """Paving q-matroid induced by S: value k-1 on S, min(dim, k) elsewhere."""
     lat = spec.lattice
-    vals = [min(spec.k, d) for d in lat.dims]
+    profile = uniform_profile(lat.n, spec.k)
+    vals = [profile[d] for d in lat.dims]
     for i in spec.spaces:
-        vals[i] = spec.k - 1
-    return rank_point(lat, vals)
+        vals[i] = Fraction(spec.k - 1)
+    return RankPoint(lat, tuple(vals))
 
 
 def combo_denominator(coeffs):
@@ -108,9 +108,35 @@ def convex_combination(terms):
 
 # -- profiles: rank functions constant on each grade --------------------
 
+def uniform_profile(n, k):
+    """The values by dimension of the uniform q-matroid of rank k on
+    F_q^n: min(k, d) in dimension d."""
+    if not 0 <= k <= n:
+        raise OutOfRange(f"need 0 <= k <= {n}, got {k}")
+    return tuple(Fraction(min(k, d)) for d in range(n + 1))
+
+
+def combined_profile(terms):
+    """The profile sum_i c_i * profile_i of the (c_i, profile_i) pairs."""
+    terms = [(Fraction(c), profile) for c, profile in terms]
+    return tuple(sum(c * profile[d] for c, profile in terms)
+                 for d in range(len(terms[0][1])))
+
+
 def point_from_profile(lattice, values_by_dim):
-    vals = [Fraction(values_by_dim[d]) for d in lattice.dims]
-    return RankPoint(lattice, tuple(vals))
+    profile = [Fraction(v) for v in values_by_dim]
+    return RankPoint(lattice, tuple(profile[d] for d in lattice.dims))
+
+
+def report_point(lattice, values_by_dim, q=None):
+    """A report's point: None without a lattice, else the profile's
+    point on it, once the lattice has the profile's n and, when q is
+    given, that q (LatticeMismatch otherwise)."""
+    if lattice is None:
+        return None
+    if lattice.n != len(values_by_dim) - 1 or q not in (None, lattice.q):
+        raise LatticeMismatch("lattice does not match the report's (q, n)")
+    return point_from_profile(lattice, values_by_dim)
 
 
 def profile_independent_dims(values_by_dim, mu):
@@ -187,19 +213,6 @@ TwoUniformReport = namedtuple("TwoUniformReport", [
     "point"])  # a RankPoint when a lattice was supplied, else None
 
 
-def two_uniform_values(n, k1, k2, lam):
-    lam = Fraction(lam)
-    vals = []
-    for d in range(n + 1):
-        if d <= k1:
-            vals.append(Fraction(d))
-        elif d <= k2:
-            vals.append(k1 + lam * (d - k1))
-        else:
-            vals.append((1 - lam) * k1 + lam * k2)
-    return tuple(vals)
-
-
 def two_uniform_combo_report(q, n, k1, k2, lam, lattice=None):
     """Report on (1-lam)*U_{k1,n} + lam*U_{k2,n}.
 
@@ -213,19 +226,16 @@ def two_uniform_combo_report(q, n, k1, k2, lam, lattice=None):
     if not 0 < lam < 1:
         raise OutOfRange(f"need 0 < lam < 1, got {lam}")
     mu = lam.denominator
-    vals = two_uniform_values(n, k1, k2, lam)
+    vals = combined_profile([(1 - lam, uniform_profile(n, k1)),
+                             (lam, uniform_profile(n, k2))])
     predicted = mu >= math.ceil(Fraction(n, k1)) or k1 + k2 >= n
     actual = n in profile_independent_dims(vals, mu)
     flat_dims = frozenset(range(k2)) | {n}
     cyclic_dims = frozenset(range(k1 + 1, n + 1)) | {0}
     zf_dims = frozenset({0, n}) | frozenset(range(k1 + 1, k2))
-    point = None
-    if lattice is not None:
-        if (lattice.q, lattice.n) != (q, n):
-            raise LatticeMismatch("lattice does not match (q, n)")
-        point = point_from_profile(lattice, vals)
     return TwoUniformReport(q, n, k1, k2, lam, mu, vals, predicted, actual,
-                            flat_dims, cyclic_dims, zf_dims, point)
+                            flat_dims, cyclic_dims, zf_dims,
+                            report_point(lattice, vals, q))
 
 
 # -- flag of n-2 uniform q-matroids ---------------------------------------
@@ -233,16 +243,6 @@ def two_uniform_combo_report(q, n, k1, k2, lam, lattice=None):
 FlagComboReport = namedtuple("FlagComboReport", [
     "q", "n", "lambdas", "mu", "values_by_dim", "predicts_all_independent",
     "all_independent", "independent_dims", "point"])
-
-
-def flag_uniform_values(n, lambdas):
-    vals = [Fraction(0), Fraction(1), Fraction(2)]
-    for d in range(3, n):
-        head = sum((i + 2) * lambdas[i] for i in range(d - 2))
-        tail = d * sum(lambdas[i] for i in range(d - 2, n - 2))
-        vals.append(head + tail)
-    vals.append(sum((i + 2) * lambdas[i] for i in range(n - 2)))
-    return tuple(vals)
 
 
 def flag_uniform_combo(q, n, lambdas, lattice=None):
@@ -259,26 +259,19 @@ def flag_uniform_combo(q, n, lambdas, lattice=None):
     if any(x <= 0 for x in lambdas) or sum(lambdas) != 1:
         raise CoefficientSum("coefficients must be positive with sum 1")
     mu = combo_denominator(lambdas)
-    vals = flag_uniform_values(n, lambdas)
+    vals = combined_profile((x, uniform_profile(n, i + 2))
+                            for i, x in enumerate(lambdas))
     indep_dims = profile_independent_dims(vals, mu)
     predicted = mu >= math.ceil(Fraction(n, 2))
-    point = None
-    if lattice is not None:
-        if (lattice.q, lattice.n) != (q, n):
-            raise LatticeMismatch("lattice does not match (q, n)")
-        point = point_from_profile(lattice, vals)
     return FlagComboReport(q, n, lambdas, mu, vals, predicted,
-                           n in indep_dims, indep_dims, point)
+                           n in indep_dims, indep_dims,
+                           report_point(lattice, vals, q))
 
 
 # -- declarative construction specs (consumed by the CLI) ------------------
 
 _SPEC_KEYS = {"uniform": ("q", "n", "k"), "paving": ("q", "n", "k", "spaces"),
              "combo": ("coefficients", "terms"), "flag": ("q", "n", "lambdas")}
-
-
-def _fractions(values):
-    return [Fraction(v) for v in values]
 
 
 def compile_spec(obj, lattice_cache=None, source="spec",
@@ -316,13 +309,13 @@ def compile_spec(obj, lattice_cache=None, source="spec",
                            source)
         return paving(paving_spec(lat, k, spaces))
     if kind == "combo":
-        coeffs = parse_key(obj, "coefficients", _fractions, source)
+        coeffs = parse_key(obj, "coefficients", parse_rationals, source)
         terms = parse_key(obj, "terms", parse_list, source)
         points = [compile_spec(t, lattice_cache, f"{source}: terms[{i}]",
                                max_size) for i, t in enumerate(terms)]
         if len(coeffs) != len(points):
             raise CoefficientSum("coefficient/term count mismatch")
         return convex_combination(list(zip(coeffs, points)))
-    lambdas = parse_key(obj, "lambdas", _fractions, source)  # kind "flag"
+    lambdas = parse_key(obj, "lambdas", parse_rationals, source)  # kind "flag"
     lat = get_lattice()
     return flag_uniform_combo(lat.q, lat.n, lambdas, lattice=lat).point

@@ -6,7 +6,8 @@ raise CapExceeded; the CLI maps the two families to exit codes 1 and 2.
 require_keys turns a JSON input that is not an object into NotAnObject
 and a missing key into MissingKey, and parse_key a value that does not
 parse into BadValue; each names where the input came from, and the key.
-parse_int and parse_list parse the integer keys (q, n, k, m) and lists.
+parse_int, parse_rational and parse_list parse the integer keys (q, n,
+k, m), exact rationals and lists.
 """
 
 
@@ -111,6 +112,21 @@ def parse_int(value):
     if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def parse_rational(value):
+    """The Fraction of value when it is an int or a string that parses as
+    a rational; bool, float and the rest raise TypeError, so a rational
+    never passes by way of a binary float."""
+    if type(value) is not int and type(value) is not str:
+        raise TypeError(f"expected an integer or a rational string, got {value!r}")
+    from fractions import Fraction  # only the commands that read one load it
+    return Fraction(value)
+
+
+def parse_rationals(values):
+    """parse_rational of each entry of the list values."""
+    return [parse_rational(v) for v in parse_list(values)]
 
 
 def parse_list(value):

@@ -29,7 +29,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice
 
-from .errors import DimensionMismatch, NotADenominator, parse_key, parse_list
+from .errors import (DimensionMismatch, NotADenominator, parse_key,
+                     parse_rationals)
 
 __all__ = [
     "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
@@ -294,17 +295,6 @@ def point_to_json(p):
     }
 
 
-def _values_from_json(values):
-    """The Fractions of a point file's values, a list of ints and
-    rational strings; a bool, a float or a non-list raises TypeError,
-    a string that is not a rational ValueError."""
-    for v in parse_list(values):
-        if type(v) is not int and type(v) is not str:
-            raise TypeError(
-                f"expected an integer or a rational string, got {v!r}")
-    return [Fraction(v) for v in values]
-
-
 def point_from_json(obj, lattice, source="point"):
     """The RankPoint of a point file's object on the lattice; values
     that do not parse raise BadValue naming the key and source, and a
@@ -320,4 +310,4 @@ def point_from_json(obj, lattice, source="point"):
             "order digest mismatch: point was serialized against a "
             "different lattice ordering")
     return rank_point(lattice,
-                      parse_key(obj, "values", _values_from_json, source))
+                      parse_key(obj, "values", parse_rationals, source))

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import literal_axiom_violations
-from qrank.cli import main
+from qrank.cli import build_parser, main
 from qrank.rankfun import point_from_json
 
 
@@ -430,6 +431,7 @@ _PAVING_23 = {"kind": "paving", "q": 2, "n": 3, "k": 2,
 _UNIFORM_23 = {"kind": "uniform", "q": 2, "n": 3, "k": 2}
 _CHI_COMBO_23 = {"q": 2, "n": 3, "k": 2, "lambda": "1/2", "s1": [],
                  "s2": [[[0, 1, 0], [0, 0, 1]]]}
+_ONE_SPACE_EACH = {**_CHI_COMBO_23, "s1": [[[1, 0, 0], [0, 1, 0]]]}
 
 
 @pytest.mark.parametrize("command,spec,named", [
@@ -457,10 +459,35 @@ _CHI_COMBO_23 = {"q": 2, "n": 3, "k": 2, "lambda": "1/2", "s1": [],
     (("make", "combo"), {"kind": "combo", "coefficients": ["1/2", "1/2"],
                          "terms": [_UNIFORM_23, {**_PAVING_23, "n": 3.0}]},
      ("terms[1]", "'n'")),
+    # a float or a bool where a rational goes
+    (("invariant", "chi-combo"), {**_ONE_SPACE_EACH, "lambda": 0.3},
+     ("'lambda'",)),
+    (("invariant", "chi-combo"), {**_ONE_SPACE_EACH, "lambda": True},
+     ("'lambda'",)),
+    (("make", "combo"), {"kind": "combo", "coefficients": [True],
+                         "terms": [_UNIFORM_23]}, ("'coefficients'",)),
+    (("make", "combo"), {"kind": "combo", "coefficients": [1.0],
+                         "terms": [_UNIFORM_23]}, ("'coefficients'",)),
+    # a string is not a list of coefficients
+    (("make", "combo"), {"kind": "combo", "coefficients": "12",
+                         "terms": [_UNIFORM_23, _UNIFORM_23]},
+     ("'coefficients'",)),
+    (("make", "flag"), {"kind": "flag", "q": 2, "n": 5,
+                        "lambdas": [0.5, 0.25, 0.25]}, ("'lambdas'",)),
+    # a bool as an entry of a subspace row
+    (("make", "paving"), {**_PAVING_23, "spaces": [[[0, True, 0], [0, 0, 1]]]},
+     ("'spaces'",)),
+    (("invariant", "chi-combo"),
+     {**_ONE_SPACE_EACH, "s1": [[[True, 0, 0], [0, 1, 0]]]}, ("'s1'",)),
+    (("invariant", "chi-combo"),
+     {**_ONE_SPACE_EACH, "s2": [[[0, 1, 0], [0, 0, True]]]}, ("'s2'",)),
 ], ids=["chi-combo-short-row", "paving-entry-outside-field",
         "combo-term-short-row", "chi-combo-lambda", "combo-coefficient",
         "flag-lambda", "paving-k-string", "chi-combo-k-bool",
-        "combo-term-n-float"])
+        "combo-term-n-float", "chi-combo-lambda-float", "chi-combo-lambda-bool",
+        "combo-coefficient-bool", "combo-coefficient-float",
+        "combo-coefficients-string", "flag-lambdas-float", "paving-row-bool",
+        "chi-combo-s1-row-bool", "chi-combo-s2-row-bool"])
 def test_malformed_spec_values_name_the_file_and_key(capsys, tmp_path,
                                                      command, spec, named):
     path = tmp_path / "spec.json"
@@ -543,6 +570,11 @@ def _input_file(tmp_path, command, key, value):
      [[[1, 0, 0], [0, 1, 0]]]),
     (("code", "metrics", "--code"), "generators",
      [[[1, 0, 0], [0, 1, 0], [0, 0, 1]]] * 2),
+    # a code's n and m below 1
+    (("code", "rho", "--code"), "m", 0),
+    (("code", "rho", "--code"), "m", -1),
+    (("code", "metrics", "--code"), "n", -1),
+    (("code", "rho", "--code"), "n", 0),
 ], ids=["pm-check-n-float", "chi-q-string", "code-metrics-m-float",
         "code-rho-n-bool", "pm-check-values-float", "pm-check-values-string",
         "pm-check-values-not-a-list", "pm-check-values-one-string",
@@ -550,7 +582,8 @@ def _input_file(tmp_path, command, key, value):
         "code-metrics-generators-outside-field",
         "code-metrics-generators-ragged", "code-metrics-generators-bool",
         "code-metrics-generators-wrong-shape",
-        "code-metrics-generators-dependent"])
+        "code-metrics-generators-dependent", "code-rho-m-zero",
+        "code-rho-m-negative", "code-metrics-n-negative", "code-rho-n-zero"])
 def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
                                                       command, key, value):
     path = _input_file(tmp_path, command, key, value)
@@ -646,6 +679,58 @@ def test_help_lists_every_group(capsys):
     out = capsys.readouterr().out
     for group in ("lattice", "polytope", "pm", "make", "invariant", "code"):
         assert f"    {group} " in out, group
+
+
+# every leaf's options as the parser declares them: "!" marks a required
+# option, and "=" gives the default it parses to
+_LEAF_OPTIONS = {
+    "lattice build": "--q!=None --n!=None --out/-o=None",
+    "polytope hrep": "--q!=None --n!=None --full=False --out/-o=None",
+    "polytope points": "--q!=None --n!=None --out/-o=None",
+    "polytope vertices": "--q!=None --n!=None --out/-o=None",
+    "polytope fvector": "--q!=None --n!=None --out/-o=None",
+    "polytope dim": "--q!=None --n!=None --out/-o=None",
+    "polytope witness": "--q!=None --n!=None --out/-o=None",
+    "pm check": "--point!=None --out/-o=None",
+    "pm flats": "--point!=None --out/-o=None",
+    "pm cyclic": "--point!=None --out/-o=None",
+    "pm zflats": "--point!=None --out/-o=None",
+    "pm indep": "--point!=None --mu!=None --out/-o=None",
+    "pm classify": "--point!=None --mu=0 --out/-o=None",
+    "make uniform": "--q!=None --n!=None --k!=None --out/-o=None",
+    "make paving": "--spec!=None --out/-o=None",
+    "make combo": "--spec!=None --out/-o=None",
+    "make flag": "--spec!=None --out/-o=None",
+    "invariant chi": "--point!=None --out/-o=None",
+    "invariant chi-combo": "--spec!=None --via=1 --out/-o=None",
+    "code metrics": "--code!=None --out/-o=None",
+    "code rho": "--code!=None --out/-o=None",
+    "code mrd": "--q!=None --n!=None --m!=None --d!=None --out/-o=None",
+}
+
+
+def _leaf_options(argv=None):
+    """{"group leaf": options in the notation of _LEAF_OPTIONS} for every
+    leaf that build_parser(argv) builds."""
+    def choices(parser):
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    return {f"{group} {leaf}": " ".join(
+                f"{'/'.join(a.option_strings)}{'!' if a.required else ''}"
+                f"={a.default!r}"
+                for a in parser._actions if not isinstance(a, argparse._HelpAction))
+            for group, group_parser in choices(build_parser(argv)).items()
+            for leaf, parser in choices(group_parser).items()}
+
+
+def test_every_leaf_takes_its_pinned_options():
+    assert _leaf_options() == _LEAF_OPTIONS
+    # a command names one group, and only that group's leaves are built
+    for group in ("lattice", "polytope", "pm", "make", "invariant", "code"):
+        assert _leaf_options([group, "--help"]) == {
+            name: options for name, options in _LEAF_OPTIONS.items()
+            if name.split()[0] == group}
 
 
 def test_an_unknown_leaf_lists_the_leaves_of_its_group(capsys):

@@ -11,7 +11,7 @@ from qrank.codes import (code_from_json,
                          minimum_distance, mrd_closed_form,
                          mrd_combo_independence, shortening_dim, vector_code,
                          vector_code_qmatroid, vertex_example_code)
-from qrank.constructions import uniform
+from qrank.constructions import convex_combination, uniform
 from qrank.errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                           UnsupportedShape, ValidationError, ZeroCode)
 from qrank.fields import FqMatrix, make_field, rref
@@ -164,6 +164,17 @@ def test_mrd_combo_example(lat25):
     ir = independence_report(rep.point, rep.mu)
     assert ir.independent == frozenset(range(lat25.size))
     assert check_axioms(rep.point).ok
+
+
+@pytest.mark.parametrize("d1,d2,lam", [(3, 2, Fraction(1, 2)),
+                                       (4, 2, Fraction(1, 3)),
+                                       (4, 3, Fraction(3, 4))])
+def test_mrd_combo_point_is_the_combination_of_mrd_points(lat25, d1, d2, lam):
+    # the second (higher rank) term is weighed by lam
+    rep = mrd_combo_independence(5, d1, d2, lam, lattice=lat25)
+    assert rep.point == convex_combination([
+        (1 - lam, mrd_closed_form(lat25, 4, d1)),
+        (lam, mrd_closed_form(lat25, 4, d2))])
 
 
 def test_mrd_combo_more_instances():
