@@ -4,10 +4,12 @@ Every subcommand is a one-shot pipeline over the JSON / text formats
 defined by the library modules: lattice dumps, rank-point files with an
 order digest, H-representation text, vertex lists, code files, and
 polynomial serializations.  Exit codes: 0 success, 1 validation
-failure, 2 size cap exceeded.  A file that is not a JSON object, lacks
-a key it needs, or holds a value that does not parse (a subspace row of
-the wrong length or outside the field, a rational that is not one), is
-a validation failure naming the file and the key.  With --json-errors
+failure, 2 size cap exceeded.  A file that does not decode as JSON
+(errors.read_json) is a validation failure naming the file; one that is
+not a JSON object, lacks a key it needs, or holds a value that does not
+parse (a subspace row of the wrong length or outside the field, a
+rational that is not one or has too many digits), is one naming the
+file and the key.  With --json-errors
 failures are also reported as one JSON object on stderr.
 
 One table, _GROUPS, declares every leaf: its group, its help and the
@@ -26,7 +28,7 @@ from itertools import islice
 # it, so a subcommand loads only what it runs
 from . import subspaces
 from .errors import (CapExceeded, ValidationError, parse_int, parse_key,
-                     parse_rational, require_keys)
+                     parse_rational, read_json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,12 +77,6 @@ def _lattice(args):
     return subspaces.build_lattice(args.q, args.n, max_size=args.max_lattice)
 
 
-def _read_json(path, keys=()):
-    """The JSON object in the file, checked to have every key in keys."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return require_keys(json.load(fh), keys, path)
-
-
 def _file_lattice(args, obj, source):
     """The lattice named by the file's integer keys q and n."""
     q, n = (parse_key(obj, key, parse_int, source) for key in ("q", "n"))
@@ -89,7 +85,7 @@ def _file_lattice(args, obj, source):
 
 def _load_point(args, path):
     from . import rankfun
-    obj = _read_json(path, ("q", "n", "values"))
+    obj = read_json(path, ("q", "n", "values"))
     return rankfun.point_from_json(obj, _file_lattice(args, obj, path), path)
 
 
@@ -174,7 +170,7 @@ def _cmd_make(args):
         spec = {"kind": "uniform", "q": args.q, "n": args.n, "k": args.k}
         source = "make uniform"
     else:
-        spec, source = _read_json(args.spec), args.spec
+        spec, source = read_json(args.spec), args.spec
         if spec.get("kind") != args.which:
             raise ValidationError(
                 f"spec kind {spec.get('kind')!r} does not match subcommand {args.which}")
@@ -194,7 +190,7 @@ def _cmd_invariant(args):
         return 0
     # chi-combo: closed form for a paving combination, cross-checked
     from . import constructions
-    spec = _read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
+    spec = read_json(args.spec, ("q", "n", "k", "lambda", "s1", "s2"))
     lat = _file_lattice(args, spec, args.spec)
     k = parse_key(spec, "k", parse_int, args.spec)
     lam = parse_key(spec, "lambda", parse_rational, args.spec)
@@ -327,7 +323,7 @@ def main(argv=None):
     except CapExceeded as exc:
         _report_error(exc, json_errors)
         return 2
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         _report_error(exc, json_errors)
         return 1
 

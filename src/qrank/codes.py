@@ -24,7 +24,6 @@ basis row b.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +33,7 @@ from .constructions import (combined_profile, point_from_profile,
                             uniform_profile)
 from .errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
-                     ZeroCode, parse_int, parse_key, require_keys)
+                     ZeroCode, parse_int, parse_key, read_json)
 from .fields import (EXHAUSTIVE_SPAN_CAP, FqMatrix, make_field, matrix_vectors,
                      nullspace, rref)
 from .rankfun import RankPoint
@@ -368,10 +367,8 @@ def code_from_json(obj, source="code"):
 
 
 def load_code(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return code_from_json(require_keys(obj, ("q", "n", "m", "generators"), path),
-                          path)
+    """The MatrixCode of the code file at path (read_json, code_from_json)."""
+    return code_from_json(read_json(path, ("q", "n", "m", "generators")), path)
 
 
 def bundled_vertex_code_path():

@@ -54,22 +54,23 @@ and membership runs one plain loop over the rows, filing row k as tight
 or violated by comparing w[m] + w[j] with w[x] + w[y], in Python ints.
 
 Every rank is taken by one exact kernel, _rank: Gauss-Jordan elimination
-in Python ints over rows given as (column, value) pairs, the only rows
-not in the (x, y, m, j) format: _normals writes a tight facet as its at
-most four nonzero entries, and _affine_rank a difference of points.
-Each pivot row is primitive and holds no other pivot's column, and an
-index maps each free column to the rows that hold it, so a row is
-reduced in one pass over its own entries, and a new pivot is cleared
-from only the rows that hold its column.  Most tight facet rows turn out
-dependent, and two tests skip them cheaply: a pivot column is solved
-once its row holds it alone, so a row on solved columns only is skipped
-before any dict is built; and at one rank below the column count the
-pivot rows leave one free column, so after the first dependent row each
-row costs one dot product with their null vector.  Vertex certification
+in Python ints over the normals of tight facets, the only rows not in
+the (x, y, m, j) format: _normals writes each as its at most four
+nonzero (column, value) entries.  Each pivot row is primitive and holds
+no other pivot's column, and an index maps each free column to the rows
+that hold it, so a row is reduced in one pass over its own entries, and
+a new pivot is cleared from only the rows that hold its column.  Most
+tight facet rows turn out dependent, and two tests skip them cheaply: a
+pivot column is solved once its row holds it alone, so a row on solved
+columns only is skipped before any dict is built; and at one rank below
+the column count the pivot rows leave one free column, so after the
+first dependent row each row costs one dot product with their null
+vector.  Vertex certification
 ranks the tight facet normals, so every certificate is checkable by
 hand; the elimination stops once the rank reaches the number of columns,
-since no further row can raise it.  f_vector reads each vertex's tight
-facets, and its face dimensions are the rank of scaled difference rows.
+since no further row can raise it.  f_vector takes no rank: it reads
+each vertex's tight facets as bitsets over the vertices and steps from
+each face to its facets, so a face's dimension is its level.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass whose rays are padded vectors
@@ -93,7 +94,7 @@ from .errors import DimensionMismatch, NotFeasible, TooLarge
 from .rankfun import rank_point, scaled_values
 
 MAX_VERTEX_ENUM_DIM = 15
-MAX_FVECTOR_DIM = 6
+MAX_FVECTOR_DIM = 10
 MAX_DFS_NODES = 100_000
 
 
@@ -335,6 +336,7 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
     lo = [0] * size
     hi = list(lat.dims)
     vals = [0] * size
+    as_fraction = [Fraction(v) for v in range(lat.n + 1)]
     trail = []  # (bounds list, index, old value), undone on backtrack
     out = []
     nodes = 0
@@ -372,7 +374,7 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
             raise TooLarge(f"integer-point search on L(F_{lat.q}^{lat.n}) "
                            f"passed {max_nodes} nodes")
         if z == size:
-            out.append(rank_point(lat, vals))
+            out.append(rank_point(lat, [as_fraction[v] for v in vals]))
             return
         for v in range(lo[z], hi[z] + 1):
             mark = len(trail)
@@ -390,10 +392,10 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 
 def _rank(rows, full=None):
     """Rank over Q of an integer matrix given as sparse rows, each a
-    sequence of (column, value) pairs with distinct columns; column
-    numbering is immaterial.  With full set to the number of columns
-    (or any known bound on the rank), the remaining rows are skipped
-    once that many pivots are found.
+    sequence of (column, value) pairs with distinct columns, such as the
+    tight facet normals (_normals).  With full set to the number of
+    columns (or any known bound on the rank), the remaining rows are
+    skipped once that many pivots are found.
 
     Exact Gauss-Jordan elimination in ints.  Each pivot row is
     primitive, positive at its pivot column and zero at every other
@@ -520,19 +522,6 @@ def _null_vector(pivots, holders):
         p = pivots[pc]
         y[pc] = -p[f] * (lead // p[pc])
     return y
-
-
-def _affine_rank(points):
-    """Dimension of the affine hull of a list of rational tuples."""
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = []
-    for p in points[1:]:
-        diff = [a - b for a, b in zip(p, base)]
-        lcm = math.lcm(*(f.denominator for f in diff)) if diff else 1
-        rows.append([(j, int(f * lcm)) for j, f in enumerate(diff)])
-    return _rank(rows)
 
 
 # -- vertex enumeration: exact double description ------------------------
@@ -662,44 +651,49 @@ def enumerate_vertices(H):
 
 def f_vector(H):
     """Face counts by dimension 0 .. dim(P)-1, from the incidence of
-    the vertices and the facet rows tight at each (_tight_facets).
-    Every tight row's incidence set is an intersection of these, since
-    its summands are tight wherever it is, so closing them under
-    intersection gives every face.  Raises TooLarge past MAX_FVECTOR_DIM
-    coordinates."""
+    the vertices and the facet rows tight at each (_tight_facets), as
+    bitsets over the vertices (_face_counts).  Raises TooLarge past
+    MAX_FVECTOR_DIM coordinates, before double description runs."""
     d = H.lattice.size - 1
     if d > MAX_FVECTOR_DIM:
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_FVECTOR_DIM}")
-    verts = enumerate_vertices(H)
-    rowsets = {}  # row index -> the vertices tight on it
-    for i, p in enumerate(verts):
+    incidence = {}  # facet row -> bitset of the vertices tight on it
+    for i, p in enumerate(enumerate_vertices(H)):
         for k in _tight_facets(H, p)[0]:
-            rowsets.setdefault(k, set()).add(i)
-    return _face_counts([p.values for p in verts], rowsets.values())
+            incidence[k] = incidence.get(k, 0) | 1 << i
+    return _face_counts(incidence.values())
 
 
-def _face_counts(coords, rowsets):
-    """Face counts by dimension 0 .. dim-1 of the polytope with the
-    given vertex coordinates, where each of rowsets holds the indices of
-    the vertices tight on one valid inequality: the faces are the
-    incidence sets closed under intersection, less the whole polytope."""
-    all_v = frozenset(range(len(coords)))
-    rowsets = {frozenset(s) for s in rowsets} - {all_v}
-    faces = set()
-    frontier = set(rowsets)
-    while frontier:
-        faces |= frontier
-        nxt = set()
-        for f in frontier:
-            for r in rowsets:
-                g = f & r
-                if g and g not in faces:
-                    nxt.add(g)
-        frontier = nxt - faces
-    dim_p = _affine_rank(coords)
-    counts = [0] * dim_p
-    for f in faces:
-        fdim = _affine_rank([coords[i] for i in f])
-        if fdim < dim_p:
-            counts[fdim] += 1
-    return tuple(counts)
+def _face_counts(incidence):
+    """Face counts by dimension 0 .. dim-1 of a polytope, given as the
+    vertex bitsets of inequalities that define it, none tight on every
+    vertex.  Level by level, as Kaibel & Pfetsch ("Computing the face
+    lattice of a polytope from its vertex-facet incidences", Comput.
+    Geom. 2002) step from a face to its facets: the facets of P are the
+    inclusion-maximal incidence sets, and the facets of a face G are the
+    inclusion-maximal sets G & F, over the facets F of P, that are
+    neither G nor empty.  So level k holds the faces of dimension
+    dim - 1 - k, and the last level the vertices, which have no
+    facets."""
+    facets = _maximal(set(incidence))
+    counts, level = [], facets
+    while level:
+        counts.append(len(level))
+        below = set()
+        for g in level:
+            below.update(_maximal({g & f for f in facets} - {g, 0}))
+        level = below
+    return tuple(reversed(counts))
+
+
+def _maximal(sets):
+    """The inclusion-maximal bitsets among sets: by falling size, each
+    kept unless a kept one holds it."""
+    out = []
+    for s in sorted(sets, key=int.bit_count, reverse=True):
+        for t in out:
+            if s & t == s:
+                break
+        else:
+            out.append(s)
+    return out

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 from .errors import (DimensionMismatch, NotADenominator, parse_key,
-                     parse_rationals)
+                     parse_rational, parse_rationals)
 
 __all__ = [
     "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
@@ -40,16 +40,6 @@ __all__ = [
     "cyclic_flats", "classify", "is_strong_independent",
     "point_to_json", "point_from_json",
 ]
-
-
-def _to_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 class RankPoint(namedtuple("RankPoint", "lattice values")):
@@ -79,7 +69,10 @@ class RankPoint(namedtuple("RankPoint", "lattice values")):
 
 
 def rank_point(lattice, values):
-    return RankPoint(lattice, tuple(_to_fraction(v) for v in values))
+    """The RankPoint of values: Fractions as they are, ints and rational
+    strings by parse_rational."""
+    return RankPoint(lattice, tuple(v if isinstance(v, Fraction) else parse_rational(v)
+                                    for v in values))
 
 
 def scaled_values(values):

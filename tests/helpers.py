@@ -73,6 +73,35 @@ def _int_rank(rows):
     return rank
 
 
+def reference_face_counts(coords, rowsets):
+    """Face counts by dimension 0 .. dim-1 of the polytope with the
+    given vertex coordinates, where each of rowsets holds the indices of
+    the vertices tight on one valid inequality: the faces are the
+    incidence sets closed under intersection, less the whole polytope,
+    and a face's dimension is the rank of its vertices' differences.  The
+    reference for polytope._face_counts, which takes no rank."""
+    def affine_rank(points):
+        rows = []
+        for p in points[1:]:
+            diff = [Fraction(a) - b for a, b in zip(p, points[0])]
+            lcm = math.lcm(*(f.denominator for f in diff))
+            rows.append([int(f * lcm) for f in diff])
+        return _int_rank(rows)
+
+    all_v = frozenset(range(len(coords)))
+    rowsets = {frozenset(s) for s in rowsets} - {all_v}
+    faces = set()
+    frontier = set(rowsets)
+    while frontier:
+        faces |= frontier
+        frontier = {f & r for f in frontier for r in rowsets} - faces - {frozenset()}
+    dim_p = affine_rank(coords)
+    counts = [0] * dim_p
+    for f in faces:
+        counts[affine_rank([coords[i] for i in sorted(f)])] += 1
+    return tuple(counts)
+
+
 def pair_block(lat):
     """The pair block of the lattice's rows: every incomparable pair
     x < y as (x, y, meet, join), in order of x, then y."""

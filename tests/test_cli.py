@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -257,7 +258,7 @@ def test_json_errors_flag(capsys):
 
 def test_exhaustive_caps_exit_2_with_empty_stdout(capsys, tmp_path):
     # the library caps are the only limits: P(2,4) has 66 coordinates,
-    # past the 15 of vertex enumeration; P(2,3) has 15, past the 6 of
+    # past the 15 of vertex enumeration; P(2,3) has 15, past the 10 of
     # the f-vector; the 21 unit 3 x 7 matrices span 2^21 words
     units = [[[int((r, c) == (i, j)) for c in range(7)] for r in range(3)]
              for i in range(3) for j in range(7)]
@@ -301,6 +302,40 @@ def test_large_n_is_refused_at_once(tmp_path):
         res = _qrank_subprocess(*argv, timeout=10)
         assert res.returncode == 2 and res.stdout == "", argv
         assert "subspaces, the cap" in res.stderr, argv
+
+
+@pytest.mark.parametrize("command", [("pm", "check", "--point"),
+                                     ("code", "metrics", "--code")])
+@pytest.mark.parametrize("bad", ["exponent", "long-int", "deep", "not-utf8"])
+def test_unreadable_input_exits_1_at_once(tmp_path, command, bad):
+    # a value that would build a 10^(10^8) integer, an int literal past
+    # 4,300 digits, 100,000 nested lists and a file that is not UTF-8 are
+    # each a named error, never a traceback or a hang; a subprocess, so a
+    # hang fails on the timeout
+    path = _input_file(tmp_path, command, "q", 2)
+    key = "generators" if command[0] == "code" else "values"
+    obj = json.loads(path.read_text())
+    if bad == "exponent":
+        entries = obj[key][0][0] if command[0] == "code" else obj[key]
+        entries[0] = "1e100000000"
+        path.write_text(json.dumps(obj))
+    elif bad == "long-int":
+        path.write_text(json.dumps(obj).replace('"q": 2', '"q": 1' + "0" * 5000))
+    elif bad == "deep":
+        path.write_text("[" * 100_000)
+    else:
+        path.write_bytes(b"\xff\xfe")
+    start = time.perf_counter()
+    res = _qrank_subprocess("--json-errors", *command, str(path), timeout=10)
+    assert time.perf_counter() - start < 2
+    assert res.returncode == 1 and res.stdout == ""
+    assert "Traceback" not in res.stderr
+    err = json.loads(res.stderr)
+    assert str(path) in err["message"]
+    if bad == "exponent":
+        assert err["error"] == "BadValue" and repr(key) in err["message"]
+    else:
+        assert err["error"] == "ValidationError"
 
 
 @pytest.mark.parametrize("cap", ["-5", "0", "x"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import (_int_rank, literal_axiom_violations, pair_block,
                      plain_dfs_lattice_points, random_disjoint_paving_pair, random_lambda,
                      random_paving_collection, rank_test_vertices,
-                     reference_sparse_rank, table_row)
+                     reference_face_counts, reference_sparse_rank, table_row)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
@@ -901,8 +901,9 @@ def test_f_vector_22_computed(lat22):
     """The paper's example prints (6, 15, 19, 9), which cannot be correct:
     Euler's relation for 4-polytopes forces f0 - f1 + f2 - f3 = 0, and
     f0 = 6, f3 = 9 are the paper's own vertex and facet counts while
-    f1 = 15 is recomputed below from exact rank certificates.  The
-    incidence-closure computation gives 18 two-faces, Euler-consistent."""
+    f1 = 15 is recomputed below from exact rank certificates.  Stepping
+    from each face to its facets on the vertex-facet incidences gives 18
+    two-faces, Euler-consistent."""
     H = build_hrep(lat22)
     fv = f_vector(H)
     assert fv == (6, 15, 18, 9)
@@ -918,31 +919,89 @@ def test_f_vector_32_regression(lat32):
     assert sum((-1) ** i * c for i, c in enumerate(fv)) == 2
 
 
+# the standard 4-simplex {v >= 0, sum v_i <= 1}: its vertices 0 and the
+# unit vectors e_1 .. e_4, and the vertex set of each facet (v_i = 0
+# holds at all but e_i; the sum is 1 at all but 0)
+_SIMPLEX_COORDS = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4))
+                                    for i in range(4)]
+_SIMPLEX_FACETS = [set(range(5)) - {i + 1} for i in range(4)] + [{1, 2, 3, 4}]
+
+
 def _simplex_face_counts():
-    # the standard 4-simplex {v >= 0, sum v_i <= 1}: its vertices 0 and
-    # the unit vectors e_1 .. e_4, and the vertex set of each facet
-    # (v_i = 0 holds at all but e_i; the sum is 1 at all but 0)
-    coords = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4))
-                               for i in range(4)]
-    facets = [set(range(5)) - {i + 1} for i in range(4)] + [{1, 2, 3, 4}]
-    return polytope._face_counts(coords, facets)
+    return polytope._face_counts(sum(1 << v for v in f) for f in _SIMPLEX_FACETS)
 
 
 def test_f_vector_simplex():
     assert _simplex_face_counts() == (5, 10, 10, 5)  # binomial C(5, k+1)
 
 
+@cache
+def _f_vector_q2(q):
+    return f_vector(build_hrep(build_lattice(q, 2)))
+
+
 @pytest.mark.parametrize("case,d", [("P(2,2)", 4), ("P(3,2)", 5),
-                                    ("P(4,2)", 6), ("simplex", 4)])
-def test_f_vectors_satisfy_euler(case, d, lat22, lat32):
+                                    ("P(4,2)", 6), ("simplex", 4),
+                                    ("P(5,2)", 7), ("P(7,2)", 9)])
+def test_f_vectors_satisfy_euler(case, d):
     # every f-vector the suite computes: f_0 - f_1 + ... over the faces
     # of dimension 0 .. d-1 of a d-polytope is 1 - (-1)^d
-    fv = {"P(2,2)": lambda: f_vector(build_hrep(lat22)),
-          "P(3,2)": lambda: f_vector(build_hrep(lat32)),
-          "P(4,2)": lambda: f_vector(build_hrep(build_lattice(4, 2))),
-          "simplex": _simplex_face_counts}[case]()
+    fv = (_simplex_face_counts() if case == "simplex"
+          else _f_vector_q2(int(case[2])))
     assert len(fv) == d
     assert sum((-1) ** i * f for i, f in enumerate(fv)) == 1 - (-1) ** d
+
+
+@pytest.mark.parametrize("q,fv", [
+    (5, (50, 358, 969, 1205, 735, 216, 27)),
+    (7, (229, 2227, 8040, 14560, 14966, 9086, 3164, 568, 44)),
+])
+def test_f_vector_past_dimension_6(q, fv):
+    # P(5,2) and P(7,2), of dimension 7 and 9: f_0 = 2^N - C(N,2) + 1
+    # and f_{d-1} = 2N + C(N,2), the facet table, for N = q + 1 atoms
+    assert _f_vector_q2(q) == fv
+    n = q + 1
+    assert fv[0] == 2 ** n - n * (n - 1) // 2 + 1
+    assert fv[-1] == 2 * n + n * (n - 1) // 2
+
+
+def _incidence_sets(H, verts):
+    """The vertex set of each entry of the facet table, found by
+    evaluating the reference rows (helpers.table_row) at each vertex."""
+    lat = H.lattice
+    out = []
+    for row in lat.facets:
+        coeffs, rhs = table_row(lat, row)
+        out.append(frozenset(i for i, p in enumerate(verts)
+                             if sum(v * p.values[c] for c, v in coeffs) == rhs))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_maximal_incidence_sets_are_the_facet_table(q):
+    # every facet of P(q,2) is one entry of the facet table, and no two
+    # entries cut out one face: the inclusion-maximal incidence sets
+    # number exactly len(lat.facets), each the set of one entry
+    lat = build_lattice(q, 2)
+    H = build_hrep(lat)
+    sets = _incidence_sets(H, enumerate_vertices(H))
+    maximal = {s for s in sets if not any(s < t for t in sets)}
+    assert len(maximal) == len(set(sets)) == len(lat.facets)
+
+
+@pytest.mark.parametrize("case", ["P(2,2)", "P(3,2)", "P(4,2)", "simplex"])
+def test_reference_closure_agrees_with_f_vector(case):
+    # the intersection closure with an affine rank per face
+    # (helpers.reference_face_counts) against the level recursion
+    if case == "simplex":
+        assert (reference_face_counts(_SIMPLEX_COORDS, _SIMPLEX_FACETS)
+                == _simplex_face_counts())
+        return
+    H = build_hrep(build_lattice(int(case[2]), 2))
+    verts = enumerate_vertices(H)
+    coords = [p.values[1:] for p in verts]
+    assert (reference_face_counts(coords, _incidence_sets(H, verts))
+            == f_vector(H))
 
 
 def test_unreduced_vertex_certificates(lat22):

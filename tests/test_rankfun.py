@@ -23,6 +23,29 @@ def dims_set(lat, pred):
     return frozenset(i for i in range(lat.size) if pred(lat.dims[i]))
 
 
+@pytest.mark.parametrize("text,value", [
+    ("0.5", Fraction(1, 2)), ("1e-3", Fraction(1, 1000)), ("-3/4", Fraction(-3, 4)),
+    ("2.5E+2", Fraction(250)), ("1e4299", Fraction(10 ** 4299)),
+    ("1e-4299", Fraction(1, 10 ** 4299)), ("1" * 4300, Fraction(int("1" * 4300))),
+], ids=["half", "milli", "ratio", "exponent", "4300-digit-numerator",
+        "4300-digit-denominator", "4300-digit-int"])
+def test_rank_point_parses_exact_rationals(lat22, text, value):
+    assert rank_point(lat22, [0, text, 1, 1, 2]).values[1] == value
+
+
+@pytest.mark.parametrize("text", [
+    "1e100000000", "1E4300", "-1e-4300", "0e99999", "1e" + "9" * 10 ** 6,
+    "1" * 4301, "1/" + "1" * 4301, "0." + "0" * 4299 + "1",
+], ids=["exponent-1e8", "exponent-4300", "negative-exponent-4300",
+        "zero-exponent-99999", "million-digit-exponent", "4301-digit-int",
+        "4301-digit-denominator", "4301-decimal-places"])
+def test_rank_point_refuses_rationals_past_4300_digits(lat22, text):
+    # refused before Fraction builds the integer: "1e100000000" alone
+    # would take minutes
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        rank_point(lat22, [0, text, 1, 1, 2])
+
+
 def test_axioms_on_paper_points(lat22):
     ok1 = rank_point(lat22, [0, 1, 1, 1, 2])
     ok2 = rank_point(lat22, [0, 1, 1, 1, 1])
