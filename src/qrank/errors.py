@@ -9,10 +9,12 @@ NotAnObject and a missing key into MissingKey, and parse_key a value
 that does not parse into BadValue; each names where the input came from,
 and the key.  parse_int, parse_rational and parse_list parse the integer
 keys (q, n, k, m), exact rationals and lists.  No integer of more than
-MAX_DIGITS decimal digits is built from an input, on any Python.
+MAX_DIGITS decimal digits is built from an input, on any Python, and
+show_int keeps a message that quotes a long one short.
 """
 
 import json
+import math
 
 # CPython's default int-string limit (sys.get_int_max_str_digits), kept
 # here so that Pythons without that limit refuse the same inputs
@@ -101,6 +103,19 @@ class MissingKey(ValidationError):
 
 class BadValue(ValidationError):
     pass
+
+
+def show_int(value):
+    """value in decimal when it has at most 20 digits, else by its digit
+    count, as "<4001-digit int>", so that a message quoting an input
+    stays short whatever the input."""
+    size = abs(value)
+    if size < 10 ** 20:
+        return str(value)
+    digits = int(math.log10(size)) - 1  # a float: raised to the count below
+    while size >= 10 ** digits:
+        digits += 1
+    return f"{'-' if value < 0 else ''}<{digits}-digit int>"
 
 
 def read_json(path, keys=()):

@@ -20,7 +20,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
-from .errors import NotAPrimePower, TooLarge, UnsupportedOrder
+from .errors import NotAPrimePower, TooLarge, UnsupportedOrder, show_int
 
 MAX_ORDER = 9
 
@@ -169,9 +169,10 @@ def make_field(q):
     if not isinstance(q, int):
         raise NotAPrimePower(f"field order must be an integer, got {q!r}")
     if q > MAX_ORDER:
-        raise UnsupportedOrder(f"GF({q}) exceeds the order cap {MAX_ORDER}")
+        raise UnsupportedOrder(
+            f"GF({show_int(q)}) exceeds the order cap {MAX_ORDER}")
     if q < 2:
-        raise NotAPrimePower(f"{q} is not a prime power")
+        raise NotAPrimePower(f"{show_int(q)} is not a prime power")
     return _field_cached(q)
 
 

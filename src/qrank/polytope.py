@@ -40,18 +40,22 @@ side, by these identities on a modular lattice:
   - atom nonnegativity, with h a hyperplane not above a:
     -v_a <= 0 is pair(a, h) + cover(h, top).
 So the facets hold iff every row holds, and at a feasible point a
-tight row forces its summands tight, so the tight rows and the tight
-facets span the same normals.  is_vertex, check_axioms' fast path
-(rankfun), double description and f_vector read the facet table alone;
-each entry is a row of H, and H.facet_rows gives its row number,
-counted once when H is built (the atom bound on a is row a - 1, and
-HRepresentation.pair_rows numbers diamonds from the masks), so a
-certificate names rows of the whole system.
+tight row forces its summands tight, so a point is outside iff it
+violates a facet, interior iff every facet is strict, and the tight
+rows and the tight facets span the same normals.  membership,
+is_vertex, check_axioms' fast path (rankfun), double description and
+f_vector read the facet table alone; each entry is a row of H, and
+H.facet_rows gives its row number, counted once when H is built (the
+atom bound on a is row a - 1, and HRepresentation.pair_rows numbers
+diamonds from the masks), so a report names rows of the whole system.
+The whole tuple of rows is read only by the text and by the literal
+axiom check (rankfun).
 
-Rows are evaluated on mu-scaled integers (rankfun.scaled_values): a
+Facets are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators and padded,
-and membership runs one plain loop over the rows, filing row k as tight
-or violated by comparing w[m] + w[j] with w[x] + w[y], in Python ints.
+and one plain loop over the facet table (_facets_at) files facet i as
+tight or violated by comparing w[m] + w[j] with w[x] + w[y], in Python
+ints; membership, is_vertex and f_vector all read its result.
 
 Every rank is taken by one exact kernel, _rank: Gauss-Jordan elimination
 in Python ints over the normals of tight facets, the only rows not in
@@ -108,7 +112,9 @@ class HRepresentation:
     def __init__(self, lattice):
         self.lattice = lattice
         size = lattice.size
-        lattice.rows  # built here, in the set-up, and not by a query
+        # built here, in the set-up, for the text and for check_axioms'
+        # literal walk, the only readers of every row; no status reads it
+        lattice.rows
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
@@ -198,26 +204,22 @@ Membership = namedtuple("Membership", "status tight_rows violated_rows")
 
 
 def membership(H, p):
-    """Exact evaluation of every row at the point, one plain loop over
-    H.rows on the point's padded vector w: row k, (x, y, m, j), is tight
-    when w[m] + w[j] == w[x] + w[y] and violated when it is greater.
-    Interior means strict on every row.
+    """The status of the point, decided on the facet rows alone
+    (_facets_at): outside when it violates a facet, boundary when it is
+    tight on one, interior when every facet is strict.  tight_rows and
+    violated_rows are the row numbers of those facets (H.facet_rows), in
+    row order.
 
-    The system has no v_0, so the point's value there is read as 0:
-    that leaves it out of the zero-meet pair rows, the only ones that
-    name index 0."""
-    if p.lattice is not H.lattice:
-        raise DimensionMismatch(
-            "point and H-representation use different lattices")
-    w = H.lattice.padded(*scaled_values(p.values))
-    tight = []
-    violated = []
-    for k, (x, y, m, j) in enumerate(H.rows):
-        if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
-            (violated if w[m] + w[j] > w[x] + w[y] else tight).append(k)
+    This reads no other row, and the status is that of the whole
+    system: every row is a nonnegative sum of facet rows with the same
+    right-hand side, so a row is violated only where some facet is, and
+    at a feasible point a tight row forces its summands tight."""
+    tight, violated = _facets_at(H, p)
+    rows = H.facet_rows
+    tight = tuple(rows[i] for i in tight)
     if violated:
-        return Membership("outside", tuple(tight), tuple(violated))
-    return Membership("boundary" if tight else "interior", tuple(tight), ())
+        return Membership("outside", tight, tuple(rows[i] for i in violated))
+    return Membership("boundary" if tight else "interior", tight, ())
 
 
 VertexCertificate = namedtuple("VertexCertificate",
@@ -225,46 +227,47 @@ VertexCertificate = namedtuple("VertexCertificate",
 
 
 def is_vertex(H, p):
-    """Certify the point on the facet rows alone: a violated facet
-    raises NotFeasible (_tight_facets).  The certificate lists the row
-    numbers of the tight facets and the rank of their normals, taken by
-    exact elimination; the point is a vertex iff that rank equals the
-    ambient dimension.  The normals have ambient_dim columns, so
-    elimination may stop at that rank and stay exact.
+    """Certify the point on the facet rows alone (_facets_at): a
+    violated facet raises NotFeasible naming the violated facet rows.
+    The certificate lists the row numbers of the tight facets and the
+    rank of their normals, taken by exact elimination; the point is a
+    vertex iff that rank equals the ambient dimension.  The normals have
+    ambient_dim columns, so elimination may stop at that rank and stay
+    exact.
 
-    This reads no other row, and the result is that of the whole
-    system: every row is a nonnegative sum of facet rows with the same
-    right-hand side, so the facets hold iff every row holds, and a
+    The result is that of the whole system, as in membership, and a
     tight row at a feasible point forces its summands tight, so the
     tight rows and the tight facets have normals of equal span
     (_normals)."""
-    rows, tight = _tight_facets(H, p)
-    rank = _rank(_normals(tight, H.lattice.top), full=H.ambient_dim)
-    return VertexCertificate(p, tuple(rows), rank, rank == H.ambient_dim)
+    tight, violated = _facets_at(H, p)
+    rows, facets = H.facet_rows, H.lattice.facets
+    if violated:
+        raise NotFeasible("point violates facet rows "
+                          f"{tuple(rows[i] for i in violated)}")
+    rank = _rank(_normals([facets[i] for i in tight], H.lattice.top),
+                 full=H.ambient_dim)
+    return VertexCertificate(p, tuple(rows[i] for i in tight), rank,
+                             rank == H.ambient_dim)
 
 
-def _tight_facets(H, p):
-    """(row numbers, facet table entries) of the facet rows tight at the
-    point, in row order, read off the lattice's facet table
-    (SubspaceLattice.facets) on the padded vector, as in membership.  A
-    violated facet raises NotFeasible naming the violated facet rows."""
+def _facets_at(H, p):
+    """(tight, violated): the positions in the lattice's facet table
+    (SubspaceLattice.facets) of the facets tight and violated at the
+    point, each in increasing order, which is row order.  One loop over
+    the table on the point's padded vector w: facet (x, y, m, j) is
+    tight when w[m] + w[j] == w[x] + w[y] and violated when it is
+    greater.  The system has no v_0, so the point's value there is read
+    as 0 (SubspaceLattice.padded)."""
     lat = H.lattice
     if p.lattice is not lat:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
     w = lat.padded(*scaled_values(p.values))
-    rows, tight, violated = [], [], []
-    for k, f in zip(H.facet_rows, lat.facets):
-        x, y, m, j = f
+    tight, violated = [], []
+    for i, (x, y, m, j) in enumerate(lat.facets):
         if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
-            if w[m] + w[j] == w[x] + w[y]:
-                rows.append(k)
-                tight.append(f)
-            else:
-                violated.append(k)
-    if violated:
-        raise NotFeasible(f"point violates facet rows {tuple(violated)}")
-    return rows, tight
+            (violated if w[m] + w[j] > w[x] + w[y] else tight).append(i)
+    return tight, violated
 
 
 def _normals(facets, top):
@@ -291,12 +294,10 @@ def interior_witness(lattice):
 
 def affine_dimension(H):
     """The dimension of the polytope, certified by the interior witness
-    being strict on every inequality row: one less than the lattice
-    size, the number of columns, since v_0 is fixed at 0 and has no
-    column."""
-    wit = interior_witness(H.lattice)
-    mem = membership(H, wit)
-    if mem.status != "interior":
+    being strict on every facet, and so on every row (membership): one
+    less than the lattice size, the number of columns, since v_0 is
+    fixed at 0 and has no column."""
+    if membership(H, interior_witness(H.lattice)).status != "interior":
         raise AssertionError("interior witness failed; cannot certify dimension")
     return H.lattice.size - 1
 
@@ -651,15 +652,15 @@ def enumerate_vertices(H):
 
 def f_vector(H):
     """Face counts by dimension 0 .. dim(P)-1, from the incidence of
-    the vertices and the facet rows tight at each (_tight_facets), as
-    bitsets over the vertices (_face_counts).  Raises TooLarge past
+    the vertices and the facets tight at each (_facets_at), as bitsets
+    over the vertices (_face_counts).  Raises TooLarge past
     MAX_FVECTOR_DIM coordinates, before double description runs."""
     d = H.lattice.size - 1
     if d > MAX_FVECTOR_DIM:
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_FVECTOR_DIM}")
-    incidence = {}  # facet row -> bitset of the vertices tight on it
+    incidence = {}  # facet -> bitset of the vertices tight on it
     for i, p in enumerate(enumerate_vertices(H)):
-        for k in _tight_facets(H, p)[0]:
+        for k in _facets_at(H, p)[0]:
             incidence[k] = incidence.get(k, 0) | 1 << i
     return _face_counts(incidence.values())
 

@@ -41,8 +41,8 @@ The lattice owns the paper's inequality system as one tuple of rows
 (x, y, m, j) entry that holds iff w[m] + w[j] <= w[x] + w[y] on one
 padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
 (SubspaceLattice.padded).  It is read only where every row is
-reported: the polytope's text and membership, and the literal axiom
-check.  The diamonds, the pairs x, y that both cover their meet, are
+reported: the polytope's text and the literal axiom check.  The
+diamonds, the pairs x, y that both cover their meet, are
 tabulated apart (SubspaceLattice.diamonds), from the covers and the
 hyperplane sets: they carry the facets among the submodularity rows.
 With the atom bounds and the top covers they make the facet table
@@ -57,7 +57,7 @@ import json
 from functools import cached_property
 from itertools import combinations, product
 
-from .errors import OutOfRange, TooLarge
+from .errors import OutOfRange, TooLarge, show_int
 from .fields import FqMatrix, make_field, nullspace, rref
 
 MAX_LATTICE_SIZE = 1000
@@ -76,12 +76,12 @@ def gaussian_binomial(n, l, q):
     return num // den
 
 
-def _rref_bases(field, n, r):
-    """All full-rank r x n RREF matrices over the field, one per subspace."""
+def _rref_bases(q, n, r):
+    """The rows of every full-rank r x n RREF matrix over F_q, one tuple
+    of row tuples per subspace."""
     if r == 0:
-        yield FqMatrix(field, 0, n, ())
+        yield ()
         return
-    q = field.q
     for pivots in combinations(range(n), r):
         pivot_set = set(pivots)
         free = [(i, j) for i in range(r)
@@ -92,7 +92,7 @@ def _rref_bases(field, n, r):
                 rows[i][pivots[i]] = 1
             for (i, j), v in zip(free, vals):
                 rows[i][j] = v
-            yield FqMatrix.from_rows(field, rows, n)
+            yield tuple(map(tuple, rows))
 
 
 class Subspace:
@@ -374,9 +374,10 @@ def build_lattice(q, n, max_size=MAX_LATTICE_SIZE):
     after summing every Gaussian binomial of it.
     """
     if n < 2:
-        raise OutOfRange(f"need n >= 2, got {n}")
+        raise OutOfRange(f"need n >= 2, got {show_int(n)}")
     field = make_field(q)
-    refusal = f"L(F_{q}^{n}) has more than {max_size} subspaces, the cap"
+    refusal = (f"L(F_{q}^{show_int(n)}) has more than {show_int(max_size)} "
+               "subspaces, the cap")
     # grade 1 alone holds more than q^(n-1) >= 2^(n-1) subspaces, so a
     # huge n is refused before q**n is formed
     if n > max_size.bit_length():
@@ -388,9 +389,9 @@ def build_lattice(q, n, max_size=MAX_LATTICE_SIZE):
             raise TooLarge(refusal)
     subspaces = []
     for r in range(n + 1):
-        grade = sorted(_rref_bases(field, n, r),
-                       key=lambda M: tuple(x for row in M.entries for x in row))
+        # tuples of equal-length rows compare in their flattened order
+        grade = sorted(_rref_bases(q, n, r))
         expected = gaussian_binomial(n, r, q)
         assert len(grade) == expected, (q, n, r, len(grade), expected)
-        subspaces.extend(Subspace(M) for M in grade)
+        subspaces.extend(Subspace(FqMatrix(field, r, n, rows)) for rows in grade)
     return SubspaceLattice(field, n, subspaces)

@@ -12,6 +12,7 @@ import pytest
 
 from helpers import literal_axiom_violations
 from qrank.cli import build_parser, main
+from qrank.errors import show_int
 from qrank.rankfun import point_from_json
 
 
@@ -336,6 +337,40 @@ def test_unreadable_input_exits_1_at_once(tmp_path, command, bad):
         assert err["error"] == "BadValue" and repr(key) in err["message"]
     else:
         assert err["error"] == "ValidationError"
+
+
+def test_show_int_gives_long_ints_by_their_digit_count():
+    assert show_int(10 ** 20 - 1) == "9" * 20
+    assert show_int(1 - 10 ** 20) == "-" + "9" * 20
+    assert show_int(10 ** 20) == "<21-digit int>"
+    assert show_int(-10 ** 4000) == "-<4001-digit int>"
+    # past the int-string limit too, where str() of the value fails
+    assert show_int(10 ** 10_000 - 1) == "<10000-digit int>"
+    for k in range(20, 400):
+        assert show_int(10 ** k) == f"<{k + 1}-digit int>"
+        assert show_int(10 ** (k + 1) - 1) == f"<{k + 1}-digit int>"
+
+
+@pytest.mark.parametrize("case", ["pm-q", "code-q", "pm-negative-q",
+                                  "code-negative-q", "lattice-n"])
+def test_long_ints_in_messages_are_shown_by_their_digit_count(
+        tmp_path, capsys, case):
+    # a 4,001-digit q or n, under the reader's 4,300-digit budget, is
+    # refused by the order cap, the prime-power check or the lattice cap
+    # with a message that counts its digits instead of printing them
+    big = int("1" + "0" * 3999 + "1")
+    if case == "lattice-n":
+        argv, expected = ("lattice", "build", "--q", "2", "--n", str(big)), 2
+    else:
+        command = (("pm", "check", "--point") if case.startswith("pm")
+                   else ("code", "metrics", "--code"))
+        q = -big if "negative" in case else big
+        path = _input_file(tmp_path, command, "q", q)
+        capsys.readouterr()
+        argv, expected = (*command, str(path)), 1
+    code, out, err = run(capsys, *argv)
+    assert code == expected and out == ""
+    assert "<4001-digit int>" in err and len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("cap", ["-5", "0", "x"])

@@ -296,8 +296,11 @@ def test_membership_states(lat22):
     outside = rank_point(lat22, [0, 1, 1, 1, 3])
     mem = membership(H, outside)
     assert mem.status == "outside"
+    # the bound v_top <= 2 is violated too, but it is no facet: the
+    # report names the facets, here the three diamonds v_a + v_b >= v_top
     ref = _reference_hrep_rows(lat22)
-    assert any(ref[k][2] == ("type1", 4) for k in mem.violated_rows)
+    assert [ref[k][2] for k in mem.violated_rows] == [
+        ("type3", 1, 2), ("type3", 1, 3), ("type3", 2, 3)]
 
 
 def test_membership_feasibility_equals_axioms(lat23):
@@ -346,6 +349,9 @@ _PROPERTY_SETTINGS = settings(max_examples=200, deadline=None,
 @_PROPERTY_SETTINGS
 @given(_rational_points())
 def test_scaled_membership_matches_fraction_rows(hp):
+    # membership reads the facets alone: its report is the Fraction
+    # evaluation restricted to the facet rows, and its status is that of
+    # every row, since every row is a nonnegative sum of facet rows
     H, p = hp
     mem = membership(H, p)
     rows = _reference_hrep_rows(H.lattice)
@@ -353,9 +359,11 @@ def test_scaled_membership_matches_fraction_rows(hp):
                   if _row_value(coeffs, p.values) == rhs)
     violated = tuple(k for k, (coeffs, rhs, _) in enumerate(rows)
                      if _row_value(coeffs, p.values) > rhs)
-    assert mem.tight_rows == tight
-    assert mem.violated_rows == violated
-    assert (mem.status == "outside") == bool(violated)
+    facet = set(H.facet_rows)
+    assert mem.tight_rows == tuple(k for k in tight if k in facet)
+    assert mem.violated_rows == tuple(k for k in violated if k in facet)
+    assert mem.status == ("outside" if violated
+                          else "boundary" if tight else "interior")
 
 
 @_PROPERTY_SETTINGS
@@ -530,10 +538,12 @@ def _check_certificates(lat):
             continue
         cert = is_vertex(H, p)
         assert cert.normal_rank == _dense_normal_rank(lat, cert.tight_rows), kind
-        # the certificate lists tight facets by their row numbers, and
-        # they span what all the tight rows span
-        assert set(cert.tight_rows) <= set(mem.tight_rows), kind
-        assert cert.normal_rank == _dense_normal_rank(lat, mem.tight_rows), kind
+        # the certificate lists the tight facets by their row numbers,
+        # as membership does, and they span what all the tight rows span
+        assert cert.tight_rows == mem.tight_rows, kind
+        tight = [k for k, (c, rhs, _) in enumerate(_reference_hrep_rows(lat))
+                 if _row_value(c, p.values) == rhs]
+        assert cert.normal_rank == _dense_normal_rank(lat, tight), kind
         assert cert.is_vertex == (cert.normal_rank == H.ambient_dim)
         certified.add(kind)
     assert certified == {k for k in kinds if not k.startswith("raised")}
@@ -558,12 +568,14 @@ def _full_tight_rank(lat, full_rows, p):
 def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     # the full text's system, with the column v_0 and the rows
     # +-v_0 <= 0, certifies the same points: at a feasible point its
-    # tight rows are membership's plus those two, and their normals have
-    # rank one more than the certificate's, over one more column
+    # tight facet rows are membership's, those two are tight, and the
+    # normals of its tight rows have rank one more than the
+    # certificate's, over one more column
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
     full_rows = _text_rows(H, full=True)
     zero_rows = (len(H.rows), len(H.rows) + 1)
+    facet = set(H.facet_rows)
     certified = 0
     for kind, p in _point_kinds(lat, random.Random(41)):
         mem = membership(H, p)
@@ -571,7 +583,8 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
             continue
         tight = tuple(k for k, (c, rhs) in enumerate(full_rows)
                       if _row_value(c, p.values) == rhs)
-        assert tight == mem.tight_rows + zero_rows, kind
+        assert tuple(k for k in tight if k in facet) == mem.tight_rows, kind
+        assert tight[-2:] == zero_rows, kind
         assert (_full_tight_rank(lat, full_rows, p)
                 == is_vertex(H, p).normal_rank + 1), kind
         certified += 1
@@ -777,19 +790,25 @@ def test_lattice_points_node_cap(lat24, lat25, lat33):
 
 def test_certifiers_and_searches_read_only_facets(monkeypatch, lat22, lat23,
                                                  lat32):
-    # once H is built, is_vertex, double description, f_vector and the
-    # integer-point search read the facet table and the diamonds: neither
-    # the lattice's rows, which H.rows reads and which hold the pair
-    # block, nor membership's report of every row
+    # once H is built, membership, affine_dimension, is_vertex, double
+    # description, f_vector and the integer-point search read the facet
+    # table and the diamonds, never the lattice's rows, which H.rows
+    # reads and which hold the pair block
     hreps = [build_hrep(lat) for lat in (lat22, lat23, lat32)]
 
     def fail(*_):
-        raise AssertionError("the rows or membership was read")
+        raise AssertionError("the rows were read")
 
     monkeypatch.setattr(SubspaceLattice, "rows", property(fail))
-    monkeypatch.setattr(polytope, "membership", fail)
     for H in hreps[1:]:
-        assert all(is_vertex(H, v).is_vertex for v in enumerate_vertices(H))
+        lat = H.lattice
+        verts = enumerate_vertices(H)
+        assert all(is_vertex(H, v).is_vertex for v in verts)
+        assert membership(H, interior_witness(lat)).status == "interior"
+        assert membership(H, verts[-1]).status == "boundary"
+        raised = rank_point(lat, [v + 1 for v in verts[-1].values])
+        assert membership(H, raised).status == "outside"
+        assert affine_dimension(H) == lat.size - 1
     assert f_vector(hreps[0]) == (6, 15, 18, 9)
     assert f_vector(hreps[2]) == (11, 41, 70, 52, 14)
     assert len(lattice_points(build_lattice(3, 3))) == 56
