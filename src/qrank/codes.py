@@ -33,7 +33,7 @@ from .constructions import (combined_profile, point_from_profile,
                             uniform_profile)
 from .errors import (HypothesisFail, LatticeMismatch, OutOfRange,
                      UnsupportedOrder, UnsupportedShape, ValidationError,
-                     ZeroCode, parse_int, parse_key, read_json)
+                     ZeroCode, parse_int, parse_key, read_json, show_int)
 from .fields import (EXHAUSTIVE_SPAN_CAP, FqMatrix, make_field, matrix_vectors,
                      nullspace, rref)
 from .rankfun import RankPoint
@@ -215,7 +215,8 @@ def mrd_profile(n, m, d):
     Other shapes with m < n are rejected: the cited bound leaves a gap
     of dimensions where the rank value is not determined."""
     if not 1 <= d <= min(n, m):
-        raise OutOfRange(f"need 1 <= d <= min(n, m), got d={d}")
+        raise OutOfRange(f"need 1 <= d <= min(n, m), got d={show_int(d)}, "
+                         f"n={show_int(n)}, m={show_int(m)}")
     if m >= n:
         return uniform_profile(n, n - d + 1)
     if m == n - 1:

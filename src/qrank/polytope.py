@@ -14,11 +14,11 @@ Every row has one format, that of SubspaceLattice.facets: a row
 (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y], where
 w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is the point's
 padded vector (SubspaceLattice.padded): v_0 reads 0, and index
-size + d reads d mu.  The lattice owns the rows, one tuple in row order
-(SubspaceLattice.rows), and build_hrep returns an HRepresentation whose
-rows are that tuple.  The text is produced one line at a time by one
-loop per block of rows (HRepresentation.text_lines), so the CLI
-streams it.
+size + d reads d mu.  No table holds every row: build_hrep returns an
+HRepresentation whose rows are the row numbers, counted from the masks,
+and the text is produced one line at a time by one loop per block of
+rows (HRepresentation.text_lines), which reads each pair's meet and join
+as it goes, so the CLI streams it.
 
 The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
@@ -43,13 +43,14 @@ So the facets hold iff every row holds, and at a feasible point a
 tight row forces its summands tight, so a point is outside iff it
 violates a facet, interior iff every facet is strict, and the tight
 rows and the tight facets span the same normals.  membership,
-is_vertex, check_axioms' fast path (rankfun), double description and
-f_vector read the facet table alone; each entry is a row of H, and
-H.facet_rows gives its row number, counted once when H is built (the
-atom bound on a is row a - 1, and HRepresentation.pair_rows numbers
-diamonds from the masks), so a report names rows of the whole system.
-The whole tuple of rows is read only by the text and by the literal
-axiom check (rankfun).
+is_vertex, check_axioms (rankfun), double description and f_vector read
+the facet table alone.  Each facet is one axiom instance (an atom bound
+is R1, a top cover R2 and a diamond R3), so the violated facets explain
+why a point is outside: every axiom failure shows in one.  Each entry is
+a row of H, and H.facet_rows gives its row number, counted once when H
+is built (the atom bound on a is row a - 1, and
+HRepresentation.pair_rows numbers diamonds from the masks), so a report
+names rows of the whole system.  Only the text writes every row.
 
 Facets are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators and padded,
@@ -104,27 +105,29 @@ MAX_DFS_NODES = 100_000
 
 class HRepresentation:
     """The H-representation of the polytope on the lattice, over the
-    columns v_1 .. v_top.  rows is the lattice's tuple of rows
-    (SubspaceLattice.rows), not a copy, and facet_rows is the row number
-    of each entry of the lattice's facet table, which is that row:
-    rows[facet_rows[i]] == facets[i]."""
+    columns v_1 .. v_top.  rows is range(N), the numbers of the N rows
+    of the system in row order, which membership and is_vertex report;
+    no row is stored, and text_lines writes each one as it goes.
+    facet_rows is the row number of each entry of the lattice's facet
+    table."""
 
     def __init__(self, lattice):
         self.lattice = lattice
         size = lattice.size
-        # built here, in the set-up, for the text and for check_axioms'
-        # literal walk, the only readers of every row; no status reads it
-        lattice.rows
+        # the bounds, the atoms and the covers above the atoms come
+        # before the pair rows
+        pairs = lattice.top + len(lattice.atom_range) + sum(
+            map(len, lattice.covers_down[lattice.grade_offsets[2]:]))
         # _pair_base[x] + x is the first pair row of x: each x'' < x
         # has one row for each of the size - x'' - |above x''| spaces
         # after it that do not lie above it (see pair_rows)
-        _, _, pairs = lattice.row_starts
         base, pair_offset = [], pairs
         for x, ax in enumerate(lattice.above_mask):
             base.append(pair_offset - x)
             pair_offset += size - x - ax.bit_count()
         self._pair_base = tuple(base)
         self._low = tuple((1 << y) - 1 for y in range(size))
+        self.rows = range(pair_offset)
         # the row number of each entry of lattice.facets, counted here so
         # that no query counts them: the bound on atom a is row a - 1,
         # and the top covers end the cover block
@@ -132,10 +135,6 @@ class HRepresentation:
         self.facet_rows = (tuple(a - 1 for a in lattice.atom_range)
                            + tuple(range(pairs - top_covers, pairs))
                            + tuple(self.pair_rows(lattice.diamonds)))
-
-    @property
-    def rows(self):
-        return self.lattice.rows
 
     @property
     def ambient_dim(self):
@@ -157,31 +156,43 @@ class HRepresentation:
 
         With full, the unreduced system: the columns start at v_0,
         which keeps its 1 in the zero-meet pair rows, and the rows
-        v_0 <= 0 and -v_0 <= 0 come last.  One loop per block of rows
-        (the bounds, the atoms, the covers, the pairs); each line is an
-        f-string over the runs of zeros between the row's few nonzero
-        entries."""
-        lat, rows = self.lattice, self.rows
-        dims = lat.dims
+        v_0 <= 0 and -v_0 <= 0 come last.  One loop per block of rows,
+        in row order: the bound v_x <= dim x on each nonzero space, the
+        nonnegativity of each atom, the cover x < y for each y above
+        the atoms, and the submodularity row of each incomparable pair
+        x < y, in order of x, then y.  As the order is graded, y > x is
+        comparable with x only by holding every atom of x, and the meet
+        and join are read off the atom and hyperplane sets.  Each line
+        is an f-string over the runs of zeros between the row's few
+        nonzero entries."""
+        lat = self.lattice
+        size, dims = lat.size, lat.dims
+        A, Hs = lat.atom_sets, lat.hyperplane_sets
+        meet, join = lat.space_of_atom_set, lat.space_of_hyperplane_set
         o = 0 if full else 1   # column of lattice index i is i - o
-        dim = lat.size - o
+        dim = size - o
         top = lat.top  # so z[top - i] zeros follow index i
-        atoms, covers, pairs = lat.row_starts  # where each block starts
         z = ["0 " * k for k in range(dim + 1)]
-        yield f"HREP {len(rows) + (2 if full else 0)} {dim}\n"
-        for _, _, x, _ in rows[:atoms]:
+        yield f"HREP {len(self.rows) + (2 if full else 0)} {dim}\n"
+        for x in range(1, size):
             yield f"{z[x - o]}1 {z[top - x]}{dims[x]}\n"
-        for a, _, _, _ in rows[atoms:covers]:
+        for a in lat.atom_range:
             yield f"{z[a - o]}-1 {z[top - a]}0\n"
-        for y, _, x, _ in rows[covers:pairs]:
-            yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
-        for x, y, m, j in rows[pairs:]:
-            if m or full:
-                yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
-                       f"{z[j - y - 1]}1 {z[top - j]}0\n")
-            else:  # with no column v_0, a zero meet drops out
-                yield (f"{z[x - o]}-1 {z[y - x - 1]}-1 "
-                       f"{z[j - y - 1]}1 {z[top - j]}0\n")
+        for y in range(lat.grade_offsets[2], size):
+            for x in lat.covers_down[y]:
+                yield f"{z[x - o]}1 {z[y - x - 1]}-1 {z[top - y]}0\n"
+        for x in range(1, size):
+            ax, hx = A[x], Hs[x]
+            for y, ay, hy in zip(range(x + 1, size), A[x + 1:], Hs[x + 1:]):
+                if ax & ay == ax:  # y lies above x
+                    continue
+                m, j = meet[ax & ay], join[hx & hy]
+                if m or full:
+                    yield (f"{z[m - o]}1 {z[x - m - 1]}-1 {z[y - x - 1]}-1 "
+                           f"{z[j - y - 1]}1 {z[top - j]}0\n")
+                else:  # with no column v_0, a zero meet drops out
+                    yield (f"{z[x - o]}-1 {z[y - x - 1]}-1 "
+                           f"{z[j - y - 1]}1 {z[top - j]}0\n")
         if full:
             yield f"1 {z[top]}0\n"
             yield f"-1 {z[top]}0\n"
@@ -193,9 +204,9 @@ class HRepresentation:
 def build_hrep(lattice):
     """H-representation of the q-rank polytope on the given lattice.
 
-    Builds the lattice's rows and its diamonds, which the facet table
-    holds, here, so their one-time cost falls in the set-up and not in
-    the first query; two calls on one lattice share one rows tuple."""
+    Builds the lattice's diamonds, which the facet table holds, here,
+    so their one-time cost falls in the set-up and not in the first
+    query."""
     return HRepresentation(lattice)
 
 

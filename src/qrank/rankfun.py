@@ -11,15 +11,14 @@ All set-valued operations are deliberately literal: they evaluate the
 defining condition over the whole lattice.  They double as the oracles
 against which every closed-form construction is tested.
 
-Linear conditions (the axioms here, the H-representation rows in
-polytope) are evaluated on mu-scaled integers: the point is multiplied
-once by mu, the lcm of its denominators, so no Fraction arithmetic
-happens per row.  The facet rows and the rows of the polytope's system
-share one format: a row (x, y, m, j) holds iff w[m] + w[j] <=
-w[x] + w[y] on the padded vector w = (0, mu v_1, .., mu v_top, 0, mu,
-2 mu, .., n mu) (SubspaceLattice.padded), so check_axioms reads the
-facets, and in its literal walk the lattice's rows, as polytope reads
-them.
+Linear conditions (the axioms here, the facet rows in polytope) are
+evaluated on mu-scaled integers: the point is multiplied once by mu,
+the lcm of its denominators, so no Fraction arithmetic happens per row.
+A facet row (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y] on the
+padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
+(SubspaceLattice.padded), and each facet is one axiom instance, so
+check_axioms reads the facet table as polytope reads it and reports the
+violated facets: every axiom failure shows in one.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, islice
 
 from .errors import (DimensionMismatch, NotADenominator, parse_key,
                      parse_rational, parse_rationals)
@@ -89,57 +87,40 @@ AxiomReport = namedtuple("AxiomReport", "ok violations")
 
 
 def check_axioms(p):
-    """Check (R1) bounds, then (R2) on covers and (R3) on incomparable
-    pairs, read off the lattice's rows (SubspaceLattice.rows).
+    """Check the axioms (R1) bounds, (R2) monotonicity and (R3)
+    submodularity, and report the facets of the polytope that the point
+    violates (SubspaceLattice.facets), each as the axiom instance it is:
+    an atom bound v_a <= 1 as ("R1", (a,), slack), a top cover
+    v_h <= v_top as ("R2", (h, top), slack), and a diamond as
+    ("R3", (x, y), slack).  A nonzero v_0 comes first, as
+    ("R1", (0,), |v_0|).  Each slack is the exact positive amount by
+    which the instance fails; violations are data, not errors.
 
-    A fast path comes first: when v_0 = 0 and the point satisfies every
-    facet row of the polytope (the lattice's facet table: the bounds
-    v_a <= 1 on the atoms, the covers v_h <= v_top of the top and the
-    submodularity rows on the diamonds), the report is
-    AxiomReport(True, ()) with no other row read.  That is exact: every
-    other axiom row is a nonnegative sum of these rows (and of v_0 >= 0
-    and v_0 <= 0) with the same right-hand side, so none can fail when
-    all of these hold.  A pair row is a sum of diamond rows (the
-    local-to-global argument for submodularity on a modular lattice), a
-    cover below the top is a diamond row plus a higher cover, a bound on
-    a space of dimension 2 or more is a pair row plus two bounds, and the
-    lower bounds follow from v_0 = 0 and monotonicity (see polytope).
+    The report is complete: the point fails some axiom iff it is
+    reported.  Every other axiom instance is a nonnegative sum of facet
+    rows and of v_0 >= 0 and v_0 <= 0 with the same right-hand side (see
+    polytope), so it fails only where v_0 or some facet does.  Each
+    entry is also an entry of the literal report, which walks every
+    instance (R1 on every space, R2 on every cover, R3 on every
+    incomparable pair) in the order R1, R2, R3: the report is that list
+    with only the facet instances kept, in its order.
 
-    Otherwise this is the literal axiom check: monotonicity on covers
-    implies monotonicity everywhere, and submodularity holds with
-    equality on comparable pairs, but R1's lower bounds on the spaces
-    of dimension 2 or more and R2 on the covers of the zero space are
-    still checked, though the other rows imply them.  R2 and R3 are one
-    walk: the covers of the zero space, then the cover and pair blocks
-    of the lattice's rows, on the padded vector with v_0 kept, which a
-    zero meet reads.  A violated row (x, y, m, j) is R2 on the cover
-    m < x when y is size, R3 on the pair x, y otherwise.  Violations
-    carry their exact positive slack; they are data, not errors.
-    """
+    One loop over the facet table on the padded vector with v_0 kept,
+    which a diamond with a zero meet reads, all in mu-scaled ints."""
     lat = p.lattice
     mu, vals = scaled_values(p.values)
-    w = lat.padded(mu, vals)  # see SubspaceLattice.facets
-    if vals[0] == 0:
-        for x, y, m, j in lat.facets:
-            if w[m] + w[j] > w[x] + w[y]:
-                break
-        else:
-            return AxiomReport(True, ())
-    bad = []
-    for i, v in enumerate(vals):
-        top = lat.dims[i] * mu
-        if v < 0:
-            bad.append(("R1", (i,), Fraction(-v, mu)))
-        elif v > top:
-            bad.append(("R1", (i,), Fraction(v - top, mu)))
-    size, (_, covers, _) = lat.size, lat.row_starts
-    w = (vals[0],) + w[1:]  # v_0 kept: a zero meet reads it
-    zero_covers = [(a, size, 0, size) for a in lat.atom_range]
-    for x, y, m, j in chain(zero_covers, islice(lat.rows, covers, None)):
+    w = (vals[0],) + lat.padded(mu, vals)[1:]  # see SubspaceLattice.facets
+    bad = [("R1", (0,), Fraction(abs(vals[0]), mu))] if vals[0] else []
+    size, top = lat.size, lat.top
+    for x, y, m, j in lat.facets:
         if w[m] + w[j] > w[x] + w[y]:
             slack = Fraction(w[m] + w[j] - w[x] - w[y], mu)
-            bad.append(("R2", (m, x), slack) if y == size
-                       else ("R3", (x, y), slack))
+            if y < size:
+                bad.append(("R3", (x, y), slack))
+            elif x > top:  # the atom bound (size + 1, size, a, size)
+                bad.append(("R1", (m,), slack))
+            else:  # the top cover (top, size, h, size)
+                bad.append(("R2", (m, x), slack))
     return AxiomReport(not bad, tuple(bad))
 
 

@@ -36,19 +36,19 @@ the hyperplanes that hold X join Y are those that hold both,
 H_X & H_Y.  The masks have one bit per atom or hyperplane, not one per
 space, so the AND is cheap even on the largest lattices.
 
-The lattice owns the paper's inequality system as one tuple of rows
-(SubspaceLattice.rows, with the block starts in row_starts), each an
-(x, y, m, j) entry that holds iff w[m] + w[j] <= w[x] + w[y] on one
-padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
-(SubspaceLattice.padded).  It is read only where every row is
-reported: the polytope's text and the literal axiom check.  The
-diamonds, the pairs x, y that both cover their meet, are
-tabulated apart (SubspaceLattice.diamonds), from the covers and the
+The lattice holds no table with one entry per row of the paper's
+inequality system: only the polytope's text writes every row, and it
+reads each pair's meet and join off the atom and hyperplane sets as it
+goes.  The diamonds, the pairs x, y that both cover their meet, are
+tabulated (SubspaceLattice.diamonds), from the covers and the
 hyperplane sets: they carry the facets among the submodularity rows.
 With the atom bounds and the top covers they make the facet table
-(SubspaceLattice.facets), which is all that certification, double
-description and the f-vector read; the integer-point search
-propagates the diamonds.
+(SubspaceLattice.facets), each entry an (x, y, m, j) row that holds iff
+w[m] + w[j] <= w[x] + w[y] on one padded vector
+w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
+(SubspaceLattice.padded).  The table is all that the axiom check,
+certification, double description and the f-vector read; the
+integer-point search propagates the diamonds.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class SubspaceLattice:
         self.above_mask = tuple(above)
         # the hyperplane set of i has bit h - first set when hyperplane h
         # holds i; the dicts map both sets back to the index objects of
-        # the one tuple _ids, which the pair rows and the diamonds share
+        # the one tuple _ids, which the diamonds share
         hyperplanes = self.grade(n - 1)
         first, window = hyperplanes.start, (1 << len(hyperplanes)) - 1
         self.hyperplane_sets = tuple((mask >> first) & window
@@ -240,47 +240,14 @@ class SubspaceLattice:
         return self.space_of_hyperplane_set[sets[i] & sets[j]]
 
     @cached_property
-    def rows(self):
-        """The paper's reduced system as one tuple of rows in the format
-        of facets, built on first use, in four blocks that start at
-        row_starts: the type-1 bounds, the atoms, the covers above the
-        atoms in order of the upper space, and the incomparable pairs
-        x < y, (x, y, meet, join), in order of x, then y.  Because the
-        order is graded, y > x can only fail to be incomparable with x by
-        holding every atom of x, so each x takes one comprehension over
-        the atom and hyperplane sets.  Each index is one of the shared
-        int objects of _ids, which keeps the tuple small."""
-        ids, A, H = self._ids, self.atom_sets, self.hyperplane_sets
-        meet, join = self.space_of_atom_set, self.space_of_hyperplane_set
-        zero, dims = self.size, self.dims
-        out = [(zero + dims[x], zero, x, zero) for x in ids[1:]]
-        out += [(a, zero, zero, zero) for a in self.atom_range]
-        out += [(y, zero, x, zero) for y in ids[self.grade_offsets[2]:]
-                for x in self.covers_down[y]]
-        for x in ids:
-            ax, hx = A[x], H[x]
-            out += [(x, y, meet[ax & ay], join[hx & hy])
-                    for y, ay, hy in zip(ids[x + 1:], A[x + 1:], H[x + 1:])
-                    if ax & ay != ax]
-        return tuple(out)
-
-    @cached_property
-    def row_starts(self):
-        """The row numbers at which the atom, cover and pair blocks of
-        rows start, counted without building rows."""
-        covers = self.top + len(self.atom_range)
-        pairs = covers + sum(map(len, self.covers_down[self.grade_offsets[2]:]))
-        return self.top, covers, pairs
-
-    @cached_property
     def diamonds(self):
         """Every diamond (x, y, meet, join): x < y both upper covers of
         their meet, so the join covers both; in order of x, then y, the
-        order of the pair block of rows, which holds them all.  Built on
+        order of the system's pair rows, which hold them all.  Built on
         first use from each space's upper covers, taken in pairs, with
-        no pass over the pair rows; the join is the space with the
-        hyperplanes that hold both, and each index is one of the shared
-        int objects of _ids, as in the rows.
+        no pass over the incomparable pairs; the join is the space with
+        the hyperplanes that hold both, and each index is one of the
+        shared int objects of _ids.
 
         The diamonds carry the facets among the submodularity rows:
         every other pair row is a sum of diamond rows."""
@@ -304,7 +271,7 @@ class SubspaceLattice:
         (size + dim x, size, x, size), nonnegativity -v_a <= 0 is
         (a, size, size, size), the cover v_x <= v_y is (y, size, x, size),
         and the submodularity row of an incomparable pair x, y is
-        (x, y, meet, join), a zero meet reading 0 (see rows).  The
+        (x, y, meet, join), a zero meet reading 0.  The
         facets are the bound v_a <= 1 on each atom a,
         (size + 1, size, a, size), the cover v_h <= v_top of the top by
         each hyperplane h, (top, size, h, size), and the diamonds, the

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 from qrank.charpoly import TruncatedPuiseux
 from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
@@ -102,10 +103,30 @@ def reference_face_counts(coords, rowsets):
     return tuple(counts)
 
 
-def pair_block(lat):
-    """The pair block of the lattice's rows: every incomparable pair
-    x < y as (x, y, meet, join), in order of x, then y."""
-    return lat.rows[lat.row_starts[2]:]
+@cache
+def reference_rows(lat):
+    """The paper's reduced system as (x, y, m, j) rows in row order (see
+    table_row): the bound on every nonzero space, the nonnegativity of
+    every atom, the cover x < y for every y above the atoms in order of
+    y, then x, and the submodularity row (x, y, meet, join) of every
+    incomparable pair x < y, in order of x, then y.  Built by pairwise
+    double loops with lat.leq, lat.meet and lat.join, with no table of
+    the lattice's: the reference for the row numbers and the text."""
+    size, dims, leq = lat.size, lat.dims, lat.leq
+    rows = [(size + dims[x], size, x, size) for x in range(1, size)]
+    rows += [(a, size, size, size) for a in range(1, size) if dims[a] == 1]
+    rows += [(y, size, x, size) for y in range(1, size) if dims[y] >= 2
+             for x in range(1, size) if dims[x] == dims[y] - 1 and leq(x, y)]
+    rows += [(x, y, lat.meet(x, y), lat.join(x, y))
+             for x in range(1, size) for y in range(x + 1, size)
+             if not leq(x, y) and not leq(y, x)]
+    return tuple(rows)
+
+
+def reference_pairs(lat):
+    """The pair rows of reference_rows, (x, y, meet, join) for every
+    incomparable pair x < y, in order of x, then y."""
+    return tuple(row for row in reference_rows(lat) if row[1] < lat.size)
 
 
 def table_row(lat, row):
@@ -130,8 +151,9 @@ def table_row(lat, row):
 def literal_axiom_violations(p):
     """The axiom check walked literally in plain Fraction arithmetic:
     R1 on every space, R2 on every cover and R3 on every incomparable
-    pair, found by a double loop with lat.meet and lat.join.  The
-    reference for check_axioms, its fast path included."""
+    pair, found by a double loop with lat.meet and lat.join.  Empty iff
+    check_axioms' report is, and that report is this one with only the
+    facet instances kept (facet_axiom_violations)."""
     lat, vals = p.lattice, p.values
     bad = []
     for i, v in enumerate(vals):
@@ -151,6 +173,25 @@ def literal_axiom_violations(p):
             if slack > 0:
                 bad.append(("R3", (x, y), slack))
     return tuple(bad)
+
+
+def facet_axiom_violations(p):
+    """literal_axiom_violations(p) with only the facet instances kept,
+    in its order: R1 on the zero space, R1 upper bounds on the atoms, R2
+    on the covers of the top and R3 on the diamonds, the pairs that both
+    cover their meet.  The reference for check_axioms."""
+    lat, vals, dims = p.lattice, p.values, p.lattice.dims
+
+    def facet(tag, spaces):
+        if tag == "R1":
+            (i,) = spaces
+            return i == 0 or (dims[i] == 1 and vals[i] > 1)
+        x, y = spaces
+        if tag == "R2":
+            return y == lat.top
+        return dims[x] == dims[y] == dims[lat.meet(x, y)] + 1
+
+    return tuple(v for v in literal_axiom_violations(p) if facet(*v[:2]))
 
 
 def span_containment_order(lat):
@@ -295,7 +336,7 @@ def plain_dfs_lattice_points(lat):
     reference for the forward-checked search of lattice_points."""
     size = lat.size
     join_pairs = [[] for _ in range(size)]
-    for x, y, m, j in pair_block(lat):
+    for x, y, m, j in reference_pairs(lat):
         join_pairs[j].append((x, y, m))
     vals = [0] * size
     out = []

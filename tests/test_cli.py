@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import literal_axiom_violations
+from helpers import facet_axiom_violations, literal_axiom_violations
 from qrank.cli import build_parser, main
 from qrank.errors import show_int
 from qrank.rankfun import point_from_json
@@ -137,8 +137,9 @@ def test_make_and_pm_pipeline(capsys, tmp_path):
 
 
 def test_pm_check_reports_every_violation(capsys, tmp_path, lat33):
-    # U_{2,3} over F_3 with three values moved fails R1, R2 and R3, so
-    # check_axioms leaves its fast path for the literal walk
+    # U_{2,3} over F_3 with three values moved fails R1, R2 and R3; the
+    # report names the violated facets, each an axiom instance, which
+    # are the facet instances of the literal report
     point = tmp_path / "bad.json"
     assert main(["make", "uniform", "--q", "3", "--n", "3", "--k", "2",
                  "-o", str(point)]) == 0
@@ -149,20 +150,24 @@ def test_pm_check_reports_every_violation(capsys, tmp_path, lat33):
     code, out, _ = run(capsys, "pm", "check", "--point", str(point))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b7d79f3c41bac379a42939201b7b19fd959b0348daf3a192b10a28ee8cfe1963")
+        "02105beb6495e04828b10f30322ca8ce60b47ccd52ee3443cf8af938be962250")
     rep = json.loads(out)
     assert rep["ok"] is False
     assert Counter(v["axiom"] for v in rep["violations"]) == {
-        "R1": 3, "R2": 5, "R3": 27}
+        "R1": 1, "R2": 1, "R3": 18}
     p = point_from_json(obj, lat33)
     assert rep["violations"] == [
         {"axiom": a, "spaces": list(w), "slack": str(s)}
-        for a, w, s in literal_axiom_violations(p)]
+        for a, w, s in facet_axiom_violations(p)]
+    assert Counter(a for a, _, _ in literal_axiom_violations(p)) == {
+        "R1": 3, "R2": 5, "R3": 27}
 
 
 def test_pm_check_reads_v0_in_the_zero_meet_rows(capsys, tmp_path, lat23):
-    # U_{1,3} over F_2 with v_0 = 2 fails R1 on the zero space, R2 on
-    # its seven covers and R3 on every pair whose meet is zero
+    # U_{1,3} over F_2 with v_0 = 2 fails R1 on the zero space and R3
+    # on the 21 diamonds whose meet is zero, which read v_0; R2 on its
+    # seven covers and R3 on the other pairs with a zero meet fail too,
+    # but they are no facets
     point = tmp_path / "v0.json"
     assert main(["make", "uniform", "--q", "2", "--n", "3", "--k", "1",
                  "-o", str(point)]) == 0
@@ -171,15 +176,18 @@ def test_pm_check_reads_v0_in_the_zero_meet_rows(capsys, tmp_path, lat23):
     point.write_text(json.dumps(obj))
     code, out, _ = run(capsys, "pm", "check", "--point", str(point))
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest().startswith(
-        "27b464da8a74fefb")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b6b0ef18c90693da820c86dd5b49b02af3ac60ae2ede4022c842fa02b3cf00aa")
     rep = json.loads(out)
     assert rep["ok"] is False
     assert Counter(v["axiom"] for v in rep["violations"]) == {
-        "R1": 1, "R2": 7, "R3": 49}
+        "R1": 1, "R3": 21}
+    p = point_from_json(obj, lat23)
     assert rep["violations"] == [
         {"axiom": a, "spaces": list(w), "slack": str(s)}
-        for a, w, s in literal_axiom_violations(point_from_json(obj, lat23))]
+        for a, w, s in facet_axiom_violations(p)]
+    assert Counter(a for a, _, _ in literal_axiom_violations(p)) == {
+        "R1": 1, "R2": 7, "R3": 49}
 
 
 def test_make_combo_and_chi(capsys, tmp_path):
@@ -232,6 +240,17 @@ def test_code_commands(capsys, tmp_path):
                        "--q", "2", "--n", "3", "--m", "2", "--d", "2")
     assert code == 0
     assert json.loads(out)["values"] == ["0"] + ["1"] * 7 + ["3/2"] * 8
+
+
+@pytest.mark.parametrize("m,d,bad", [("0", "1", "m=0"), ("3", "4", "d=4")],
+                         ids=["m-zero", "d-past-n"])
+def test_code_mrd_names_the_bad_parameter(capsys, m, d, bad):
+    # d must lie in 1 .. min(n, m): the message gives d, n and m, so a
+    # bad m is not blamed on d
+    code, out, err = run(capsys, "code", "mrd",
+                         "--q", "2", "--n", "3", "--m", m, "--d", d)
+    assert code == 1 and out == ""
+    assert bad in err and "n=3" in err and "Traceback" not in err
 
 
 def test_exit_codes(capsys, tmp_path):

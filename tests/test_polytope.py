@@ -8,22 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (_int_rank, literal_axiom_violations, pair_block,
-                     plain_dfs_lattice_points, random_disjoint_paving_pair, random_lambda,
+from helpers import (_int_rank, facet_axiom_violations,
+                     literal_axiom_violations, plain_dfs_lattice_points,
+                     random_disjoint_paving_pair, random_lambda,
                      random_paving_collection, rank_test_vertices,
-                     reference_face_counts, reference_sparse_rank, table_row)
+                     reference_face_counts, reference_pairs, reference_rows,
+                     reference_sparse_rank, table_row)
 from qrank import polytope
 from qrank.codes import induced_polymatroid, matrix_code
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
                                  two_uniform_combo_report, uniform)
 from qrank.errors import NotFeasible, TooLarge
 from qrank.fields import FqMatrix, make_field, rref
-from qrank.polytope import (_rank, affine_dimension,
+from qrank.polytope import (HRepresentation, _rank, affine_dimension,
                             build_hrep, enumerate_vertices, f_vector,
                             interior_witness, is_vertex, lattice_points,
                             membership)
 from qrank.rankfun import check_axioms, rank_point
-from qrank.subspaces import SubspaceLattice, build_lattice
+from qrank.subspaces import build_lattice
 
 PAPER_POINTS_22 = {
     (0, 0, 0, 0, 0), (0, 1, 1, 1, 1), (0, 1, 1, 1, 2),
@@ -67,7 +69,7 @@ def _row_tag(lat, row):
 
 def test_hrep_row_counts_22(lat22):
     H = build_hrep(lat22)
-    blocks = Counter(_row_tag(lat22, row)[0] for row in H.rows)
+    blocks = Counter(_row_tag(lat22, row)[0] for row in reference_rows(lat22))
     # the paper's system: 10 inequality rows of types 1-3 plus v_0 = 0,
     # which the full text writes as the two rows +-v_0 <= 0
     assert blocks == {"type1": 4, "nonneg": 3, "type2": 3, "type3": 3}
@@ -160,33 +162,40 @@ def test_hrep_rows_match_pairwise_reference(fixture, full, request):
     H = build_hrep(lat)
     ref = _reference_hrep_rows(lat, full)
     tags = Counter(tag[0] for _, _, tag in ref)
-    assert type(H.rows) is tuple and len(H.rows) == len(ref) - tags["zero"]
+    assert H.rows == range(len(ref) - tags["zero"])
     assert _text_rows(H, full) == [(coeffs, rhs) for coeffs, rhs, _ in ref]
     reduced = _reference_hrep_rows(lat)
-    assert [table_row(lat, row) for row in H.rows] == [
+    rows = reference_rows(lat)
+    assert [table_row(lat, row) for row in rows] == [
         (coeffs, rhs) for coeffs, rhs, _ in reduced]
-    assert [_row_tag(lat, row) for row in H.rows] == [tag for _, _, tag in reduced]
+    assert [_row_tag(lat, row) for row in rows] == [tag for _, _, tag in reduced]
     assert tags["zero"] == (2 if full else 0)
 
 
-def test_build_hrep_calls_share_the_lattices_rows():
-    # H holds no copy: every H on a lattice reads the one tuple it owns
-    lat = build_lattice(2, 3)
-    first, second = build_hrep(lat), build_hrep(lat)
-    assert first.rows is second.rows is lat.rows
+@pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24", "lat25"])
+def test_hrep_rows_are_row_numbers(fixture, request):
+    # H stores no row and the lattice holds no row table: H.rows is
+    # range(N), counted from the masks, N the length of the system
+    lat = request.getfixturevalue(fixture)
+    assert build_hrep(lat).rows == range(len(reference_rows(lat)))
+    assert not hasattr(lat, "rows")
 
 
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (3, 3)])
 def test_row_starts_bound_the_blocks(q, n):
-    # the block starts are counted without building the rows, and each
+    # the blocks start at rows top (the atoms), top + atoms (the covers)
+    # and the first pair row that H counts from the masks, and each
     # block holds the rows of one kind
     lat = build_lattice(q, n)
-    atoms, covers, pairs = lat.row_starts
-    assert "rows" not in vars(lat)
-    kinds = [_row_tag(lat, row)[0] for row in lat.rows]
+    H = build_hrep(lat)
+    atoms = lat.top
+    covers = atoms + len(lat.atom_range)
+    pairs = H.pair_rows(reference_pairs(lat)[:1])[0]
+    kinds = [_row_tag(lat, row)[0] for row in reference_rows(lat)]
     assert kinds == (["type1"] * atoms + ["nonneg"] * (covers - atoms)
                      + ["type2"] * (pairs - covers)
                      + ["type3"] * (len(kinds) - pairs))
+    assert len(kinds) == len(H.rows)
 
 
 def _text_rows(H, full=False):
@@ -208,7 +217,7 @@ def _text_rows(H, full=False):
 @pytest.mark.parametrize("fixture", ["lat23", "lat32"])
 @pytest.mark.parametrize("full", [True, False])
 def test_row_blocks_index_like_a_tuple(fixture, full, request):
-    # rows is a tuple of (x, y, m, j) rows, whose numbers the full text
+    # rows indexes like the tuple of row numbers, which the full text
     # keeps, adding the rows +-v_0 <= 0 after them
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
@@ -216,8 +225,8 @@ def test_row_blocks_index_like_a_tuple(fixture, full, request):
     extra = 2 if full else 0
     rows = H.rows
     assert len(rows) == len(ref) - extra
-    assert all(type(row) is tuple and len(row) == 4 for row in rows)
-    assert tuple(H.rows[k] for k in range(-len(rows), len(rows))) == rows * 2
+    assert (tuple(H.rows[k] for k in range(-len(rows), len(rows)))
+            == tuple(range(len(rows))) * 2)
     for k in (len(rows), -len(rows) - 1):
         with pytest.raises(IndexError):
             H.rows[k]
@@ -233,7 +242,7 @@ def test_full_text_is_the_rows_with_a_v0_column(fixture, request):
     rows = H.to_text().splitlines()
     full = H.to_text(full=True).splitlines()
     assert full[0] == f"HREP {len(H.rows) + 2} {lat.size}"
-    zero_meet = {k for k, (_, y, m, _) in enumerate(H.rows)
+    zero_meet = {k for k, (_, y, m, _) in enumerate(reference_rows(lat))
                  if y < lat.size and m == lat.zero}
     assert zero_meet
     assert full[1:-2] == [("1 " if k in zero_meet else "0 ") + rows[k + 1]
@@ -251,8 +260,6 @@ def test_membership_and_certificates_build_no_hrow(lat22, lat32, lat24):
     cert = is_vertex(H, u)
     assert cert.is_vertex and cert.normal_rank == H.ambient_dim
     assert H.to_text().count("\n") == len(H.rows) + 1
-    # H's rows are the lattice's rows, not a copy of them
-    assert H.rows is lat24.rows
     # double description and the f-vector read the rows too
     for lat, n_verts, fv in ((lat22, 6, (6, 15, 18, 9)),
                              (lat32, 11, (11, 41, 70, 52, 14))):
@@ -373,7 +380,8 @@ def test_axioms_agree_with_membership_and_fraction_slacks(hp):
     rep = check_axioms(p)
     assert rep.ok == (p.values[0] == 0
                       and membership(H, p).status != "outside")
-    assert rep.violations == literal_axiom_violations(p)
+    assert rep.violations == facet_axiom_violations(p)
+    assert rep.ok == (not literal_axiom_violations(p))
     assert all(type(slack) is Fraction for _, _, slack in rep.violations)
 
 
@@ -652,8 +660,8 @@ def test_facet_row_numbers_match_the_reference(fixture, full, request):
                                    for x, y, _, _ in lat.diamonds]
     assert all(table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
                for k, f in zip(H.facet_rows, lat.facets))
-    assert [ref[k][2] for k in H.pair_rows(pair_block(lat))] == [
-        ("type3", x, y) for x, y, _, _ in pair_block(lat)]
+    assert [ref[k][2] for k in H.pair_rows(reference_pairs(lat))] == [
+        ("type3", x, y) for x, y, _, _ in reference_pairs(lat)]
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24", "lat25"])
@@ -663,17 +671,18 @@ def test_facets_are_rows_of_h(fixture, request):
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
     assert len(H.facet_rows) == len(lat.facets)
+    rows = reference_rows(lat)
     for i, f in enumerate(lat.facets):
-        assert H.rows[H.facet_rows[i]] == f
+        assert rows[H.facet_rows[i]] == f
 
 
 def test_pair_row_numbers_25(lat25):
     H = build_hrep(lat25)
-    pairs = pair_block(lat25)
+    rows = reference_rows(lat25)
+    pairs = reference_pairs(lat25)
     start = len(H.rows) - len(pairs)
-    assert start == lat25.row_starts[2]
-    assert all(y < lat25.size for _, y, _, _ in pairs)
-    assert all(y == lat25.size for _, y, _, _ in H.rows[:start])
+    assert rows[start:] == pairs
+    assert all(y == lat25.size for _, y, _, _ in rows[:start])
     assert H.pair_rows(pairs) == list(range(start, start + len(pairs)))
     assert H.pair_rows(lat25.diamonds) == [
         k for k, (x, y, m, _) in enumerate(pairs, start)
@@ -719,7 +728,7 @@ def test_paper_rows_are_sums_of_facet_rows(fixture, request):
     def pair(x, y):
         return row["type3", min(x, y), max(x, y)]
 
-    for x, y, _, _ in pair_block(lat):
+    for x, y, _, _ in reference_pairs(lat):
         parts = _diamond_summands(lat, x, y)
         assert set(parts) <= diamonds
         assert _row_sum([pair(*d) for d in parts]) == _row_sum([pair(x, y)])
@@ -790,24 +799,25 @@ def test_lattice_points_node_cap(lat24, lat25, lat33):
 
 def test_certifiers_and_searches_read_only_facets(monkeypatch, lat22, lat23,
                                                  lat32):
-    # once H is built, membership, affine_dimension, is_vertex, double
+    # membership, affine_dimension, is_vertex, check_axioms, double
     # description, f_vector and the integer-point search read the facet
-    # table and the diamonds, never the lattice's rows, which H.rows
-    # reads and which hold the pair block
-    hreps = [build_hrep(lat) for lat in (lat22, lat23, lat32)]
-
+    # table and the diamonds, never the whole system, which only the
+    # text writes out, pair block and all
     def fail(*_):
         raise AssertionError("the rows were read")
 
-    monkeypatch.setattr(SubspaceLattice, "rows", property(fail))
+    monkeypatch.setattr(HRepresentation, "text_lines", fail)
+    hreps = [build_hrep(lat) for lat in (lat22, lat23, lat32)]
     for H in hreps[1:]:
         lat = H.lattice
         verts = enumerate_vertices(H)
         assert all(is_vertex(H, v).is_vertex for v in verts)
+        assert all(check_axioms(v).ok for v in verts)
         assert membership(H, interior_witness(lat)).status == "interior"
         assert membership(H, verts[-1]).status == "boundary"
         raised = rank_point(lat, [v + 1 for v in verts[-1].values])
         assert membership(H, raised).status == "outside"
+        assert not check_axioms(raised).ok
         assert affine_dimension(H) == lat.size - 1
     assert f_vector(hreps[0]) == (6, 15, 18, 9)
     assert f_vector(hreps[2]) == (11, 41, 70, 52, 14)
@@ -1065,7 +1075,7 @@ def test_hrep_structural_invariants(lat23):
     H = build_hrep(lat23)
     size = lat23.size
     kinds = Counter()
-    for row in H.rows:
+    for row in reference_rows(lat23):
         x, y, m, j = row
         kind = _row_tag(lat23, row)[0]
         kinds[kind] += 1
@@ -1080,6 +1090,7 @@ def test_hrep_structural_invariants(lat23):
             assert m != lat23.zero and m in lat23.covers_down[x]
             assert y == j == size
     assert kinds["type1"] == lat23.top and kinds["nonneg"] == len(lat23.atom_range)
+    assert sum(kinds.values()) == len(H.rows)
 
 
 def test_polytope_4_2_extension_field():

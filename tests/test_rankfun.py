@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import literal_axiom_violations
+from helpers import facet_axiom_violations, literal_axiom_violations
 from qrank.constructions import convex_combination, paving, paving_spec, uniform
 from qrank.errors import DimensionMismatch, NotADenominator
 from qrank.polytope import interior_witness, lattice_points
-from qrank.rankfun import (AxiomReport, check_axioms, classify, closure,
+from qrank.rankfun import (check_axioms, classify, closure,
                            cyclic_flats, cyclic_spaces, flats,
                            independence_report,
                            is_strong_independent, mu_bases, point_from_json,
                            point_to_json, principal_denominator, rank_point)
-from qrank.subspaces import SubspaceLattice, build_lattice
+from qrank.subspaces import build_lattice
 
 
 def dims_set(lat, pred):
@@ -77,7 +77,17 @@ def test_random_single_inequality_breakage(lat23):
         vals[i] = vals[i] + Fraction(rng.randrange(1, 4), 1) + lat23.dims[i]
         rep = check_axioms(rank_point(lat23, vals))
         assert not rep.ok
-        assert any(i in w for _, w, _ in rep.violations)
+        # the report names facets: i lies in the support of one, as one
+        # of a diamond's four spaces when i is the top
+        assert any(i in _support(lat23, tag, w) for tag, w, _ in rep.violations)
+
+
+def _support(lat, tag, spaces):
+    """The spaces an axiom instance reads: a pair's meet and join too."""
+    if tag == "R3":
+        x, y = spaces
+        return {x, y, lat.meet(x, y), lat.join(x, y)}
+    return set(spaces)
 
 
 def test_principal_denominator(lat22):
@@ -303,28 +313,12 @@ def _axiom_points(draw):
 def test_check_axioms_matches_the_literal_walk(case):
     kind, p = case
     rep = check_axioms(p)
-    assert rep.violations == literal_axiom_violations(p)
+    literal = literal_axiom_violations(p)
+    assert rep.violations == facet_axiom_violations(p)
+    assert rep.ok == (not literal)
     assert rep.ok == (not rep.violations)
     if kind != "moved":
         assert rep.ok == (kind == "feasible")
-
-
-def test_check_axioms_reads_no_pair_table_when_the_facets_hold(monkeypatch):
-    # the fast path reads the diamonds, the atoms and the top covers
-    # only, not the lattice's rows, which hold the pair block
-    lat = build_lattice(2, 4)
-
-    def fail(self):
-        raise AssertionError("the pair table was read")
-
-    monkeypatch.setattr(SubspaceLattice, "rows", property(fail))
-    for p in (uniform(lat, 2), interior_witness(lat), convex_combination(
-            [(Fraction(1, 3), uniform(lat, 1)),
-             (Fraction(2, 3), uniform(lat, 3))])):
-        assert check_axioms(p) == AxiomReport(True, ())
-    # a point that fails a facet takes the literal walk, which reads it
-    with pytest.raises(AssertionError, match="pair table"):
-        check_axioms(rank_point(lat, [0] + [2] * (lat.size - 1)))
 
 
 def test_mu_bases_equal_rank_fractional(lat23):

@@ -10,7 +10,7 @@ from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import build_hrep
 from qrank.subspaces import build_lattice, gaussian_binomial
 
-from helpers import pair_block, span_containment_order
+from helpers import reference_pairs, span_containment_order
 
 
 def _brute_count_subspaces(q, n, l):
@@ -132,14 +132,14 @@ def test_meet_join_agree_with_vector_sets(lat24, lat33, lat43, lat25):
 
 
 def test_incomparable_table_agrees_with_vector_sets(lat24, lat33, lat43):
-    # the pair block of the rows and the diamonds, L(F_4^3) over a field
+    # the reference pair rows and the diamonds, L(F_4^3) over a field
     # that is not prime among them
     for lat in (lat24, lat33, lat43):
         expected = tuple((x, y) + _meet_join_by_rref(lat, x, y)
                          for x in range(lat.size)
                          for y in range(x + 1, lat.size)
                          if not lat.leq(x, y) and not lat.leq(y, x))
-        assert pair_block(lat) == expected
+        assert reference_pairs(lat) == expected
         dims = lat.dims
         assert lat.diamonds == tuple(
             row for row in expected
@@ -148,15 +148,16 @@ def test_incomparable_table_agrees_with_vector_sets(lat24, lat33, lat43):
 
 def test_pair_tables_share_one_int_per_index(lat25):
     # 374 spaces, past the small ints that CPython shares anyway
-    for table in (pair_block(lat25), lat25.diamonds):
-        assert len({id(i) for row in table for i in row}) <= lat25.size
+    table = lat25.diamonds
+    assert len({id(i) for row in table for i in row}) <= lat25.size
 
 
 def test_incomparable_table_size_25(lat25):
-    assert len(pair_block(lat25)) == 64_356
-    # H's pair rows are the ones that name two spaces first
-    assert sum(1 for _, y, _, _ in build_hrep(lat25).rows
-               if y < lat25.size) == 64_356
+    pairs = reference_pairs(lat25)
+    assert len(pairs) == 64_356
+    # H's pair rows are its last, from the first pair's row number on
+    H = build_hrep(lat25)
+    assert len(H.rows) - H.pair_rows(pairs[:1])[0] == 64_356
 
 
 @pytest.mark.parametrize("fixture", ["lat22", "lat32", "lat23", "lat33",
@@ -166,7 +167,7 @@ def test_diamonds_are_the_pairs_covering_their_meet(fixture, request):
     lat = request.getfixturevalue(fixture)
     dims = lat.dims
     assert lat.diamonds == tuple(
-        row for row in pair_block(lat)
+        row for row in reference_pairs(lat)
         if dims[row[0]] == dims[row[1]] == dims[row[2]] + 1)
     for x, y, m, j in lat.diamonds:
         assert m in lat.covers_down[x] and m in lat.covers_down[y]
