@@ -54,28 +54,32 @@ names rows of the whole system.  Only the text writes every row.
 
 Facets are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators and padded,
-and one plain loop over the facet table (_facets_at) files facet i as
-tight or violated by comparing w[m] + w[j] with w[x] + w[y], in Python
-ints; membership, is_vertex and f_vector all read its result.
+and a loop over the facet table files facet i as tight or violated by
+comparing w[m] + w[j] with w[x] + w[y], in Python ints.  That facet
+status is evaluated once per point, on first use, and kept on the
+immutable point (RankPoint.facet_status); check_axioms, membership,
+is_vertex and f_vector all read it (_facets_at), so certifying a point,
+its axioms first, walks the facet table once.
 
 Every rank is taken by one exact kernel, _rank: Gauss-Jordan elimination
 in Python ints over the normals of tight facets, the only rows not in
-the (x, y, m, j) format: _normals writes each as its at most four
-nonzero (column, value) entries.  Each pivot row is primitive and holds
-no other pivot's column, and an index maps each free column to the rows
-that hold it, so a row is reduced in one pass over its own entries, and
-a new pivot is cleared from only the rows that hold its column.  Most
-tight facet rows turn out dependent, and two tests skip them cheaply: a
-pivot column is solved once its row holds it alone, so a row on solved
-columns only is skipped before any dict is built; and at one rank below
-the column count the pivot rows leave one free column, so after the
-first dependent row each row costs one dot product with their null
-vector.  Vertex certification
-ranks the tight facet normals, so every certificate is checkable by
-hand; the elimination stops once the rank reaches the number of columns,
-since no further row can raise it.  f_vector takes no rank: it reads
-each vertex's tight facets as bitsets over the vertices and steps from
-each face to its facets, so a face's dimension is its level.
+the (x, y, m, j) format: _normals yields each, as _rank reads it, as
+its at most four nonzero (column, value) entries.  Each pivot row is
+primitive and holds no other pivot's column, and an index maps each free
+column to the rows that hold it, so a row is reduced in one pass over
+its own entries, and a new pivot is cleared from only the rows that hold
+its column.  Most tight facet rows turn out dependent, and two tests
+skip them cheaply: a pivot column is solved once its row holds it alone,
+so a row on solved columns only is skipped before any dict is built;
+and at one rank below the column count the pivot rows leave one free
+column, so after the first dependent row each row costs one dot product
+with their null vector.  Vertex certification ranks the tight facet
+normals, so every certificate is checkable by hand; the elimination
+stops once the rank reaches the number of columns, since no further row
+can raise it, and the normals of the tight facets after that are never
+written.  f_vector takes no rank: it reads each vertex's tight facets
+as bitsets over the vertices and steps from each face to its facets, so
+a face's dimension is its level.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass whose rays are padded vectors
@@ -96,7 +100,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
-from .rankfun import rank_point, scaled_values
+from .rankfun import rank_point
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 10
@@ -215,21 +219,21 @@ Membership = namedtuple("Membership", "status tight_rows violated_rows")
 
 
 def membership(H, p):
-    """The status of the point, decided on the facet rows alone
-    (_facets_at): outside when it violates a facet, boundary when it is
-    tight on one, interior when every facet is strict.  tight_rows and
-    violated_rows are the row numbers of those facets (H.facet_rows), in
-    row order.
+    """The status of the point, decided on the facet rows alone, from
+    its facet status (_facets_at): outside when it violates a facet,
+    boundary when it is tight on one, interior when every facet is
+    strict.  tight_rows and violated_rows are the row numbers of those
+    facets (H.facet_rows), in row order.
 
     This reads no other row, and the status is that of the whole
     system: every row is a nonnegative sum of facet rows with the same
     right-hand side, so a row is violated only where some facet is, and
     at a feasible point a tight row forces its summands tight."""
-    tight, violated = _facets_at(H, p)
-    rows = H.facet_rows
-    tight = tuple(rows[i] for i in tight)
-    if violated:
-        return Membership("outside", tight, tuple(rows[i] for i in violated))
+    status = _facets_at(H, p)
+    row = H.facet_rows.__getitem__
+    tight = tuple(map(row, status.tight))
+    if status.violated:
+        return Membership("outside", tight, tuple(map(row, status.violated)))
     return Membership("boundary" if tight else "interior", tight, ())
 
 
@@ -238,64 +242,61 @@ VertexCertificate = namedtuple("VertexCertificate",
 
 
 def is_vertex(H, p):
-    """Certify the point on the facet rows alone (_facets_at): a
-    violated facet raises NotFeasible naming the violated facet rows.
-    The certificate lists the row numbers of the tight facets and the
-    rank of their normals, taken by exact elimination; the point is a
-    vertex iff that rank equals the ambient dimension.  The normals have
-    ambient_dim columns, so elimination may stop at that rank and stay
-    exact.
+    """Certify the point on the facet rows alone, from its facet status
+    (_facets_at): a violated facet raises NotFeasible, which gives the
+    number of violated facet rows and names the first five, so its
+    length does not grow with the lattice.  The certificate lists the
+    row numbers of the tight facets and the rank of their normals, taken
+    by exact elimination; the point is a vertex iff that rank equals the
+    ambient dimension.  The normals have ambient_dim columns, so
+    elimination may stop at that rank and stay exact; they reach it as
+    an iterator (_normals), so the normals of the tight facets after
+    that rank are never written.
 
     The result is that of the whole system, as in membership, and a
     tight row at a feasible point forces its summands tight, so the
-    tight rows and the tight facets have normals of equal span
-    (_normals)."""
-    tight, violated = _facets_at(H, p)
-    rows, facets = H.facet_rows, H.lattice.facets
-    if violated:
-        raise NotFeasible("point violates facet rows "
-                          f"{tuple(rows[i] for i in violated)}")
-    rank = _rank(_normals([facets[i] for i in tight], H.lattice.top),
+    tight rows and the tight facets have normals of equal span."""
+    status = _facets_at(H, p)
+    row = H.facet_rows.__getitem__
+    if status.violated:
+        bad = status.violated
+        first = ", ".join(str(row(i)) for i in bad[:5])
+        raise NotFeasible(f"point violates {len(bad)} facet rows: {first}"
+                          + (", ..." if len(bad) > 5 else ""))
+    lat = H.lattice
+    rank = _rank(_normals(map(lat.facets.__getitem__, status.tight), lat.top),
                  full=H.ambient_dim)
-    return VertexCertificate(p, tuple(rows[i] for i in tight), rank,
+    return VertexCertificate(p, tuple(map(row, status.tight)), rank,
                              rank == H.ambient_dim)
 
 
 def _facets_at(H, p):
-    """(tight, violated): the positions in the lattice's facet table
-    (SubspaceLattice.facets) of the facets tight and violated at the
-    point, each in increasing order, which is row order.  One loop over
-    the table on the point's padded vector w: facet (x, y, m, j) is
-    tight when w[m] + w[j] == w[x] + w[y] and violated when it is
-    greater.  The system has no v_0, so the point's value there is read
-    as 0 (SubspaceLattice.padded)."""
-    lat = H.lattice
-    if p.lattice is not lat:
+    """The point's facet status (rankfun.FacetStatus: mu, the padded
+    vector w, and the positions in the lattice's facet table of the
+    facets tight and violated at the point, each in increasing order,
+    which is row order), after checking that the point lies on H's
+    lattice.  The status is evaluated on the point's first use and kept
+    on it (RankPoint.facet_status), with v_0 read as 0, since the system
+    has no v_0 (SubspaceLattice.padded)."""
+    if p.lattice is not H.lattice:
         raise DimensionMismatch(
             "point and H-representation use different lattices")
-    w = lat.padded(*scaled_values(p.values))
-    tight, violated = [], []
-    for i, (x, y, m, j) in enumerate(lat.facets):
-        if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
-            (violated if w[m] + w[j] > w[x] + w[y] else tight).append(i)
-    return tight, violated
+    return p.facet_status
 
 
 def _normals(facets, top):
     """The sparse normals, over the columns of the lattice indices, of
-    entries of the facet table on a lattice with top index top: e_a for
-    an atom bound, e_h - e_top for a top cover, and e_m - e_x - e_y + e_j
-    for a diamond, with v_0 left out of a zero meet, as in the
-    system's rows."""
-    out = []
+    entries of the facet table on a lattice with top index top, yielded
+    one at a time as they are read: e_a for an atom bound, e_h - e_top
+    for a top cover, and e_m - e_x - e_y + e_j for a diamond, with v_0
+    left out of a zero meet, as in the system's rows."""
     for x, y, m, j in facets:
         if y > top:  # an atom bound (x > top reads mu) or a top cover
-            out.append(((m, 1),) if x > top else ((m, 1), (x, -1)))
+            yield ((m, 1),) if x > top else ((m, 1), (x, -1))
         elif m:
-            out.append(((m, 1), (x, -1), (y, -1), (j, 1)))
+            yield (m, 1), (x, -1), (y, -1), (j, 1)
         else:
-            out.append(((x, -1), (y, -1), (j, 1)))
-    return out
+            yield (x, -1), (y, -1), (j, 1)
 
 
 def interior_witness(lattice):
@@ -319,28 +320,31 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 
     Depth-first search in the lattice's linear order, with forward
     checking: every space not yet assigned keeps bounds lo <= v <= hi
-    (at first 0 and its dimension).  Setting v_Z = v raises lo to v on
-    every space above Z (monotonicity), lowers hi to v + 1 on every
-    upper cover of Z (on a cover X < Y, v_Y <= v_X + 1 is submodularity
-    against an atom), and, for each diamond X < Z with meet M and join J,
+    (at first 0 and its dimension).  Setting v_Z = v raises lo to v and
+    lowers hi to v + 1 on every upper cover of Z (monotonicity, and on a
+    cover X < Y, v_Y <= v_X + 1 is submodularity against an atom), and,
+    for each diamond X < Z with meet M and join J,
     lowers hi on J to v_X + v - v_M (submodularity), so a diamond row is
     applied as soon as the later space of its pair is set.  Every facet
     (SubspaceLattice.facets) is then enforced by the time its last space
     is set, so every leaf is a point; the other pair rows are sums of
-    diamond rows and would only cut earlier.  A branch is cut once some
-    bounds cross; the changes are undone on backtrack.  Values are tried
-    in increasing order, so the points come out sorted by their values,
-    and forward checking removes only values no point takes, so the
-    points are the same as without it.
+    diamond rows and would only cut earlier.  Covers suffice for
+    monotonicity: the order is graded, so every lower cover of a space
+    is set before the space, and each has raised its lo to its value;
+    along a chain of covers that bounds the space below by every space
+    under it.  Raising lo on a space two or more grades up would cut
+    nothing earlier either, since no space of the grade between has been
+    set, so its hi is still its dimension, above v.  A branch is cut
+    once some bounds cross; the changes are undone on backtrack.  Values
+    are tried in increasing order, so the points come out sorted by
+    their values, and forward checking removes only values no point
+    takes, so the points are the same as without it.
 
     Raises TooLarge once the search has visited more than max_nodes
     partial assignments (the default admits L(F_2^4), 45,920, and
     L(F_7^3), 16,731, and refuses L(F_2^5) within seconds)."""
     lat = lattice
     size = lat.size
-    # above[z]: the spaces j > z over z, the bits of its above-mask
-    above = [[j for j in range(z + 1, size) if mask >> j & 1]
-             for z, mask in enumerate(lat.above_mask)]
     covers_up = lat.covers_up
     later = [[] for _ in range(size)]  # later[y]: (x, meet, join), x < y
     for x, y, m, j in lat.diamonds:
@@ -357,19 +361,16 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
         """Set v_z = v and tighten the bounds it implies; False once
         some space is left with no value."""
         vals[z] = v
-        for j in above[z]:
+        w = v + 1
+        for j in covers_up[z]:
             if lo[j] < v:
                 trail.append((lo, j, lo[j]))
                 lo[j] = v
-                if v > hi[j]:
-                    return False
-        w = v + 1
-        for j in covers_up[z]:
             if hi[j] > w:
                 trail.append((hi, j, hi[j]))
                 hi[j] = w
-                if lo[j] > w:
-                    return False
+            if lo[j] > hi[j]:
+                return False
         for x, m, j in later[z]:
             w = vals[x] + v - vals[m]
             if hi[j] > w:
@@ -403,11 +404,12 @@ def lattice_points(lattice, max_nodes=MAX_DFS_NODES):
 # -- exact linear algebra helpers ---------------------------------------
 
 def _rank(rows, full=None):
-    """Rank over Q of an integer matrix given as sparse rows, each a
-    sequence of (column, value) pairs with distinct columns, such as the
-    tight facet normals (_normals).  With full set to the number of
-    columns (or any known bound on the rank), the remaining rows are
-    skipped once that many pivots are found.
+    """Rank over Q of an integer matrix given as sparse rows, read once
+    in order from any iterable, each a sequence of (column, value) pairs
+    with distinct columns, such as the tight facet normals (_normals).
+    With full set to the number of columns (or any known bound on the
+    rank), the remaining rows are skipped once that many pivots are
+    found.
 
     Exact Gauss-Jordan elimination in ints.  Each pivot row is
     primitive, positive at its pivot column and zero at every other
@@ -671,7 +673,7 @@ def f_vector(H):
         raise TooLarge(f"ambient dimension {d} exceeds cap {MAX_FVECTOR_DIM}")
     incidence = {}  # facet -> bitset of the vertices tight on it
     for i, p in enumerate(enumerate_vertices(H)):
-        for k in _facets_at(H, p)[0]:
+        for k in _facets_at(H, p).tight:
             incidence[k] = incidence.get(k, 0) | 1 << i
     return _face_counts(incidence.values())
 

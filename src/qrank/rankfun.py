@@ -16,9 +16,12 @@ evaluated on mu-scaled integers: the point is multiplied once by mu,
 the lcm of its denominators, so no Fraction arithmetic happens per row.
 A facet row (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y] on the
 padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
-(SubspaceLattice.padded), and each facet is one axiom instance, so
-check_axioms reads the facet table as polytope reads it and reports the
-violated facets: every axiom failure shows in one.
+(SubspaceLattice.padded).  A point's facet status, the facets tight and
+violated there, is evaluated once, on first use, and kept on the
+immutable point (RankPoint.facet_status), so check_axioms, membership,
+is_vertex and f_vector share one pass over the facet table per point.
+Each facet is one axiom instance, so check_axioms reports the violated
+facets of that status: every axiom failure shows in one.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DimensionMismatch, NotADenominator, parse_key,
                      parse_rational, parse_rationals)
 
 __all__ = [
-    "RankPoint", "AxiomReport", "Violation", "IndependenceReport",
-    "Classification", "rank_point", "scaled_values", "check_axioms",
-    "principal_denominator",
+    "RankPoint", "FacetStatus", "AxiomReport", "Violation",
+    "IndependenceReport", "Classification", "rank_point", "scaled_values",
+    "check_axioms", "principal_denominator",
     "independence_report", "mu_bases", "closure", "flats", "cyclic_spaces",
     "cyclic_flats", "classify", "is_strong_independent",
     "point_to_json", "point_from_json",
@@ -41,15 +45,29 @@ __all__ = [
 
 
 class RankPoint(namedtuple("RankPoint", "lattice values")):
-    """A vector of exact rationals indexed by lattice positions."""
+    """A vector of exact rationals indexed by lattice positions.
 
-    __slots__ = ()
+    Immutable: setting any attribute raises AttributeError.  The
+    instance dict holds only the cached facet_status, which
+    cached_property writes into it directly."""
 
     def __new__(cls, lattice, values):
         if len(values) != lattice.size:
             raise DimensionMismatch(
                 f"expected {lattice.size} values, got {len(values)}")
         return super().__new__(cls, lattice, values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RankPoint is immutable; cannot set {name!r}")
+
+    @cached_property
+    def facet_status(self):
+        """The FacetStatus of the point on its lattice's facet table,
+        with v_0 read as 0 (SubspaceLattice.padded), evaluated on first
+        use and kept: the point is immutable, so every certifier that
+        reads it afterwards reads the same status."""
+        mu, vals = scaled_values(self.values)
+        return _facet_status(self.lattice, mu, self.lattice.padded(mu, vals))
 
     @property
     def rank(self):
@@ -80,6 +98,22 @@ def scaled_values(values):
     return mu, tuple(v.numerator * (mu // v.denominator) for v in values)
 
 
+# tight and violated are positions in lattice.facets, in increasing order
+FacetStatus = namedtuple("FacetStatus", "mu w tight violated")
+
+
+def _facet_status(lattice, mu, w):
+    """The FacetStatus of the padded vector w, scaled by mu: one loop
+    over the lattice's facet table (SubspaceLattice.facets), in which
+    facet (x, y, m, j) is tight when w[m] + w[j] == w[x] + w[y] and
+    violated when it is greater."""
+    tight, violated = [], []
+    for i, (x, y, m, j) in enumerate(lattice.facets):
+        if w[m] + w[j] >= w[x] + w[y]:  # no slack kept: most are strict
+            (violated if w[m] + w[j] > w[x] + w[y] else tight).append(i)
+    return FacetStatus(mu, w, tuple(tight), tuple(violated))
+
+
 Violation = tuple  # (axiom tag, witness indices, positive slack)
 
 
@@ -105,22 +139,31 @@ def check_axioms(p):
     incomparable pair) in the order R1, R2, R3: the report is that list
     with only the facet instances kept, in its order.
 
-    One loop over the facet table on the padded vector with v_0 kept,
-    which a diamond with a zero meet reads, all in mu-scaled ints."""
+    The facets are read from the point's cached facet status
+    (facet_status), so a certifier that reads the status afterwards
+    evaluates no facet again.  That status reads v_0 as 0; a diamond
+    with a zero meet reads v_0, so a point with v_0 != 0 is evaluated
+    instead, uncached, on the padded vector that keeps it."""
     lat = p.lattice
-    mu, vals = scaled_values(p.values)
-    w = (vals[0],) + lat.padded(mu, vals)[1:]  # see SubspaceLattice.facets
-    bad = [("R1", (0,), Fraction(abs(vals[0]), mu))] if vals[0] else []
-    size, top = lat.size, lat.top
-    for x, y, m, j in lat.facets:
-        if w[m] + w[j] > w[x] + w[y]:
-            slack = Fraction(w[m] + w[j] - w[x] - w[y], mu)
-            if y < size:
-                bad.append(("R3", (x, y), slack))
-            elif x > top:  # the atom bound (size + 1, size, a, size)
-                bad.append(("R1", (m,), slack))
-            else:  # the top cover (top, size, h, size)
-                bad.append(("R2", (m, x), slack))
+    if p.values[0]:
+        mu, vals = scaled_values(p.values)
+        w = (vals[0],) + lat.padded(mu, vals)[1:]  # see SubspaceLattice.facets
+        status = _facet_status(lat, mu, w)
+        bad = [("R1", (0,), Fraction(abs(vals[0]), mu))]
+    else:
+        status = p.facet_status
+        bad = []
+    mu, w = status.mu, status.w
+    facets, size, top = lat.facets, lat.size, lat.top
+    for i in status.violated:
+        x, y, m, j = facets[i]
+        slack = Fraction(w[m] + w[j] - w[x] - w[y], mu)
+        if y < size:
+            bad.append(("R3", (x, y), slack))
+        elif x > top:  # the atom bound (size + 1, size, a, size)
+            bad.append(("R1", (m,), slack))
+        else:  # the top cover (top, size, h, size)
+            bad.append(("R2", (m, x), slack))
     return AxiomReport(not bad, tuple(bad))
 
 

@@ -14,11 +14,12 @@ from helpers import (_int_rank, facet_axiom_violations,
                      random_paving_collection, rank_test_vertices,
                      reference_face_counts, reference_pairs, reference_rows,
                      reference_sparse_rank, table_row)
-from qrank import polytope
-from qrank.codes import induced_polymatroid, matrix_code
+from qrank import polytope, rankfun
+from qrank.codes import (induced_polymatroid, matrix_code,
+                         mrd_combo_independence)
 from qrank.constructions import (paving, paving_combo_report, paving_spec,
                                  two_uniform_combo_report, uniform)
-from qrank.errors import NotFeasible, TooLarge
+from qrank.errors import DimensionMismatch, NotFeasible, TooLarge
 from qrank.fields import FqMatrix, make_field, rref
 from qrank.polytope import (HRepresentation, _rank, affine_dimension,
                             build_hrep, enumerate_vertices, f_vector,
@@ -836,6 +837,78 @@ def test_is_vertex_rejects_infeasible(lat22):
     H = build_hrep(lat22)
     with pytest.raises(NotFeasible):
         is_vertex(H, rank_point(lat22, [0, 1, 1, 1, 3]))
+
+
+def test_not_feasible_names_a_bounded_number_of_rows(lat22, lat25):
+    # a top of 3 on L(F_2^2) fails the 3 diamonds of its atom pairs; on
+    # L(F_2^5), atoms at 0 and every other space at its dimension fail
+    # the diamond of each of the 465 atom pairs, and the message gives
+    # that count and the first five rows only
+    cases = [(lat22, [0, 1, 1, 1, 3], 3),
+             (lat25, [0 if d == 1 else d for d in lat25.dims], 465)]
+    for lat, values, count in cases:
+        H = build_hrep(lat)
+        p = rank_point(lat, values)
+        bad = membership(H, p).violated_rows
+        assert len(bad) == count
+        first = ", ".join(map(str, bad[:5]))
+        with pytest.raises(NotFeasible) as err:
+            is_vertex(H, p)
+        assert str(err.value) == (f"point violates {count} facet rows: {first}"
+                                  + (", ..." if count > 5 else ""))
+        assert len(str(err.value)) < 80
+
+
+@pytest.mark.parametrize("fixture", ["lat23", "lat24"])
+def test_certifying_a_point_walks_the_facet_table_once(monkeypatch, fixture,
+                                                       request):
+    # check_axioms, then membership and is_vertex, evaluate the point's
+    # facet status once, and they answer as on a fresh equal point,
+    # whose status nothing read before; every kind of point the
+    # benchmark certifies, an MRD combination included
+    lat = request.getfixturevalue(fixture)
+    H = build_hrep(lat)
+    mrd = mrd_combo_independence(lat.n, 2, 1, Fraction(1, 3), lattice=lat)
+    kinds = _point_kinds(lat, random.Random(41)) + [("mrd combo", mrd.point)]
+    walks = []
+    evaluate = rankfun._facet_status
+
+    def counting(*args):
+        walks.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(rankfun, "_facet_status", counting)
+    outside = 0
+    for kind, q in kinds:
+        p, fresh = rank_point(lat, q.values), rank_point(lat, q.values)
+        walks.clear()
+        rep = check_axioms(p)
+        mem = membership(H, p)
+        try:
+            cert = is_vertex(H, p)
+        except NotFeasible as exc:
+            cert = str(exc)
+        assert len(walks) == 1, kind
+        assert fresh == p and hash(fresh) == hash(p)
+        assert membership(H, fresh) == mem, kind
+        if rep.ok:
+            assert is_vertex(H, fresh) == cert, kind
+        else:
+            outside += 1
+            with pytest.raises(NotFeasible) as err:
+                is_vertex(H, fresh)
+            assert str(err.value) == cert, kind
+        assert len(walks) == 2, kind
+    assert outside
+
+
+def test_a_cached_status_keeps_the_lattice_guard(lat22, lat32):
+    p = uniform(lat32, 1)
+    assert check_axioms(p).ok and is_vertex(build_hrep(lat32), p).is_vertex
+    H = build_hrep(lat22)
+    for certify in (membership, is_vertex):
+        with pytest.raises(DimensionMismatch):
+            certify(H, p)
 
 
 def test_interior_witness_values(lat22, lat23):
