@@ -29,7 +29,7 @@ for d in range(4):
     print(f"    dim {d}: {[str(v) for v in p.grade_values(d)]}")
 cert = is_vertex(H, p)
 print(f"  certified vertex of the (2,3) polytope: {cert.is_vertex} "
-      f"({len(cert.tight_rows)} tight rows of rank {cert.normal_rank})")
+      f"({len(cert.tight_rows)} tight facets of rank {cert.normal_rank})")
 
 print("\nThe F_8-line spanned by (1, t), expanded column-wise over F_2:")
 G = gabidulin_line_code()

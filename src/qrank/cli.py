@@ -110,10 +110,11 @@ def _cmd_polytope(args):
     if args.which == "points":
         _write(args, _points_text(polytope.lattice_points(lat)))
         return 0
+    if args.which == "hrep":  # the text reads no facet: build none
+        _write_lines(args, polytope.HRepresentation(lat).text_lines(args.full))
+        return 0
     H = polytope.build_hrep(lat)
-    if args.which == "hrep":
-        _write_lines(args, H.text_lines(args.full))
-    elif args.which == "vertices":
+    if args.which == "vertices":
         _write(args, _points_text(polytope.enumerate_vertices(H)))
     elif args.which == "fvector":
         fv = polytope.f_vector(H)

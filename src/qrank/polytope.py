@@ -14,11 +14,11 @@ Every row has one format, that of SubspaceLattice.facets: a row
 (x, y, m, j) holds iff w[m] + w[j] <= w[x] + w[y], where
 w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is the point's
 padded vector (SubspaceLattice.padded): v_0 reads 0, and index
-size + d reads d mu.  No table holds every row: build_hrep returns an
-HRepresentation whose rows are the row numbers, counted from the masks,
-and the text is produced one line at a time by one loop per block of
-rows (HRepresentation.text_lines), which reads each pair's meet and join
-as it goes, so the CLI streams it.
+size + d reads d mu.  No table holds every row: an HRepresentation
+holds the lattice alone, counts its rows from the masks, and writes the
+text one line at a time by one loop per block of rows
+(HRepresentation.text_lines), which reads each pair's meet and join as
+it goes, so the CLI streams it.
 
 The facets are a marked subset of these rows, not a second system:
 the bounds v_a <= 1 on the atoms, the top covers v_h <= v_top on the
@@ -47,10 +47,9 @@ is_vertex, check_axioms (rankfun), double description and f_vector read
 the facet table alone.  Each facet is one axiom instance (an atom bound
 is R1, a top cover R2 and a diamond R3), so the violated facets explain
 why a point is outside: every axiom failure shows in one.  Each entry is
-a row of H, and H.facet_rows gives its row number, counted once when H
-is built (the atom bound on a is row a - 1, and
-HRepresentation.pair_rows numbers diamonds from the masks), so a report
-names rows of the whole system.  Only the text writes every row.
+a row of the system, and the table lists them in row order, so a report
+names facets by their positions in the table, which no query maps to
+row numbers.  Only the text writes every row, and it reads no facet.
 
 Facets are evaluated on mu-scaled integers (rankfun.scaled_values): a
 point is multiplied once by the lcm mu of its denominators and padded,
@@ -100,7 +99,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
-from .rankfun import rank_point
+from .rankfun import facet_instance, rank_point
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 10
@@ -109,49 +108,30 @@ MAX_DFS_NODES = 100_000
 
 class HRepresentation:
     """The H-representation of the polytope on the lattice, over the
-    columns v_1 .. v_top.  rows is range(N), the numbers of the N rows
-    of the system in row order, which membership and is_vertex report;
-    no row is stored, and text_lines writes each one as it goes.
-    facet_rows is the row number of each entry of the lattice's facet
-    table."""
+    columns v_1 .. v_top.  It holds the lattice alone: rows counts the
+    rows of the system from the masks, and text_lines writes each one as
+    it goes.  Certificates name facets by their positions in the
+    lattice's facet table, so no row is numbered."""
 
     def __init__(self, lattice):
         self.lattice = lattice
-        size = lattice.size
-        # the bounds, the atoms and the covers above the atoms come
-        # before the pair rows
-        pairs = lattice.top + len(lattice.atom_range) + sum(
-            map(len, lattice.covers_down[lattice.grade_offsets[2]:]))
-        # _pair_base[x] + x is the first pair row of x: each x'' < x
-        # has one row for each of the size - x'' - |above x''| spaces
-        # after it that do not lie above it (see pair_rows)
-        base, pair_offset = [], pairs
-        for x, ax in enumerate(lattice.above_mask):
-            base.append(pair_offset - x)
-            pair_offset += size - x - ax.bit_count()
-        self._pair_base = tuple(base)
-        self._low = tuple((1 << y) - 1 for y in range(size))
-        self.rows = range(pair_offset)
-        # the row number of each entry of lattice.facets, counted here so
-        # that no query counts them: the bound on atom a is row a - 1,
-        # and the top covers end the cover block
-        top_covers = len(lattice.covers_down[lattice.top])
-        self.facet_rows = (tuple(a - 1 for a in lattice.atom_range)
-                           + tuple(range(pairs - top_covers, pairs))
-                           + tuple(self.pair_rows(lattice.diamonds)))
 
     @property
     def ambient_dim(self):
         return self.lattice.size - 1
 
-    def pair_rows(self, pairs):
-        """The row numbers of the pair rows on pairs, (x, y, meet, join)
-        entries of the pair block such as the diamonds, counted from the
-        masks with no pass over the rows: the pairs (x, y') before
-        (x, y) are the y' strictly between x and y not above x."""
-        base, above, low = self._pair_base, self.lattice.above_mask, self._low
-        return [base[x] + y - (above[x] & low[y]).bit_count()
-                for x, y, _, _ in pairs]
+    @property
+    def rows(self):
+        """range(N), N the number of rows of the system, counted from the
+        masks on each read: a bound on each nonzero space, the atoms, the
+        covers above the atoms, and for each x the spaces after it that
+        do not lie above it, one pair row each."""
+        lat = self.lattice
+        size = lat.size
+        return range(lat.top + len(lat.atom_range)
+                     + sum(map(len, lat.covers_down[lat.grade_offsets[2]:]))
+                     + sum(size - x - ax.bit_count()
+                           for x, ax in enumerate(lat.above_mask)))
 
     def text_lines(self, full=False):
         """The text one line at a time, each ending in a newline.
@@ -206,11 +186,14 @@ class HRepresentation:
 
 
 def build_hrep(lattice):
-    """H-representation of the q-rank polytope on the given lattice.
+    """H-representation of the q-rank polytope on the given lattice,
+    for the certifiers and the vertex search, which read its facets.
 
-    Builds the lattice's diamonds, which the facet table holds, here,
-    so their one-time cost falls in the set-up and not in the first
-    query."""
+    Builds the lattice's facet table, diamonds and all, here, so its
+    one-time cost falls in the set-up and not in the first query.  The
+    text alone needs no facet: HRepresentation(lattice).text_lines
+    builds none."""
+    lattice.facets  # a cached_property: built on this first read
     return HRepresentation(lattice)
 
 
@@ -222,19 +205,18 @@ def membership(H, p):
     """The status of the point, decided on the facet rows alone, from
     its facet status (_facets_at): outside when it violates a facet,
     boundary when it is tight on one, interior when every facet is
-    strict.  tight_rows and violated_rows are the row numbers of those
-    facets (H.facet_rows), in row order.
+    strict.  tight_rows and violated_rows are the positions of those
+    facets in the lattice's facet table (SubspaceLattice.facets), in
+    increasing order, which is row order.
 
     This reads no other row, and the status is that of the whole
     system: every row is a nonnegative sum of facet rows with the same
     right-hand side, so a row is violated only where some facet is, and
     at a feasible point a tight row forces its summands tight."""
     status = _facets_at(H, p)
-    row = H.facet_rows.__getitem__
-    tight = tuple(map(row, status.tight))
-    if status.violated:
-        return Membership("outside", tight, tuple(map(row, status.violated)))
-    return Membership("boundary" if tight else "interior", tight, ())
+    tight, violated = status.tight, status.violated
+    return Membership("outside" if violated else "boundary" if tight
+                      else "interior", tight, violated)
 
 
 VertexCertificate = namedtuple("VertexCertificate",
@@ -244,11 +226,13 @@ VertexCertificate = namedtuple("VertexCertificate",
 def is_vertex(H, p):
     """Certify the point on the facet rows alone, from its facet status
     (_facets_at): a violated facet raises NotFeasible, which gives the
-    number of violated facet rows and names the first five, so its
-    length does not grow with the lattice.  The certificate lists the
-    row numbers of the tight facets and the rank of their normals, taken
-    by exact elimination; the point is a vertex iff that rank equals the
-    ambient dimension.  The normals have ambient_dim columns, so
+    number of violated facets and names the first three as the axiom
+    instances they are (rankfun.facet_instance), so its length does not
+    grow with the lattice.  The certificate lists the positions of the
+    tight facets in the facet table, as membership does, and the rank of
+    their normals, taken by exact elimination; the point is a vertex iff
+    that rank equals the ambient dimension.  The normals have ambient_dim
+    columns, so
     elimination may stop at that rank and stay exact; they reach it as
     an iterator (_normals), so the normals of the tight facets after
     that rank are never written.
@@ -257,17 +241,18 @@ def is_vertex(H, p):
     tight row at a feasible point forces its summands tight, so the
     tight rows and the tight facets have normals of equal span."""
     status = _facets_at(H, p)
-    row = H.facet_rows.__getitem__
+    lat = H.lattice
     if status.violated:
         bad = status.violated
-        first = ", ".join(str(row(i)) for i in bad[:5])
-        raise NotFeasible(f"point violates {len(bad)} facet rows: {first}"
-                          + (", ..." if len(bad) > 5 else ""))
-    lat = H.lattice
+        first = ", ".join(
+            f"{tag} ({', '.join(map(str, spaces))})"
+            for tag, spaces in (facet_instance(lat, lat.facets[i])
+                                for i in bad[:3]))
+        raise NotFeasible(f"point violates {len(bad)} facets: {first}"
+                          + (", ..." if len(bad) > 3 else ""))
     rank = _rank(_normals(map(lat.facets.__getitem__, status.tight), lat.top),
                  full=H.ambient_dim)
-    return VertexCertificate(p, tuple(map(row, status.tight)), rank,
-                             rank == H.ambient_dim)
+    return VertexCertificate(p, status.tight, rank, rank == H.ambient_dim)
 
 
 def _facets_at(H, p):

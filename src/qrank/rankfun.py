@@ -20,8 +20,9 @@ padded vector w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu)
 violated there, is evaluated once, on first use, and kept on the
 immutable point (RankPoint.facet_status), so check_axioms, membership,
 is_vertex and f_vector share one pass over the facet table per point.
-Each facet is one axiom instance, so check_axioms reports the violated
-facets of that status: every axiom failure shows in one.
+Each facet is one axiom instance (facet_instance), so check_axioms
+reports the violated facets of that status, and is_vertex names them
+when it refuses a point: every axiom failure shows in one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (DimensionMismatch, NotADenominator, parse_key,
 __all__ = [
     "RankPoint", "FacetStatus", "AxiomReport", "Violation",
     "IndependenceReport", "Classification", "rank_point", "scaled_values",
-    "check_axioms", "principal_denominator",
+    "check_axioms", "facet_instance", "principal_denominator",
     "independence_report", "mu_bases", "closure", "flats", "cyclic_spaces",
     "cyclic_flats", "classify", "is_strong_independent",
     "point_to_json", "point_from_json",
@@ -123,12 +124,11 @@ AxiomReport = namedtuple("AxiomReport", "ok violations")
 def check_axioms(p):
     """Check the axioms (R1) bounds, (R2) monotonicity and (R3)
     submodularity, and report the facets of the polytope that the point
-    violates (SubspaceLattice.facets), each as the axiom instance it is:
-    an atom bound v_a <= 1 as ("R1", (a,), slack), a top cover
-    v_h <= v_top as ("R2", (h, top), slack), and a diamond as
-    ("R3", (x, y), slack).  A nonzero v_0 comes first, as
-    ("R1", (0,), |v_0|).  Each slack is the exact positive amount by
-    which the instance fails; violations are data, not errors.
+    violates (SubspaceLattice.facets), each as (tag, spaces, slack): the
+    axiom instance it is (facet_instance) and its slack.  A nonzero v_0
+    comes first, as ("R1", (0,), |v_0|).  Each slack is the exact
+    positive amount by which the instance fails; violations are data,
+    not errors.
 
     The report is complete: the point fails some axiom iff it is
     reported.  Every other axiom instance is a nonnegative sum of facet
@@ -154,17 +154,24 @@ def check_axioms(p):
         status = p.facet_status
         bad = []
     mu, w = status.mu, status.w
-    facets, size, top = lat.facets, lat.size, lat.top
     for i in status.violated:
-        x, y, m, j = facets[i]
-        slack = Fraction(w[m] + w[j] - w[x] - w[y], mu)
-        if y < size:
-            bad.append(("R3", (x, y), slack))
-        elif x > top:  # the atom bound (size + 1, size, a, size)
-            bad.append(("R1", (m,), slack))
-        else:  # the top cover (top, size, h, size)
-            bad.append(("R2", (m, x), slack))
+        x, y, m, j = f = lat.facets[i]
+        bad.append((*facet_instance(lat, f),
+                    Fraction(w[m] + w[j] - w[x] - w[y], mu)))
     return AxiomReport(not bad, tuple(bad))
+
+
+def facet_instance(lattice, facet):
+    """The axiom instance that an entry (x, y, m, j) of the lattice's
+    facet table is, as (tag, spaces): an atom bound v_a <= 1 is
+    ("R1", (a,)), a top cover v_h <= v_top is ("R2", (h, top)), and a
+    diamond is ("R3", (x, y))."""
+    x, y, m, _ = facet
+    if y < lattice.size:
+        return "R3", (x, y)
+    if x > lattice.top:  # the atom bound (size + 1, size, a, size)
+        return "R1", (m,)
+    return "R2", (m, x)  # the top cover (top, size, h, size)
 
 
 def principal_denominator(p):

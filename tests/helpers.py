@@ -129,6 +129,15 @@ def reference_pairs(lat):
     return tuple(row for row in reference_rows(lat) if row[1] < lat.size)
 
 
+def facet_row_numbers(lat):
+    """The row number in reference_rows of each entry of lat.facets, in
+    the table's order: the map from the facet positions that membership
+    and is_vertex report to the rows of the text.  A KeyError means an
+    entry that is no row of the system."""
+    number = {row: k for k, row in enumerate(reference_rows(lat))}
+    return tuple(number[f] for f in lat.facets)
+
+
 def table_row(lat, row):
     """(coeffs, rhs) of a row (x, y, m, j) of the polytope's system,
     which holds iff w[m] + w[j] <= w[x] + w[y] on the padded vector

@@ -14,6 +14,7 @@ from helpers import facet_axiom_violations, literal_axiom_violations
 from qrank.cli import build_parser, main
 from qrank.errors import show_int
 from qrank.rankfun import point_from_json
+from qrank.subspaces import SubspaceLattice
 
 
 def run(capsys, *argv):
@@ -91,6 +92,21 @@ def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, flags, digest):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["polytope", "hrep", "--q", str(q), "--n", str(n), *flags]) == 0
     assert out.sha.hexdigest() == digest
+
+
+def test_polytope_hrep_reads_no_facet(monkeypatch):
+    # the text is written from the masks, meets and joins alone: the
+    # leaf builds no facet table and no diamond
+    def unread(self):
+        raise AssertionError("the hrep leaf read the facet table")
+
+    monkeypatch.setattr(SubspaceLattice, "facets", property(unread))
+    monkeypatch.setattr(SubspaceLattice, "diamonds", property(unread))
+    out = _HashingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["polytope", "hrep", "--q", "2", "--n", "3"]) == 0
+    assert out.sha.hexdigest() == (
+        "a9ea65d74a5f3bdc88b9aa6418b14b15de342654dce8efcac4ddcfd7a879f9e0")
 
 
 @pytest.mark.parametrize("q,digest", [

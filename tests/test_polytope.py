@@ -12,8 +12,8 @@ from helpers import (_int_rank, facet_axiom_violations,
                      literal_axiom_violations, plain_dfs_lattice_points,
                      random_disjoint_paving_pair, random_lambda,
                      random_paving_collection, rank_test_vertices,
-                     reference_face_counts, reference_pairs, reference_rows,
-                     reference_sparse_rank, table_row)
+                     facet_row_numbers, reference_face_counts, reference_pairs,
+                     reference_rows, reference_sparse_rank, table_row)
 from qrank import polytope, rankfun
 from qrank.codes import (induced_polymatroid, matrix_code,
                          mrd_combo_independence)
@@ -156,8 +156,7 @@ def _reference_hrep_rows(lat, full=False):
 @pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24"])
 @pytest.mark.parametrize("full", [True, False])
 def test_hrep_rows_match_pairwise_reference(fixture, full, request):
-    # the row order fixes to_text, membership's row indices and the
-    # double-description insertion order; each row of H decodes to the
+    # the row order fixes to_text; each row of H decodes to the
     # reference row at its number
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
@@ -182,16 +181,33 @@ def test_hrep_rows_are_row_numbers(fixture, request):
     assert not hasattr(lat, "rows")
 
 
+def test_only_build_hrep_builds_the_facet_table():
+    # H holds the lattice alone and its text reads no facet, so writing
+    # the text builds no facet table; build_hrep builds it, diamonds and
+    # all, so that its cost falls in the set-up of the certifiers
+    lat = build_lattice(2, 3)
+    H = HRepresentation(lat)
+    assert vars(H) == {"lattice": lat}
+    assert sum(1 for _ in H.text_lines()) == len(H.rows) + 1
+    assert sum(1 for _ in H.text_lines(full=True)) == len(H.rows) + 3
+    assert "facets" not in vars(lat) and "diamonds" not in vars(lat)
+    lat = build_lattice(2, 3)
+    build_hrep(lat)
+    assert "facets" in vars(lat) and "diamonds" in vars(lat)
+
+
 @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (2, 4), (3, 3)])
 def test_row_starts_bound_the_blocks(q, n):
     # the blocks start at rows top (the atoms), top + atoms (the covers)
-    # and the first pair row that H counts from the masks, and each
-    # block holds the rows of one kind
+    # and the first pair row, the first facet after the top covers, and
+    # each block holds the rows of one kind; the pair rows end H's count
     lat = build_lattice(q, n)
     H = build_hrep(lat)
     atoms = lat.top
     covers = atoms + len(lat.atom_range)
-    pairs = H.pair_rows(reference_pairs(lat)[:1])[0]
+    pairs = len(H.rows) - len(reference_pairs(lat))
+    assert facet_row_numbers(lat)[
+        len(lat.atom_range) + len(lat.covers_down[lat.top])] == pairs
     kinds = [_row_tag(lat, row)[0] for row in reference_rows(lat)]
     assert kinds == (["type1"] * atoms + ["nonneg"] * (covers - atoms)
                      + ["type2"] * (pairs - covers)
@@ -305,10 +321,13 @@ def test_membership_states(lat22):
     mem = membership(H, outside)
     assert mem.status == "outside"
     # the bound v_top <= 2 is violated too, but it is no facet: the
-    # report names the facets, here the three diamonds v_a + v_b >= v_top
+    # report names the facets by their positions in the facet table,
+    # here the three diamonds v_a + v_b >= v_top
     ref = _reference_hrep_rows(lat22)
-    assert [ref[k][2] for k in mem.violated_rows] == [
+    row = facet_row_numbers(lat22)
+    assert [ref[row[i]][2] for i in mem.violated_rows] == [
         ("type3", 1, 2), ("type3", 1, 3), ("type3", 2, 3)]
+    assert mem.violated_rows == outside.facet_status.violated
 
 
 def test_membership_feasibility_equals_axioms(lat23):
@@ -367,9 +386,12 @@ def test_scaled_membership_matches_fraction_rows(hp):
                   if _row_value(coeffs, p.values) == rhs)
     violated = tuple(k for k, (coeffs, rhs, _) in enumerate(rows)
                      if _row_value(coeffs, p.values) > rhs)
-    facet = set(H.facet_rows)
-    assert mem.tight_rows == tuple(k for k in tight if k in facet)
-    assert mem.violated_rows == tuple(k for k in violated if k in facet)
+    row = facet_row_numbers(H.lattice)
+    facet = set(row)
+    assert tuple(row[i] for i in mem.tight_rows) == tuple(
+        k for k in tight if k in facet)
+    assert tuple(row[i] for i in mem.violated_rows) == tuple(
+        k for k in violated if k in facet)
     assert mem.status == ("outside" if violated
                           else "boundary" if tight else "interior")
 
@@ -537,6 +559,7 @@ def _point_kinds(lat, rng):
 
 def _check_certificates(lat):
     H = build_hrep(lat)
+    row = facet_row_numbers(lat)
     kinds, certified = set(), set()
     for kind, p in _point_kinds(lat, random.Random(41)):
         kinds.add(kind)
@@ -546,9 +569,11 @@ def _check_certificates(lat):
                 is_vertex(H, p)
             continue
         cert = is_vertex(H, p)
-        assert cert.normal_rank == _dense_normal_rank(lat, cert.tight_rows), kind
-        # the certificate lists the tight facets by their row numbers,
-        # as membership does, and they span what all the tight rows span
+        assert cert.normal_rank == _dense_normal_rank(
+            lat, [row[i] for i in cert.tight_rows]), kind
+        # the certificate lists the tight facets by their positions in
+        # the facet table, as membership does, and they span what all
+        # the tight rows span
         assert cert.tight_rows == mem.tight_rows, kind
         tight = [k for k, (c, rhs, _) in enumerate(_reference_hrep_rows(lat))
                  if _row_value(c, p.values) == rhs]
@@ -584,7 +609,8 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     H = build_hrep(lat)
     full_rows = _text_rows(H, full=True)
     zero_rows = (len(H.rows), len(H.rows) + 1)
-    facet = set(H.facet_rows)
+    row = facet_row_numbers(lat)
+    facet = set(row)
     certified = 0
     for kind, p in _point_kinds(lat, random.Random(41)):
         mem = membership(H, p)
@@ -592,7 +618,8 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
             continue
         tight = tuple(k for k, (c, rhs) in enumerate(full_rows)
                       if _row_value(c, p.values) == rhs)
-        assert tuple(k for k in tight if k in facet) == mem.tight_rows, kind
+        assert tuple(k for k in tight if k in facet) == tuple(
+            row[i] for i in mem.tight_rows), kind
         assert tight[-2:] == zero_rows, kind
         assert (_full_tight_rank(lat, full_rows, p)
                 == is_vertex(H, p).normal_rank + 1), kind
@@ -600,11 +627,10 @@ def test_unreduced_vertex_normal_rank_matches_dense_reference(fixture, request):
     assert certified
 
 
-def _facet_normals(H):
-    """{row number: sparse normal} of the facet rows: the entries of the
-    lattice's facet table at H.facet_rows."""
-    lat = H.lattice
-    return {k: table_row(lat, f)[0] for k, f in zip(H.facet_rows, lat.facets)}
+def _facet_normals(lat):
+    """The sparse normal of each entry of the lattice's facet table, in
+    the table's order, as the reference rows write them."""
+    return [table_row(lat, f)[0] for f in lat.facets]
 
 
 def _integral_points(lat, rng):
@@ -625,7 +651,7 @@ def test_vertex_normal_rank_matches_the_reference_kernel(fixture, request):
     # code-induced points of (2,5)
     lat = request.getfixturevalue(fixture)
     H = build_hrep(lat)
-    normals = _facet_normals(H)
+    normals = _facet_normals(lat)
     rng = random.Random(43)
     pts = (_point_kinds(lat, rng) if fixture == "lat34"
            else _integral_points(lat, rng))
@@ -635,7 +661,7 @@ def test_vertex_normal_rank_matches_the_reference_kernel(fixture, request):
             cert = is_vertex(H, p)
         except NotFeasible:
             continue
-        rows = [normals[k] for k in cert.tight_rows]
+        rows = [normals[i] for i in cert.tight_rows]
         assert cert.normal_rank == reference_sparse_rank(rows), kind
         certified.add(kind)
     assert certified == {k for k, _ in pts if not k.startswith("raised")}
@@ -644,37 +670,36 @@ def test_vertex_normal_rank_matches_the_reference_kernel(fixture, request):
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24"])
 @pytest.mark.parametrize("full", [True, False])
 def test_facet_row_numbers_match_the_reference(fixture, full, request):
-    # the atom bounds, the top covers and every pair row (the diamonds
-    # among them) sit at the row numbers the certificates report, in
-    # both texts, and each facet-table entry is the row at its number
-    # (less v_0, which the full text keeps in a zero meet)
+    # the atom bounds, the top covers and the diamonds sit, in both
+    # texts, at the row numbers of the facet positions the certificates
+    # report, in row order, and each facet-table entry is the row at its
+    # number (less v_0, which the full text keeps in a zero meet)
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat)
+    row = facet_row_numbers(lat)
+    assert list(row) == sorted(set(row))
     ref = _reference_hrep_rows(lat, full)
     hyperplanes = lat.covers_down[lat.top]
     atoms, tops = len(lat.atom_range), len(hyperplanes)
-    tags = [ref[k][2] for k in H.facet_rows]
+    tags = [ref[k][2] for k in row]
     assert tags[:atoms] == [("type1", a) for a in lat.atom_range]
     assert tags[atoms:atoms + tops] == [("type2", h, lat.top)
                                        for h in hyperplanes]
     assert tags[atoms + tops:] == [("type3", x, y)
                                    for x, y, _, _ in lat.diamonds]
     assert all(table_row(lat, f) == _reference_hrep_rows(lat)[k][:2]
-               for k, f in zip(H.facet_rows, lat.facets))
-    assert [ref[k][2] for k in H.pair_rows(reference_pairs(lat))] == [
-        ("type3", x, y) for x, y, _, _ in reference_pairs(lat)]
+               for k, f in zip(row, lat.facets))
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat33", "lat24", "lat25"])
 def test_facets_are_rows_of_h(fixture, request):
-    # the facet table is in the rows' format: entry i is the row of H at
-    # its row number, padding and all
+    # the facet table is in the rows' format: each entry is a row of the
+    # system, padding and all, no row twice, in row order, and H counts
+    # the rows they are among
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat)
-    assert len(H.facet_rows) == len(lat.facets)
-    rows = reference_rows(lat)
-    for i, f in enumerate(lat.facets):
-        assert rows[H.facet_rows[i]] == f
+    row = facet_row_numbers(lat)
+    assert len(row) == len(lat.facets)
+    assert list(row) == sorted(set(row))
+    assert row[-1] < len(build_hrep(lat).rows)
 
 
 def test_pair_row_numbers_25(lat25):
@@ -684,8 +709,8 @@ def test_pair_row_numbers_25(lat25):
     start = len(H.rows) - len(pairs)
     assert rows[start:] == pairs
     assert all(y == lat25.size for _, y, _, _ in rows[:start])
-    assert H.pair_rows(pairs) == list(range(start, start + len(pairs)))
-    assert H.pair_rows(lat25.diamonds) == [
+    diamonds = facet_row_numbers(lat25)[-len(lat25.diamonds):]
+    assert list(diamonds) == [
         k for k, (x, y, m, _) in enumerate(pairs, start)
         if lat25.dims[x] == lat25.dims[y] == lat25.dims[m] + 1]
 
@@ -718,10 +743,9 @@ def test_paper_rows_are_sums_of_facet_rows(fixture, request):
     # every row of the system is a nonnegative sum of facet rows
     # and other rows with the same right-hand side, so the facets imply it
     lat = request.getfixturevalue(fixture)
-    H = build_hrep(lat)
     ref = _reference_hrep_rows(lat)
     row = {tag: (coeffs, rhs) for coeffs, rhs, tag in ref}
-    facets = [ref[k][2] for k in H.facet_rows]
+    facets = [ref[k][2] for k in facet_row_numbers(lat)]
     diamonds = {tag[1:] for tag in facets if tag[0] == "type3"}
     hyperplanes = [tag[1] for tag in facets if tag[0] == "type2"]
     top = lat.top
@@ -843,20 +867,24 @@ def test_not_feasible_names_a_bounded_number_of_rows(lat22, lat25):
     # a top of 3 on L(F_2^2) fails the 3 diamonds of its atom pairs; on
     # L(F_2^5), atoms at 0 and every other space at its dimension fail
     # the diamond of each of the 465 atom pairs, and the message gives
-    # that count and the first five rows only
-    cases = [(lat22, [0, 1, 1, 1, 3], 3),
-             (lat25, [0 if d == 1 else d for d in lat25.dims], 465)]
-    for lat, values, count in cases:
+    # that count and the first three facets only, as axiom instances
+    cases = [(lat22, [0, 1, 1, 1, 3], 3,
+              "point violates 3 facets: R3 (1, 2), R3 (1, 3), R3 (2, 3)"),
+             (lat25, [0 if d == 1 else d for d in lat25.dims], 465,
+              "point violates 465 facets: R3 (1, 2), R3 (1, 3), R3 (1, 4), "
+              "...")]
+    for lat, values, count, message in cases:
         H = build_hrep(lat)
         p = rank_point(lat, values)
-        bad = membership(H, p).violated_rows
-        assert len(bad) == count
-        first = ", ".join(map(str, bad[:5]))
+        assert len(membership(H, p).violated_rows) == count
         with pytest.raises(NotFeasible) as err:
             is_vertex(H, p)
-        assert str(err.value) == (f"point violates {count} facet rows: {first}"
-                                  + (", ..." if count > 5 else ""))
+        assert str(err.value) == message
         assert len(str(err.value)) < 80
+        # the instances are those check_axioms reports, in its order
+        named = ", ".join(f"{a} ({', '.join(map(str, w))})"
+                          for a, w, _ in check_axioms(p).violations[:3])
+        assert message.startswith(f"point violates {count} facets: {named}")
 
 
 @pytest.mark.parametrize("fixture", ["lat23", "lat24"])
@@ -889,6 +917,12 @@ def test_certifying_a_point_walks_the_facet_table_once(monkeypatch, fixture,
         except NotFeasible as exc:
             cert = str(exc)
         assert len(walks) == 1, kind
+        # the certificates report the facet status's positions as they are
+        status = p.facet_status
+        assert (mem.tight_rows, mem.violated_rows) == (status.tight,
+                                                       status.violated), kind
+        if rep.ok:
+            assert cert.tight_rows == status.tight, kind
         assert fresh == p and hash(fresh) == hash(p)
         assert membership(H, fresh) == mem, kind
         if rep.ok:

@@ -10,7 +10,7 @@ from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import build_hrep
 from qrank.subspaces import build_lattice, gaussian_binomial
 
-from helpers import reference_pairs, span_containment_order
+from helpers import reference_pairs, reference_rows, span_containment_order
 
 
 def _brute_count_subspaces(q, n, l):
@@ -155,9 +155,11 @@ def test_pair_tables_share_one_int_per_index(lat25):
 def test_incomparable_table_size_25(lat25):
     pairs = reference_pairs(lat25)
     assert len(pairs) == 64_356
-    # H's pair rows are its last, from the first pair's row number on
-    H = build_hrep(lat25)
-    assert len(H.rows) - H.pair_rows(pairs[:1])[0] == 64_356
+    # H's pair rows are its last 64,356, after the cover rows
+    rows = reference_rows(lat25)
+    start = len(build_hrep(lat25).rows) - 64_356
+    assert rows[start:] == pairs
+    assert rows[start - 1][1] == lat25.size
 
 
 @pytest.mark.parametrize("fixture", ["lat22", "lat32", "lat23", "lat33",
