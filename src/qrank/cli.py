@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 
@@ -318,12 +319,21 @@ def main(argv=None):
         argv = sys.argv[1:]
     parser = build_parser(argv)
     json_errors = "--json-errors" in argv
+    args = None
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except CapExceeded as exc:
         _report_error(exc, json_errors)
         return 2
+    except BrokenPipeError as exc:
+        if getattr(args, "out", None):  # the --out file broke, not stdout
+            _report_error(exc, json_errors)
+        else:
+            # stdout's reader has gone, as with `| head`: say nothing, and
+            # point stdout at devnull so that the flush at exit is silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValidationError, OSError) as exc:
         _report_error(exc, json_errors)
         return 1

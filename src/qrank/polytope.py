@@ -15,7 +15,8 @@ Every row has one format, that of SubspaceLattice.facets: a row
 w = (0, mu v_1, .., mu v_top, 0, mu, 2 mu, .., n mu) is the point's
 padded vector (SubspaceLattice.padded): v_0 reads 0, and index
 size + d reads d mu.  No table holds every row: an HRepresentation
-holds the lattice alone, counts its rows from the masks, and writes the
+holds the lattice alone, counts its rows from the grades (a space of
+dimension d holds [d, e]_q spaces of dimension e), and writes the
 text one line at a time by one loop per block of rows
 (HRepresentation.text_lines), which reads each pair's meet and join as
 it goes, so the CLI streams it.
@@ -100,6 +101,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, NotFeasible, TooLarge
 from .rankfun import facet_instance, rank_point
+from .subspaces import gaussian_binomial
 
 MAX_VERTEX_ENUM_DIM = 15
 MAX_FVECTOR_DIM = 10
@@ -109,8 +111,8 @@ MAX_DFS_NODES = 100_000
 class HRepresentation:
     """The H-representation of the polytope on the lattice, over the
     columns v_1 .. v_top.  It holds the lattice alone: rows counts the
-    rows of the system from the masks, and text_lines writes each one as
-    it goes.  Certificates name facets by their positions in the
+    rows of the system from the grades, and text_lines writes each one
+    as it goes.  Certificates name facets by their positions in the
     lattice's facet table, so no row is numbered."""
 
     def __init__(self, lattice):
@@ -122,16 +124,19 @@ class HRepresentation:
 
     @property
     def rows(self):
-        """range(N), N the number of rows of the system, counted from the
-        masks on each read: a bound on each nonzero space, the atoms, the
-        covers above the atoms, and for each x the spaces after it that
-        do not lie above it, one pair row each."""
+        """range(N), N the number of rows of the system, counted on each
+        read: a bound on each nonzero space, the atoms, the covers above
+        the atoms, and a pair row for each incomparable pair, that is
+        each pair of nonzero spaces less the comparable ones.  A space
+        of dimension d holds [d, e]_q spaces of dimension e, so the
+        count reads only the grades."""
         lat = self.lattice
-        size = lat.size
-        return range(lat.top + len(lat.atom_range)
+        top, q = lat.top, lat.q
+        comparable = sum(len(lat.grade(d)) * gaussian_binomial(d, e, q)
+                         for d in range(2, lat.n + 1) for e in range(1, d))
+        return range(top + len(lat.atom_range)
                      + sum(map(len, lat.covers_down[lat.grade_offsets[2]:]))
-                     + sum(size - x - ax.bit_count()
-                           for x, ax in enumerate(lat.above_mask)))
+                     + top * (top - 1) // 2 - comparable)
 
     def text_lines(self, full=False):
         """The text one line at a time, each ending in a newline.

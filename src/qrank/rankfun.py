@@ -7,8 +7,9 @@ mu-independence with circuits and loops, bases, closure, flats, cyclic
 spaces, cyclic flats, and the classification report (q-matroid, loop
 space, fullness, pavingness).
 
-All set-valued operations are deliberately literal: they evaluate the
-defining condition over the whole lattice.  They double as the oracles
+All set-valued operations evaluate the defining condition over the
+whole lattice, containment on the atom sets; mu-independence reads it
+off the lower covers, one space at a time.  They double as the oracles
 against which every closed-form construction is tested.
 
 Linear conditions (the axioms here, the facet rows in polytope) are
@@ -200,16 +201,17 @@ def independence_report(p, mu):
     """mu-independent spaces, mu-circuits and mu-loops, by definition.
 
     A space I is mu-independent iff rho(J) >= dim(J)/mu for every
-    subspace J <= I; the universally quantified condition is evaluated
-    literally over the lattice interval below I.  Circuits are the
-    dependent spaces all of whose hyperplanes are independent.
+    subspace J <= I.  Every J < I lies in a lower cover of I, so I is
+    mu-independent iff rho(I) >= dim(I)/mu and every lower cover of I
+    is: one pass in the lattice order, lower covers first.  Circuits are
+    the dependent spaces all of whose hyperplanes are independent.
     """
     _require_denominator(p, mu)
     lat = p.lattice
-    bad = sum(1 << j for j, (v, d) in enumerate(zip(p.values, lat.dims))
-              if v < Fraction(d, mu))  # the spaces J with rho(J) < dim(J)/mu
-    indep = frozenset(i for i, below in enumerate(lat.below_mask)
-                      if not below & bad)
+    ok = []
+    for v, d, down in zip(p.values, lat.dims, lat.covers_down):
+        ok.append(v >= Fraction(d, mu) and all(ok[c] for c in down))
+    indep = frozenset(i for i, good in enumerate(ok) if good)
     circuits = frozenset(
         i for i in range(lat.size)
         if i not in indep and all(h in indep for h in lat.covers_down[i]))
@@ -220,10 +222,9 @@ def independence_report(p, mu):
 def mu_bases(p, mu, v):
     """Inclusion-maximal mu-independent subspaces of the space at index v."""
     rep = independence_report(p, mu)
-    lat = p.lattice
-    indep, inside = rep.independent, lat.below_mask[v]
-    return frozenset(i for i in indep if (inside >> i) & 1 and not any(
-        (inside >> u) & 1 and u in indep for u in lat.covers_up[i]))
+    indep, leq = rep.independent, p.lattice.leq
+    return frozenset(i for i in indep if leq(i, v) and not any(
+        u in indep and leq(u, v) for u in p.lattice.covers_up[i]))
 
 
 # atoms are the 1-dimensional members of Cl_rho(A), closure their join
@@ -241,12 +242,11 @@ def closure(p, a):
 def flats(p):
     """Spaces whose rank strictly increases under any external atom."""
     lat = p.lattice
-    vals = p.values
+    vals, A = p.values, lat.atom_sets  # an atom's set is its own bit
     out = []
-    for x in range(lat.size):
+    for x, ax in enumerate(A):
         vx = vals[x]
-        inside = lat.below_mask[x]
-        if all((inside >> a) & 1 or vals[lat.join(x, a)] > vx
+        if all(A[a] & ax or vals[lat.join(x, a)] > vx
                for a in lat.atom_range):
             out.append(x)
     return frozenset(out)
@@ -257,7 +257,7 @@ def cyclic_spaces(p):
     rho(X) = rho(H) or condition (2) 0 < rho(X) - rho(H) < rho(a) for
     some atom a of X outside H."""
     lat = p.lattice
-    vals = p.values
+    vals, A = p.values, lat.atom_sets  # an atom's set is its own bit
     out = []
     for x in range(lat.size):
         vx = vals[x]
@@ -266,8 +266,7 @@ def cyclic_spaces(p):
             diff = vx - vals[h]
             if diff == 0:
                 continue
-            inside_h = lat.below_mask[h]
-            if diff > 0 and any(not (inside_h >> a) & 1 and diff < vals[a]
+            if diff > 0 and any(not A[a] & A[h] and diff < vals[a]
                                 for a in lat.atoms_of[x]):
                 continue
             good = False

@@ -6,8 +6,10 @@ order is lexicographic on the flattened basis entries.  That order is
 what coordinatizes rank points, so it must never change.
 
 build_lattice enumerates every subspace exactly once, records the cover
-relation and the containment bitmasks in both directions, and exposes
-the helpers the rest of the package leans on.
+relation and the atom and hyperplane sets of every space, and exposes
+the helpers the rest of the package leans on.  The build makes no
+table with one bit or one entry per pair of spaces: the lattice is
+atomistic, so the atom sets carry the whole order.
 
 The order is built from the canonical bases, with no span listed and
 no pass over the comparable pairs.  The tail of a space X with
@@ -20,21 +22,23 @@ are, over c, the new atoms of the space (b_1 + c b_2, b_3, .., b_r),
 which is canonical too and one grade down; an atom's one new atom is
 itself.  So the atoms of X are those of T with its new atoms, both
 read off spaces built before it, and X <= Y exactly when every atom of
-X lies in Y.  The above-mask of X is the AND, over the atoms of X, of
-the masks of the spaces containing that atom (all spaces for the zero
-space).  The upper covers of X are its above-mask read on the grade
-above X, the lower covers are their transpose, and the below-mask of Y
-is Y with the below-masks of its lower covers.
+X lies in Y (leq).
 
 Meet and join are read off two small masks per space, with no linear
 algebra: its atom set A_X (bit a for the a-th atom) and its hyperplane
-set H_X (bit h for the h-th hyperplane, read off its above-mask), each
-with a dict back to the index.  A space is the span of its atoms and
-the intersection of the hyperplanes that hold it, so both sets
-determine it; the atoms of X meet Y are those in both, A_X & A_Y, and
-the hyperplanes that hold X join Y are those that hold both,
-H_X & H_Y.  The masks have one bit per atom or hyperplane, not one per
-space, so the AND is cheap even on the largest lattices.
+set H_X (bit h for the h-th hyperplane), each with a dict back to the
+index.  H_X is the AND, over the atoms of X, of the hyperplanes that
+hold each atom (every hyperplane for the zero space).  A space is the
+span of its atoms and the intersection of the hyperplanes that hold
+it, so both sets determine it; the atoms of X meet Y are those in
+both, A_X & A_Y, and the hyperplanes that hold X join Y are those that
+hold both, H_X & H_Y.  The masks have one bit per atom or hyperplane,
+not one per space, so the AND is cheap even on the largest lattices.
+The upper covers of X are its joins X v a with the atoms a it lacks;
+each cover is found once, as the atoms of a cover found are not tried
+again, and the lower covers are their transpose.  The below-mask, one
+bit per space (SubspaceLattice.below_mask), is built from the lower
+covers only when read, and nothing in the package reads it.
 
 The lattice holds no table with one entry per row of the paper's
 inequality system: only the polytope's text writes every row, and it
@@ -54,8 +58,9 @@ integer-point search propagates the diamonds.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
+from operator import and_
 
 from .errors import OutOfRange, TooLarge, show_int
 from .fields import FqMatrix, make_field, nullspace, rref
@@ -147,62 +152,42 @@ class SubspaceLattice:
             tail = index[rows[1:]]
             atoms_of.append(atoms_of[tail] + tuple(sorted(new)))
             atom_sets.append(atom_sets[tail] | bits)
-        # containing[a] has bit j set when atom a lies in space j
-        containing = [0] * len(self.atom_range)
-        for j, atoms in enumerate(atoms_of):
-            for a in atoms:
-                containing[a - first] |= 1 << j
         self.atoms_of = tuple(atoms_of)
         self.atom_sets = tuple(atom_sets)
-        full = (1 << self.size) - 1
-        above = []
-        for atoms in self.atoms_of:
-            mask = full
-            for a in atoms:
-                mask &= containing[a - first]
-            above.append(mask)
-        self.above_mask = tuple(above)
-        # the hyperplane set of i has bit h - first set when hyperplane h
-        # holds i; the dicts map both sets back to the index objects of
-        # the one tuple _ids, which the diamonds share
+        # the hyperplane set of i has bit k set when the k-th hyperplane
+        # holds i: the AND, over the atoms of i, of the hyperplanes that
+        # hold each atom (all of them for the zero space)
         hyperplanes = self.grade(n - 1)
-        first, window = hyperplanes.start, (1 << len(hyperplanes)) - 1
-        self.hyperplane_sets = tuple((mask >> first) & window
-                                     for mask in self.above_mask)
+        holding = [0] * len(self.atom_range)
+        for k, h in enumerate(hyperplanes):
+            for a in atoms_of[h]:
+                holding[a - first] |= 1 << k
+        full = (1 << len(hyperplanes)) - 1
+        self.hyperplane_sets = hyper = tuple(
+            reduce(and_, [holding[a - first] for a in atoms], full)
+            for atoms in atoms_of)
+        # the dicts map both sets back to the index objects of the one
+        # tuple _ids, which the diamonds share
         self._ids = ids = tuple(range(self.size))
         self.space_of_atom_set = dict(zip(self.atom_sets, ids))
-        self.space_of_hyperplane_set = dict(zip(self.hyperplane_sets, ids))
-        # the upper covers of i are its above-mask read on the grade above
-        # it, the lower covers their transpose, and the below-mask of j is
-        # j with the below-masks of its lower covers
+        self.space_of_hyperplane_set = join = dict(zip(hyper, ids))
+        # the upper covers of i are its joins with the atoms it lacks,
+        # each found once: the atoms of a cover are not tried again; the
+        # lower covers are their transpose
         ups, downs = [], [[] for _ in range(self.size)]
-        for d in range(n):
-            start = offsets[d + 1]
-            window = (1 << (offsets[d + 2] - start)) - 1
-            for i in self.grade(d):
-                up = tuple(start + c for c in
-                           self._bits((self.above_mask[i] >> start) & window))
-                ups.append(up)
-                for c in up:
-                    downs[c].append(i)
-        ups.append(())
+        atoms = (1 << len(self.atom_range)) - 1
+        for i, (ai, hi) in enumerate(zip(atom_sets, hyper)):
+            left, up = atoms & ~ai, []
+            while left:  # i v a for the lowest atom a left
+                c = join[hi & holding[(left & -left).bit_length() - 1]]
+                up.append(c)
+                left &= ~atom_sets[c]
+            ups.append(tuple(sorted(up)))
+            for c in up:
+                downs[c].append(i)
         self.covers_up = tuple(ups)
         self.covers_down = tuple(tuple(d) for d in downs)
-        below = []
-        for j, down in enumerate(self.covers_down):
-            mask = 1 << j
-            for i in down:
-                mask |= below[i]
-            below.append(mask)
-        self.below_mask = tuple(below)
         self._digest = None
-
-    @staticmethod
-    def _bits(mask):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
 
     # -- basic queries -------------------------------------------------
 
@@ -218,7 +203,22 @@ class SubspaceLattice:
         return range(self.grade_offsets[d], self.grade_offsets[d + 1])
 
     def leq(self, i, j):
-        return (self.below_mask[j] >> i) & 1 == 1
+        ai = self.atom_sets[i]
+        return self.atom_sets[j] & ai == ai
+
+    @cached_property
+    def below_mask(self):
+        """Bit i of below_mask[j] is set when space i lies in space j: j
+        with the below-masks of its lower covers, built on first read.
+        It holds one bit per pair of spaces, so the package itself reads
+        the atom sets instead (leq)."""
+        below = []
+        for j, down in enumerate(self.covers_down):
+            mask = 1 << j
+            for i in down:
+                mask |= below[i]
+            below.append(mask)
+        return tuple(below)
 
     def index_of_matrix(self, M):
         """Canonical index of the row space of M (any spanning matrix)."""

@@ -8,7 +8,7 @@ from functools import cache
 from qrank.charpoly import TruncatedPuiseux
 from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
 from qrank.polytope import _dd_constraints, _rank
-from qrank.rankfun import rank_point
+from qrank.rankfun import IndependenceReport, rank_point
 
 
 def random_paving_collection(rng, lat, k, limit=3):
@@ -203,6 +203,33 @@ def facet_axiom_violations(p):
     return tuple(v for v in literal_axiom_violations(p) if facet(*v[:2]))
 
 
+def literal_independence(p, mu):
+    """The IndependenceReport of p at mu from the definitions, with
+    lat.leq over every pair of spaces: I is mu-independent iff
+    rho(J) >= dim J / mu for every J with J <= I, a mu-circuit is a
+    dependent space whose proper subspaces are all independent, and a
+    mu-loop is a dependent atom.  The reference for independence_report,
+    which recurses over the lower covers."""
+    lat, vals, dims = p.lattice, p.values, p.lattice.dims
+    spaces = range(lat.size)
+    below = [[j for j in spaces if lat.leq(j, i)] for i in spaces]
+    indep = frozenset(i for i in spaces if all(
+        vals[j] >= Fraction(dims[j], mu) for j in below[i]))
+    circuits = frozenset(i for i in spaces if i not in indep and all(
+        j in indep for j in below[i] if j != i))
+    loops = frozenset(a for a in spaces if dims[a] == 1 and a not in indep)
+    return IndependenceReport(mu, indep, circuits, loops)
+
+
+def literal_mu_bases(p, rep, v):
+    """The inclusion-maximal spaces of rep.independent inside the space
+    at index v, by lat.leq over every pair: the reference for mu_bases."""
+    lat = p.lattice
+    inside = [i for i in rep.independent if lat.leq(i, v)]
+    return frozenset(i for i in inside if not any(
+        j != i and lat.leq(i, j) for j in inside))
+
+
 def span_containment_order(lat):
     """The lattice's order attributes by name, all found by testing for
     every pair whether each basis row of i lies in the span of j: the
@@ -230,7 +257,7 @@ def span_containment_order(lat):
     hyperplane_sets = tuple(sum(1 << k for k, h in enumerate(hyperplanes)
                                 if h in highs[i])
                             for i in range(size))
-    return {"below_mask": tuple(below), "above_mask": tuple(above),
+    return {"below_mask": tuple(below),
             "covers_down": covers_down, "covers_up": covers_up,
             "atoms_of": atoms_of, "atom_sets": atom_sets,
             "hyperplane_sets": hyperplane_sets,

@@ -95,8 +95,9 @@ def test_polytope_hrep_text_is_pinned(monkeypatch, q, n, flags, digest):
 
 
 def test_polytope_hrep_reads_no_facet(monkeypatch):
-    # the text is written from the masks, meets and joins alone: the
-    # leaf builds no facet table and no diamond
+    # the text is written from the covers and the atom and hyperplane
+    # sets alone, which give each meet and join: the leaf builds no
+    # facet table and no diamond
     def unread(self):
         raise AssertionError("the hrep leaf read the facet table")
 
@@ -308,13 +309,17 @@ def test_exhaustive_caps_exit_2_with_empty_stdout(capsys, tmp_path):
         assert size in err, argv
 
 
-def _python_subprocess(*args, timeout):
-    """python args in a child that imports qrank from src/."""
+def _src_env():
+    """The environment of a child that imports qrank from src/."""
     paths = [str(Path(__file__).resolve().parents[1] / "src"),
              os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+def _python_subprocess(*args, timeout):
+    """python args in a child that imports qrank from src/."""
+    return subprocess.run([sys.executable, *args], env=_src_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _qrank_subprocess(*argv, timeout, python_flags=()):
@@ -697,6 +702,40 @@ def test_malformed_integer_keys_name_the_file_and_key(capsys, tmp_path,
     obj = json.loads(err)
     assert obj["error"] == "BadValue"
     assert str(path) in obj["message"] and repr(key) in obj["message"]
+
+
+def test_closed_stdout_ends_the_run_quietly():
+    # as with `| head -n 1`: the reader closes stdout after one line, and
+    # the writer stops with exit code 1 and nothing on stderr
+    argv = [sys.executable, "-m", "qrank",
+            "polytope", "hrep", "--q", "2", "--n", "5"]
+    with subprocess.Popen(argv, env=_src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == "HREP 66806 373\n"
+    assert code == 1 and err == ""
+
+
+def test_failed_write_to_out_names_the_error(capsys, tmp_path, monkeypatch):
+    import qrank.cli
+
+    argv = ("polytope", "hrep", "--q", "2", "--n", "2", "-o")
+    code, out, err = run(capsys, *argv, str(tmp_path))  # a directory
+    assert code == 1 and out == "" and err.startswith("qrank: error: ")
+
+    def broken(lines):
+        raise BrokenPipeError(32, "Broken pipe")
+        yield
+
+    # a broken pipe is quiet only on stdout: an --out file that breaks
+    # is named like any other failed write
+    monkeypatch.setattr(qrank.cli, "_chunks", broken)
+    code, out, err = run(capsys, *argv, str(tmp_path / "fifo"))
+    assert code == 1 and out == ""
+    assert err == "qrank: error: [Errno 32] Broken pipe\n"
 
 
 def test_point_value_count_is_a_dimension_mismatch(capsys, tmp_path):

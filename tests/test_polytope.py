@@ -175,10 +175,23 @@ def test_hrep_rows_match_pairwise_reference(fixture, full, request):
 @pytest.mark.parametrize("fixture", ["lat23", "lat32", "lat24", "lat25"])
 def test_hrep_rows_are_row_numbers(fixture, request):
     # H stores no row and the lattice holds no row table: H.rows is
-    # range(N), counted from the masks, N the length of the system
+    # range(N), counted from the grades, N the length of the system
     lat = request.getfixturevalue(fixture)
     assert build_hrep(lat).rows == range(len(reference_rows(lat)))
     assert not hasattr(lat, "rows")
+
+
+@pytest.mark.parametrize("q,n,rows,digest", [
+    (5, 4, 620_998, "1ed66578ad536682"),
+    (3, 5, 3_508_396, "86fe058b36b4648d"),
+    (2, 6, 3_922_405, "ef0a2b1e238469c8")])
+def test_row_counts_past_the_cap(q, n, rows, digest):
+    # L(F_5^4), L(F_3^5) and L(F_2^6) pass the default cap; their row
+    # counts read the grades, so no mask with a bit per space is built
+    lat = build_lattice(q, n, max_size=3000)
+    assert len(HRepresentation(lat).rows) == rows
+    assert lat.order_digest() == digest
+    assert "below_mask" not in vars(lat)
 
 
 def test_only_build_hrep_builds_the_facet_table():

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import facet_axiom_violations, literal_axiom_violations
+from helpers import (facet_axiom_violations, literal_axiom_violations,
+                     literal_independence, literal_mu_bases)
 from qrank.constructions import convex_combination, paving, paving_spec, uniform
 from qrank.errors import DimensionMismatch, NotADenominator
-from qrank.polytope import interior_witness, lattice_points
+from qrank.polytope import (build_hrep, enumerate_vertices, interior_witness,
+                            lattice_points)
 from qrank.rankfun import (check_axioms, classify, closure,
                            cyclic_flats, cyclic_spaces, flats,
                            independence_report,
@@ -133,6 +135,30 @@ def test_independence_monotone_and_classical(lat23):
         # classical characterization rho(A) = dim A
         assert rep.independent == frozenset(
             i for i in range(lat23.size) if is_strong_independent(p, i))
+
+
+@cache
+def _vertices(q, n):
+    return enumerate_vertices(build_hrep(build_lattice(q, n)))
+
+
+@pytest.mark.parametrize("q,n,sample", [(2, 3, 200), (7, 2, None)])
+def test_independence_matches_the_literal_definition(q, n, sample):
+    # the vertices are fractional and mostly not constant on grades; at
+    # each one's principal denominator mu, and at 2 mu, the recursion
+    # over lower covers and mu_bases agree with the definitions read
+    # over every pair.  At mu no sampled vertex has a dependent space
+    # below one that passes its own bound; at 2 mu nine do, each above
+    # a mu-loop, so the recursion itself is tested
+    verts = _vertices(q, n)
+    if sample:
+        verts = random.Random(48).sample(verts, sample)
+    for p in verts:
+        for mu in (principal_denominator(p), 2 * principal_denominator(p)):
+            rep = literal_independence(p, mu)
+            assert independence_report(p, mu) == rep
+            for v in range(p.lattice.size):
+                assert mu_bases(p, mu, v) == literal_mu_bases(p, rep, v)
 
 
 def test_mu_bases(lat22, lat23):

@@ -243,7 +243,7 @@ def test_order_digest_is_pinned(q, n, digest):
 
 def _order(lat):
     got = {name: getattr(lat, name) for name in (
-        "below_mask", "above_mask", "covers_down", "covers_up", "atoms_of",
+        "below_mask", "covers_down", "covers_up", "atoms_of",
         "atom_sets", "hyperplane_sets", "space_of_atom_set",
         "space_of_hyperplane_set")}
     return got
@@ -260,6 +260,37 @@ def test_masks_from_atoms_match_span_containment(q, n):
 def test_certify_lattices_match_span_containment(fixture, request):
     lat = request.getfixturevalue(fixture)
     assert _order(lat) == span_containment_order(lat)
+
+
+def test_no_mask_with_a_bit_per_space_is_built():
+    # the atom sets carry the order: no routine of the package builds
+    # the below-mask, which only callers outside it read, and the
+    # lattice has no above-mask at all
+    from qrank import charpoly, codes, polytope, rankfun
+    from qrank.constructions import uniform
+
+    lat = build_lattice(3, 2)
+    H = polytope.build_hrep(lat)
+    assert len(H.rows) == len(reference_rows(lat))
+    assert sum(1 for _ in H.text_lines(full=True)) == len(H.rows) + 3
+    points = [uniform(lat, 1), polytope.interior_witness(lat)]
+    points += polytope.enumerate_vertices(H) + polytope.lattice_points(lat)
+    points.append(codes.induced_polymatroid(codes.matrix_code(
+        lat.field, 2, 2, [FqMatrix.identity(lat.field, 2)]), lat))
+    assert len(polytope.f_vector(H)) == 5
+    for p in points:
+        mu = rankfun.principal_denominator(p)
+        assert rankfun.check_axioms(p).ok
+        polytope.membership(H, p)
+        polytope.is_vertex(H, p)
+        rankfun.classify(p, mu)
+        rankfun.cyclic_flats(p)
+        rankfun.mu_bases(p, mu, lat.top)
+        rankfun.closure(p, lat.atom_range.start)
+        charpoly.char_puiseux(p)
+    assert "below_mask" not in vars(lat)
+    assert not hasattr(lat, "above_mask")
+    assert lat.below_mask == span_containment_order(lat)["below_mask"]
 
 
 @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 3)])
