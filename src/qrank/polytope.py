@@ -61,25 +61,25 @@ immutable point (RankPoint.facet_status); check_axioms, membership,
 is_vertex and f_vector all read it (_facets_at), so certifying a point,
 its axioms first, walks the facet table once.
 
-Every rank is taken by one exact kernel, _rank: Gauss-Jordan elimination
-in Python ints over the normals of tight facets, the only rows not in
-the (x, y, m, j) format: _normals yields each, as _rank reads it, as
-its at most four nonzero (column, value) entries.  Each pivot row is
-primitive and holds no other pivot's column, and an index maps each free
-column to the rows that hold it, so a row is reduced in one pass over
-its own entries, and a new pivot is cleared from only the rows that hold
-its column.  Most tight facet rows turn out dependent, and two tests
-skip them cheaply: a pivot column is solved once its row holds it alone,
-so a row on solved columns only is skipped before any dict is built;
-and at one rank below the column count the pivot rows leave one free
-column, so after the first dependent row each row costs one dot product
-with their null vector.  Vertex certification ranks the tight facet
-normals, so every certificate is checkable by hand; the elimination
-stops once the rank reaches the number of columns, since no further row
-can raise it, and the normals of the tight facets after that are never
-written.  f_vector takes no rank: it reads each vertex's tight facets
-as bitsets over the vertices and steps from each face to its facets, so
-a face's dimension is its level.
+Every rank is taken by one exact kernel, _rank, in Python ints over
+the normals of tight facets, the only rows not in the (x, y, m, j)
+format: _normals yields each, as _rank reads it, as its at most four
+nonzero (column, value) entries.  _rank keeps a basis of the null space
+of the rows read so far, with each column never seen standing for its
+own unit vector, and an index from each column to the vectors nonzero
+there.  A row is independent iff it is not orthogonal to that space:
+when it has an entry on a column never seen, or else a nonzero dot
+product with a vector that holds one of its columns.  Most tight facet
+rows turn out dependent, and their columns are mostly solved, held by
+no vector, so such a row is skipped before any dict is built; any
+other costs one dot product per vector that holds one of its columns,
+however many columns are left free.  Vertex certification ranks the
+tight facet normals, so every certificate is checkable by hand; the
+elimination returns once the rank reaches the number of columns, since
+no further row can raise it, and the normals of the tight facets after
+that are never written.  f_vector takes no rank: it reads each vertex's
+tight facets as bitsets over the vertices and steps from each face to
+its facets, so a face's dimension is its level.
 
 Two search kernels materialize points.  Vertex enumeration runs an
 exact integer double description pass whose rays are padded vectors
@@ -235,12 +235,12 @@ def is_vertex(H, p):
     instances they are (rankfun.facet_instance), so its length does not
     grow with the lattice.  The certificate lists the positions of the
     tight facets in the facet table, as membership does, and the rank of
-    their normals, taken by exact elimination; the point is a vertex iff
-    that rank equals the ambient dimension.  The normals have ambient_dim
-    columns, so
-    elimination may stop at that rank and stay exact; they reach it as
-    an iterator (_normals), so the normals of the tight facets after
-    that rank are never written.
+    their normals, taken by exact elimination (_rank); the point is a
+    vertex iff that rank equals the ambient dimension.  The normals have
+    ambient_dim columns, so the elimination returns once it reaches that
+    rank and stays exact; they reach it as an iterator (_normals), read
+    one at a time, so no normal after the one that completes the rank is
+    written.
 
     The result is that of the whole system, as in membership, and a
     tight row at a feasible point forces its summands tight, so the
@@ -398,134 +398,91 @@ def _rank(rows, full=None):
     in order from any iterable, each a sequence of (column, value) pairs
     with distinct columns, such as the tight facet normals (_normals).
     With full set to the number of columns (or any known bound on the
-    rank), the remaining rows are skipped once that many pivots are
-    found.
+    rank), it returns as soon as the rank reaches full, so no row past
+    that point is read, and none at all when full is 0.
 
-    Exact Gauss-Jordan elimination in ints.  Each pivot row is
-    primitive, positive at its pivot column and zero at every other
-    pivot column, and an index maps each free column to the pivot
-    columns whose rows hold it.  So an incoming row is reduced in one
-    pass over its own pivot entries, in any order, each cleared by one
-    multiple of that pivot's row, and what is left lies on free columns
-    and is the same up to a positive factor whatever the order.  If it
-    does not vanish, it becomes the pivot of its first column, which is
-    cleared from just the rows that hold it.
-
-    A pivot column is solved once its row holds it alone, so e_c is in
-    the span; that row never changes again, and reducing by it only
-    drops column c.  A row whose columns are all solved is dependent and
-    is skipped before any dict is built, and the solved columns of any
-    other row are dropped as it is read.  At rank full - 1, the first
-    row reduced to zero builds the null vector of the pivot rows
-    (_null_vector), which needs them to hold one free column f between
-    them, as they do when full is the number of columns.  A later row on
-    the pivot columns and f lies in their span iff its dot product with
-    that vector vanishes; a row with any other column is reduced."""
-    pivots = {}   # pivot column -> its row {column: value}
-    holders = {}  # free column -> the pivot columns whose rows hold it
-    solved = set()  # pivot columns whose rows hold no other column
-    null = None   # at rank full - 1: {column: y_column}, see _null_vector
+    Exact elimination in ints on a basis of the null space of the rows
+    read so far.  A column never seen stands for its own unit vector,
+    which is not stored; null holds the other basis vectors, each
+    primitive, and holds maps each column seen to the keys of the
+    vectors nonzero there.  A row lies in the span of the rows before it
+    iff it is orthogonal to every basis vector, so, zero entries
+    skipped:
+      - a row whose columns are all seen and held by no vector (solved:
+        their unit vectors lie in the span) is dependent, and is skipped
+        before any dict is built;
+      - a row with an entry on a column never seen is independent: the
+        first such column c leaves the basis without ever being stored,
+        and the other columns never seen enter it;
+      - any other row is dependent iff its dot product with each vector
+        that holds one of its columns vanishes.
+    An independent row cuts the basis by one: among the vectors with a
+    nonzero dot, one g with the fewest entries leaves (e_c, if there is
+    such a c), and every other such f becomes d_g f - d_f g, made
+    primitive (d the dots, d_g's sign moved onto d_f), so that f is
+    orthogonal to the row.  A column stays held as long as some vector
+    is nonzero there."""
+    if full == 0:
+        return 0
+    null = {}   # key -> a basis vector {column: entry}
+    holds = {}  # column seen -> the keys of the vectors nonzero there
+    rank = 0
     gcd = math.gcd
+    get = holds.get
     for row in rows:
-        if len(pivots) == full:
-            break
         for c, _ in row:
-            if c not in solved:
+            if get(c, True):  # never seen, or held
                 break
-        else:
+        else:  # every column solved
             continue
-        if null is not None:
-            dot = 0
-            for c, v in row:
-                y = null.get(c)
-                if y is None:  # a column the null vector does not cover
-                    break
-                dot += v * y
-            else:
-                if not dot:
-                    continue
-        r = {}  # a loop: a comprehension naming solved is a closure per row
+        dots = {}   # key -> the vector's dot product with the row
+        y = None    # the vector that leaves, with a its dot
         for c, v in row:
-            if v and c not in solved:
-                r[c] = v
-        for c in r.keys() & pivots.keys():
-            p = pivots[c]
-            a, b = p[c], r.pop(c)
-            if a != 1:
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                if a != 1:
-                    r = {k: a * v for k, v in r.items()}
-            for k, v in p.items():
-                if k != c:
-                    x = r.get(k, 0) - b * v
+            if v:
+                h = get(c)
+                if h is not None:
+                    for k in h:
+                        dots[k] = dots.get(k, 0) + v * null[k][c]
+                elif y is None:  # e_c leaves, never stored
+                    y, a = {c: 1}, v
+                    holds[c] = set()
+                else:  # e_c enters
+                    null[c] = {c: 1}
+                    holds[c] = {c}
+                    dots[c] = v
+        if y is None:
+            if not any(dots.values()):
+                continue
+            out = min((k for k, d in dots.items() if d),
+                      key=lambda k: len(null[k]))
+            y, a = null.pop(out), dots.pop(out)
+            for c in y:
+                holds[c].discard(out)
+        for k, d in dots.items():
+            if d:
+                f = null[k]
+                g = gcd(a, d)
+                s, t = abs(a) // g, d // g if a > 0 else -d // g
+                if s != 1:
+                    for c in f:
+                        f[c] *= s
+                for c, v in y.items():
+                    x = f.get(c, 0) - t * v
                     if x:
-                        r[k] = x
-                    else:
-                        del r[k]
-        if not r:
-            if null is None and len(pivots) + 1 == full:
-                null = _null_vector(pivots, holders)
-            continue
-        col = next(iter(r))
-        g = gcd(*r.values())
-        if r[col] < 0:
-            g = -g
-        if g != 1:
-            r = {k: v // g for k, v in r.items()}
-        a = r[col]
-        for pc in holders.pop(col, ()):
-            p = pivots[pc]
-            g = gcd(a, p[col])
-            s, t = a // g, p.pop(col) // g
-            if s != 1:
-                for k in p:
-                    p[k] *= s
-            for k, v in r.items():
-                if k != col:
-                    x = p.get(k, 0) - t * v
-                    if not x:
-                        del p[k]
-                        holders[k].discard(pc)
-                    else:
-                        if k not in p:
-                            holders.setdefault(k, set()).add(pc)
-                        p[k] = x
-            g = gcd(*p.values())
-            if g != 1:
-                for k in p:
-                    p[k] //= g
-            if len(p) == 1:
-                solved.add(pc)
-        pivots[col] = r
-        if len(r) == 1:
-            solved.add(col)
-        for k in r:
-            if k != col:
-                holders.setdefault(k, set()).add(col)
-    return len(pivots)
-
-
-def _null_vector(pivots, holders):
-    """The null vector of _rank's pivot rows when they hold one free
-    column f between them, as {column: int} on the pivot columns and f:
-    y_f = L, the lcm of the leads of the rows that hold f, and
-    y_c = -L p_c[f] / p_c[c] on each pivot column c, so 0 on a solved one.
-    Each such row is p_c[c] e_c + p_c[f] e_f, so y is orthogonal to every
-    pivot row, and the vectors on these columns orthogonal to y are
-    exactly their span.  Empty when the rows hold no free column or
-    several."""
-    held = [k for k, h in holders.items() if h]
-    if len(held) != 1:
-        return {}
-    f = held[0]
-    lead = math.lcm(*(pivots[pc][pc] for pc in holders[f]))
-    y = dict.fromkeys(pivots, 0)
-    y[f] = lead
-    for pc in holders[f]:
-        p = pivots[pc]
-        y[pc] = -p[f] * (lead // p[pc])
-    return y
+                        if c not in f:
+                            holds[c].add(k)
+                        f[c] = x
+                    elif c in f:
+                        del f[c]
+                        holds[c].discard(k)
+                g = gcd(*f.values())
+                if g != 1:
+                    for c in f:
+                        f[c] //= g
+        rank += 1
+        if rank == full:
+            break
+    return rank
 
 
 # -- vertex enumeration: exact double description ------------------------

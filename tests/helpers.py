@@ -288,8 +288,9 @@ def reference_sparse_rank(rows):
     that reduces every row in full: each pivot row is primitive,
     positive at its pivot column and zero at every other pivot column,
     and a new pivot is cleared from the rows that hold its column.  The
-    reference for polytope._rank's solved-column skip, null-vector test
-    and full-rank stop."""
+    reference for polytope._rank, which keeps the null space of the rows
+    instead: its skip of rows on solved columns, its dot-product test
+    with any number of free columns, and its full-rank stop."""
     pivots = {}   # pivot column -> its row {column: value}
     holders = {}  # free column -> the pivot columns whose rows hold it
     gcd = math.gcd

@@ -194,6 +194,17 @@ def test_row_counts_past_the_cap(q, n, rows, digest):
     assert "below_mask" not in vars(lat)
 
 
+@pytest.mark.parametrize("q,n,rank", [(2, 6, 2824), (3, 5, 2663)])
+def test_vertex_certificates_past_the_cap(q, n, rank):
+    # U_2 on L(F_2^6) and L(F_3^5), which pass the default cap, is
+    # certified a vertex: its tight facet normals reach the ambient
+    # dimension
+    lat = build_lattice(q, n, max_size=3000)
+    H = build_hrep(lat)
+    cert = is_vertex(H, uniform(lat, 2))
+    assert cert.is_vertex and cert.normal_rank == H.ambient_dim == rank
+
+
 def test_only_build_hrep_builds_the_facet_table():
     # H holds the lattice alone and its text reads no facet, so writing
     # the text builds no facet table; build_hrep builds it, diamonds and
@@ -439,6 +450,16 @@ def _int_matrices(draw):
 
 @_PROPERTY_SETTINGS
 @given(_int_matrices())
+# the first row sees column 1 and leaves column 4 unseen, since its
+# coefficient there is 0; so the second row, 0 on column 4 too, is
+# dependent and does not raise the rank
+@example(([1, 4], [[1, 0], [2, 0]]))
+# the third row is the sum of the first two, all its columns seen, and
+# it has a zero dot with both null space vectors, e_4 - e_1 - e_10 and
+# e_7 - e_1 + e_10
+@example(([1, 4, 7, 10], [[1, 1, 1, 0], [0, 1, -1, 1], [1, 2, 0, 1]]))
+# the second row sees no new column and has a nonzero dot with e_4 - e_1
+@example(([1, 4], [[1, 1], [1, -1]]))
 def test_sparse_rank_matches_dense_reference(case):
     labels, m = case
     sparse = [[(labels[j], x) for j, x in enumerate(r)] for r in m]
@@ -459,9 +480,11 @@ def _solved_column_rows(draw):
     """(column labels, sparse rows) over 6 to 14 labelled columns: rows
     of at most four (column, value) entries in [-3, 3], a listed column
     with value 0 among them, one-entry rows whose lead is any of +-1,
-    +-2, +-3 (such as {c: 2}), which solve columns as they come, and
-    star rows {c: a, f: b} that all share the first column f, which
-    leave f the last free column once they cover every other column.
+    +-2, +-3 (such as {c: 2}), which solve columns as they come (no
+    null space vector holds them after), and star rows {c: a, f: b}
+    that all share the first column f, which leave one null space
+    vector, on f and the star's columns, once they cover every other
+    column.
     Sums of two star rows (in their span) and star rows with the sign
     at f flipped (outside it) follow the star in half the cases, and
     rows over the one-entry rows' columns come last."""
@@ -504,15 +527,27 @@ def _solved_column_rows(draw):
 
 @_PROPERTY_SETTINGS
 @given(_solved_column_rows())
-# clearing column 12 leaves row 2 as {2: 1, 7: 1}, two entries, so
-# column 2 is not solved and {2: 1} raises the rank to 3
+# after {12: 1} the vector e_7 - e_2 still holds column 2, so column 2
+# is not solved and {2: 1} raises the rank to 3
 @example(([2, 7, 12, 17, 22, 27], [[(2, 1), (7, 1), (12, 1)], [(12, 1)],
                                    [(2, 1)]]))
+# a column never seen, listed with value 0, stays unseen and raises
+# no rank
+@example(([2, 7, 12, 17, 22, 27], [[(2, 1)], [(2, 3), (7, 0)]]))
+# the third row is dependent while two null space vectors,
+# e_7 - e_2 - e_17 and e_12 - e_2 + e_17, hold the free columns 7 and 12
+@example(([2, 7, 12, 17, 22, 27], [[(2, 1), (7, 1), (12, 1)],
+                                   [(17, 1), (7, 1), (12, -1)],
+                                   [(2, 1), (17, 1), (7, 2)]]))
+# independent with no column never seen: a nonzero dot with e_7 - e_2
+@example(([2, 7, 12, 17, 22, 27], [[(2, 1), (7, 1)], [(2, 1), (7, -1)]]))
 def test_solved_column_skip_keeps_the_rank_exact(case):
-    # a row is skipped only when every one of its columns is solved, and
-    # at rank full - 1 only when it lies on the pivot columns and the
-    # last free column with a zero dot product with their null vector;
-    # a full below the number of columns stops at min(full, rank)
+    # a row is skipped only when every one of its columns is solved,
+    # held by no vector of the null space basis, and is dependent
+    # otherwise only when it has no entry on a column never seen and a
+    # zero dot product with every vector that holds one of its columns,
+    # however many such vectors there are; a full below the number of
+    # columns stops at min(full, rank)
     labels, rows = case
     dense = []
     for row in rows:
@@ -525,6 +560,42 @@ def test_solved_column_skip_keeps_the_rank_exact(case):
     assert _rank(rows, full=len(labels)) == rank
     assert [_rank(rows, full=k) for k in range(rank + 2)] == [
         min(k, rank) for k in range(rank + 2)]
+
+
+def test_rank_reads_no_row_past_full():
+    # the kernel returns as soon as the rank reaches full: with full 0
+    # it reads no row, once full is reached no row after the one that
+    # reaches it, and every row when full is never reached
+    rows = [[(1, 1)], [(1, 2)], [(4, 1), (1, 1)], [(7, 1)], [(4, 1)]]
+
+    def counted(read):
+        for row in rows:
+            read.append(row)
+            yield row
+
+    for full, reads, rank in [(0, 0, 0), (2, 3, 2), (3, 4, 3), (4, 5, 3)]:
+        read = []
+        assert _rank(counted(read), full=full) == rank
+        assert len(read) == reads
+
+
+def test_is_vertex_writes_no_normal_past_full_rank(lat24, monkeypatch):
+    # on U_2 of L(F_2^4) the first 136 of the 240 tight facet normals
+    # reach rank 66, so is_vertex writes no more than those
+    written = []
+    normals = polytope._normals
+
+    def counted(facets, top):
+        for row in normals(facets, top):
+            written.append(row)
+            yield row
+
+    monkeypatch.setattr(polytope, "_normals", counted)
+    H = build_hrep(lat24)
+    cert = is_vertex(H, uniform(lat24, 2))
+    assert cert.is_vertex and len(cert.tight_rows) == 240
+    assert len(written) == 136
+    assert reference_sparse_rank(written[:-1]) == H.ambient_dim - 1
 
 
 def _dense_normal_rank(lat, ks):
