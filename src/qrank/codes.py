@@ -55,11 +55,10 @@ class MatrixCode(namedtuple("MatrixCode", "field n m generators")):
         for G in generators:
             if G.field is not field or (G.rows, G.cols) != (n, m):
                 raise ValidationError("generator shape or field mismatch")
-        if generators:
-            flat = FqMatrix.from_rows(field, [_flatten(G) for G in generators],
-                                      n * m)
-            if rref(flat).rank != len(generators):
-                raise ValidationError("generators are linearly dependent")
+        flat = FqMatrix.from_rows(field, [_flatten(G) for G in generators],
+                                  n * m)
+        if rref(flat).rank != len(generators):
+            raise ValidationError("generators are linearly dependent")
         return super().__new__(cls, field, n, m, generators)
 
     @property
@@ -86,11 +85,8 @@ def dual_code(C):
     """C^perp under the trace form Tr(M N^T), which on matrix entries is
     the plain dot product of the flattenings."""
     nm = C.n * C.m
-    if C.k == 0:
-        basis = FqMatrix.identity(C.field, nm).entries
-    else:
-        flat = FqMatrix.from_rows(C.field, [_flatten(G) for G in C.generators], nm)
-        basis = nullspace(flat).entries
+    flat = FqMatrix.from_rows(C.field, [_flatten(G) for G in C.generators], nm)
+    basis = nullspace(flat).entries
     gens = [FqMatrix.from_rows(C.field,
                                [row[i * C.m:(i + 1) * C.m] for i in range(C.n)],
                                C.m)
@@ -131,17 +127,13 @@ def shortening_dim(C, lattice, u):
     matrix B_U of U, which is a linear system on the coordinates of C."""
     if lattice.q != C.field.q or lattice.n != C.n:
         raise LatticeMismatch("lattice does not match the code's row space")
-    if C.k == 0:
-        return 0
     B = lattice.subspaces[u].basis
-    if B.rows == 0:
-        return C.k
     cols = []
     for G in C.generators:
         cols.append(_flatten(B.mul(G)))
     # system rows indexed by (row of B, column of G); unknowns are the c_i
     mat = FqMatrix.from_rows(C.field,
-                             [tuple(col[r] for col in cols) for r in range(len(cols[0]))],
+                             [tuple(col[r] for col in cols) for r in range(B.rows * C.m)],
                              C.k)
     return C.k - rref(mat).rank
 
@@ -275,10 +267,9 @@ class VectorCode(namedtuple("VectorCode", "base_field ext_field n generators")):
         for g in generators:
             if len(g) != n:
                 raise ValidationError("generator length mismatch")
-        if generators:
-            M = FqMatrix.from_rows(ext_field, generators, n)
-            if rref(M).rank != len(generators):
-                raise ValidationError("generators dependent over the extension field")
+        M = FqMatrix.from_rows(ext_field, generators, n)
+        if rref(M).rank != len(generators):
+            raise ValidationError("generators dependent over the extension field")
         return super().__new__(cls, base_field, ext_field, n, generators)
 
     @property

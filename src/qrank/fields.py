@@ -279,8 +279,6 @@ def nullspace(M):
             # pivot row i gives x_pc = -sum over free cols
             vec[pc] = F.neg(res.matrix.entries[i][fc])
         basis.append(tuple(vec))
-    if not basis:
-        return FqMatrix(F, 0, M.cols, ())
     return rref(FqMatrix.from_rows(F, basis, M.cols)).matrix
 
 

@@ -531,7 +531,11 @@ def enumerate_vertices(H):
     constraints tight at both number at least dim-1 and no third ray is
     tight on all of them.  Each step keeps, per constraint, a bitset
     over the current rays tight on it, so the test is one AND of
-    bitsets that must leave exactly the pair.  Output is sorted by
+    bitsets that must leave exactly the pair.  No step finds its plus
+    side empty, so none is special-cased: every inserted row is a facet
+    of P, and a row that no ray of the current cone violates holds on
+    that cone, so the rows inserted before it would imply it, while a
+    facet is implied by no other rows.  Output is sorted by
     coordinates.  Raises TooLarge past MAX_VERTEX_ENUM_DIM coordinates."""
     lat = H.lattice
     size = lat.size
@@ -560,9 +564,6 @@ def enumerate_vertices(H):
                 minus.append((w, z, val, r))
             else:
                 zero.append((w, z | bit))
-        if not plus:
-            rays = zero + [(w, z) for w, z, _, _ in minus]
-            continue
         # tight[k]: bitset over the positions in rays of the rays tight
         # on constraint k
         tight = [0] * ci

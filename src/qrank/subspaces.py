@@ -83,10 +83,7 @@ def gaussian_binomial(n, l, q):
 
 def _rref_bases(q, n, r):
     """The rows of every full-rank r x n RREF matrix over F_q, one tuple
-    of row tuples per subspace."""
-    if r == 0:
-        yield ()
-        return
+    of row tuples per subspace: one empty basis when r = 0."""
     for pivots in combinations(range(n), r):
         pivot_set = set(pivots)
         free = [(i, j) for i in range(r)
@@ -225,8 +222,6 @@ class SubspaceLattice:
         return self.index[rref(M).matrix.entries]
 
     def index_of_rows(self, rows):
-        if not rows:
-            return 0
         M = FqMatrix.from_rows(self.field, rows, self.n)
         return self.index_of_matrix(M)
 
@@ -301,11 +296,7 @@ class SubspaceLattice:
     def orthogonal_complement(self, i):
         """Index of U^perp under the standard dot product."""
         sub = self.subspaces[i]
-        if sub.dim == 0:
-            return self.top
         ns = nullspace(sub.basis)
-        if ns.rows == 0:
-            return 0
         return self.index[ns.entries]
 
     # -- serialization -------------------------------------------------

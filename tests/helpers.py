@@ -4,6 +4,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 from qrank.charpoly import TruncatedPuiseux
 from qrank.fields import FqMatrix, make_field, matrix_vectors, rref
@@ -455,3 +456,30 @@ def rank_test_vertices(H):
              for vec, _ in rays]
     verts.sort(key=lambda p: p.values)
     return verts
+
+
+def rank2_vertices(lat):
+    """The vertices of P(q,2) in closed form, as value tuples.  With N =
+    q + 1 atoms and t = v_top they are the N + 3 q-matroids (0, U_1,
+    U_2, and for each atom the rank-1 q-matroid with that atom a loop)
+    and the points with t = 1 and every atom at 1 or 1/2, with at least
+    one atom at 1 and at least three at 1/2.  An oracle for double
+    description that shares nothing with it."""
+    assert lat.n == 2
+    atoms, top = lat.atom_range, lat.top
+    N = len(atoms)
+
+    def point(atom_values, t):
+        vals = [Fraction(0)] * lat.size
+        for a, v in zip(atoms, atom_values):
+            vals[a] = Fraction(v)
+        vals[top] = Fraction(t)
+        return tuple(vals)
+
+    out = {point([0] * N, 0), point([1] * N, 1), point([1] * N, 2)}
+    out |= {point([int(b != a) for b in range(N)], 1) for a in range(N)}
+    for halves in range(3, N):
+        for at_half in combinations(range(N), halves):
+            out.add(point([Fraction(1, 2) if b in at_half else 1
+                           for b in range(N)], 1))
+    return out

@@ -285,6 +285,16 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_make_refuses_a_spec_of_another_kind(capsys, tmp_path):
+    spec = tmp_path / "combo.json"
+    spec.write_text(json.dumps({
+        "kind": "combo", "coefficients": ["1"],
+        "terms": [{"kind": "uniform", "q": 2, "n": 2, "k": 1}]}))
+    code, out, err = run(capsys, "make", "paving", "--spec", str(spec))
+    assert code == 1 and out == ""
+    assert "does not match subcommand paving" in err
+
+
 def test_json_errors_flag(capsys):
     code, _, err = run(capsys, "--json-errors", "lattice", "build",
                        "--q", "2", "--n", "9")

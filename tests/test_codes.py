@@ -55,10 +55,36 @@ def test_vertex_example_point(lat23):
     assert is_vertex(H, p).is_vertex
 
 
+def _full_code(F, n, m):
+    """The whole space F^{n x m}, spanned by its unit matrices."""
+    return matrix_code(F, n, m, [
+        FqMatrix.from_rows(F, [[int((r, c) == (i, j)) for c in range(m)]
+                               for r in range(n)], m)
+        for i in range(n) for j in range(m)])
+
+
 def test_shortening_extremes(lat23):
     C = vertex_example_code()
     assert shortening_dim(C, lat23, lat23.zero) == C.k
     assert shortening_dim(C, lat23, lat23.top) == 0
+    # the zero code shortens to 0 at every U, and every code keeps all
+    # of its k dimensions at the zero space
+    F = make_field(2)
+    zero = matrix_code(F, 3, 2, [])
+    assert {shortening_dim(zero, lat23, u) for u in range(lat23.size)} == {0}
+    for D in (zero, gabidulin_line_code(), _full_code(F, 3, 2)):
+        assert shortening_dim(D, lat23, lat23.zero) == D.k
+    with pytest.raises(LatticeMismatch):
+        shortening_dim(C, build_lattice(2, 2), 0)
+
+
+@pytest.mark.parametrize("q,n,m", [(2, 3, 2), (3, 2, 2), (2, 2, 3)])
+def test_dual_of_the_zero_and_the_full_code(q, n, m):
+    F = make_field(q)
+    zero, full = matrix_code(F, n, m, []), _full_code(F, n, m)
+    assert dual_code(zero).k == n * m
+    assert set(dual_code(zero).codewords()) == set(full.codewords())
+    assert dual_code(full).k == 0
 
 
 def test_gabidulin_line_is_mrd(lat23):
@@ -192,6 +218,9 @@ def test_mrd_combo_hypothesis_fail():
         mrd_combo_independence(5, 4, 4, Fraction(1, 2))  # k1 == k2
     with pytest.raises(HypothesisFail):
         mrd_combo_independence(3, 2, 2, Fraction(1, 2))
+    for lam in (0, 1, Fraction(3, 2)):  # k1 = 5 < k2 = 10, lam outside (0, 1)
+        with pytest.raises(HypothesisFail):
+            mrd_combo_independence(5, 4, 3, lam)
 
 
 def test_vector_code_basics(lat22):

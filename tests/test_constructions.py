@@ -11,8 +11,8 @@ from qrank.constructions import (combo_denominator, compile_spec,
                                  paving, paving_combo_report, paving_spec,
                                  profile_independent_dims,
                                  two_uniform_combo_report, uniform)
-from qrank.errors import (CoefficientSum, InvalidCollection, Overlap,
-                          OutOfRange, RankMismatch)
+from qrank.errors import (CoefficientSum, InvalidCollection,
+                          LatticeMismatch, Overlap, OutOfRange, RankMismatch)
 from qrank.rankfun import (check_axioms, classify, closure, cyclic_flats,
                            cyclic_spaces, flats, independence_report,
                            principal_denominator, rank_point)
@@ -78,6 +78,34 @@ def test_convex_combination_identity_and_errors(lat22):
         convex_combination([(Fraction(1, 2), u)])
     with pytest.raises(CoefficientSum):
         convex_combination([(Fraction(3, 2), u), (Fraction(-1, 2), u)])
+    with pytest.raises(CoefficientSum):
+        convex_combination([])
+
+
+def test_combinations_refuse_points_on_two_lattices(lat22, lat23):
+    half = Fraction(1, 2)
+    with pytest.raises(LatticeMismatch):
+        convex_combination([(half, uniform(lat22, 1)),
+                            (half, uniform(lat23, 1))])
+    with pytest.raises(LatticeMismatch):
+        two_uniform_combo_report(2, 4, 2, 3, half, lattice=lat23)
+    with pytest.raises(LatticeMismatch):
+        paving_combo_report(paving_spec(lat22, 1, ()),
+                            paving_spec(lat23, 1, ()), half)
+
+
+def test_paving_combo_needs_lambda_strictly_inside(lat23):
+    spec = paving_spec(lat23, 2, ())
+    for lam in (0, 1):
+        with pytest.raises(CoefficientSum):
+            paving_combo_report(spec, spec, lam)
+
+
+def test_combo_spec_needs_one_coefficient_per_term():
+    spec = {"kind": "combo", "coefficients": ["1/2", "1/2"],
+            "terms": [{"kind": "uniform", "q": 2, "n": 2, "k": 1}]}
+    with pytest.raises(CoefficientSum, match="count mismatch"):
+        compile_spec(spec)
 
 
 _LAT22 = build_lattice(2, 2)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from helpers import (_int_rank, facet_axiom_violations,
                      literal_axiom_violations, plain_dfs_lattice_points,
                      random_disjoint_paving_pair, random_lambda,
-                     random_paving_collection, rank_test_vertices,
+                     random_paving_collection, rank2_vertices,
+                     rank_test_vertices,
                      facet_row_numbers, reference_face_counts, reference_pairs,
                      reference_rows, reference_sparse_rank, table_row)
 from qrank import polytope, rankfun
@@ -1183,6 +1184,29 @@ def test_f_vector_past_dimension_6(q, fv):
     n = q + 1
     assert fv[0] == 2 ** n - n * (n - 1) // 2 + 1
     assert fv[-1] == 2 * n + n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("q,count", [(2, 6), (3, 11), (4, 23), (5, 50),
+                                     (7, 229), (8, 477), (9, 980)])
+def test_rank2_vertices_match_the_closed_form(q, count):
+    # double description against the closed-form list of P(q,2)'s
+    # vertices, which shares nothing with it
+    lat = build_lattice(q, 2)
+    expected = rank2_vertices(lat)
+    assert len(expected) == count
+    assert {p.values for p in enumerate_vertices(build_hrep(lat))} == expected
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 3),
+                                 (5, 3), (2, 4), (3, 4), (2, 5)])
+def test_codegree_point_has_slack_one_on_every_facet(q, n):
+    # gamma_X = dim X (2n + 1 - dim X) / 2 has slack exactly 1 on every
+    # facet of (n+1)P; in integers, 2 gamma read at mu = 2(n+1) has
+    # slack 2: the lemma behind tP having no interior integer point
+    # for t <= n
+    lat = build_lattice(q, n)
+    w = lat.padded(2 * (n + 1), [d * (2 * n + 1 - d) for d in lat.dims])
+    assert {w[x] + w[y] - w[m] - w[j] for x, y, m, j in lat.facets} == {2}
 
 
 def _incidence_sets(H, verts):

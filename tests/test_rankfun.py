@@ -270,6 +270,13 @@ def test_point_json_roundtrip(lat22):
         point_from_json(obj, lat22)
 
 
+def test_point_json_names_a_lattice_of_another_q_or_n(lat22, lat23, lat32):
+    obj = point_to_json(uniform(lat22, 1))
+    for other in (lat23, lat32):
+        with pytest.raises(DimensionMismatch, match="parameters"):
+            point_from_json(obj, other)
+
+
 def test_point_json_requires_digest(lat22):
     obj = point_to_json(uniform(lat22, 1))
     del obj["order_digest"]

@@ -225,6 +225,16 @@ def test_self_orthogonal_line(lat22):
     assert lat22.orthogonal_complement(i) == i
 
 
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3), (4, 3)])
+def test_zero_space_is_the_empty_basis(q, n):
+    # grade 0 of the RREF enumeration is the one empty basis, and no
+    # rows, or only zero rows, span the zero space at index 0
+    lat = build_lattice(q, n)
+    assert lat.subspaces[0].basis.entries == ()
+    assert lat.index_of_rows([]) == 0
+    assert lat.index_of_rows([(0,) * n]) == 0
+
+
 def test_dump_digest_stable(lat22):
     d1 = lat22.order_digest()
     d2 = build_lattice(2, 2).order_digest()
